@@ -1,0 +1,391 @@
+"""Command-line interface.
+
+Subcommands:
+    depth     compute depth metrics for .qasm files
+    weights   configure an architecture weight map from duration tables
+    estimate  estimate circuit runtimes from a duration table
+    compare   run the pairwise %RE and identification analyses over a manifest
+    sweep     sweep the single-qubit weight w_s over a grid
+
+Exit codes: 0 ok, 2 parse error, 3 unresolved weight/duration,
+4 configuration error, 5 manifest error.
+"""
+from __future__ import annotations
+
+import argparse
+import csv
+import json
+import sys
+from pathlib import Path
+
+from . import __version__
+from .calibration import (ArchitectureMismatchError, DurationTableError,
+                          configure_weights, load_duration_table)
+from .compare import (VersionRecord, all_pairs, identification_accuracy,
+                      summarize_distribution, sweep_single_qubit_weight)
+from .ir import validate
+from .metrics import (WeightMap, MissingWeightError, gate_aware_depth,
+                      multiqubit_depth, traditional_depth)
+from .qasm import QasmParseError, parse_file
+from .runtime import UnresolvedDurationError, estimate_runtime
+
+EXIT_OK = 0
+EXIT_PARSE = 2
+EXIT_RESOLUTION = 3
+EXIT_CONFIG = 4
+EXIT_MANIFEST = 5
+
+METRIC_NAMES = ("traditional", "multiqubit", "gateaware")
+
+
+class CliError(Exception):
+    def __init__(self, code: int, message: str):
+        self.code = code
+        super().__init__(message)
+
+
+def _fail(code: int, message: str) -> "CliError":
+    return CliError(code, message)
+
+
+def _load_circuit(path: str):
+    try:
+        circuit = parse_file(path)
+    except FileNotFoundError:
+        raise _fail(EXIT_PARSE, f"{path}: file not found")
+    except QasmParseError as exc:
+        lines = "\n".join(f"{path}:{d}" for d in exc.diagnostics)
+        raise _fail(EXIT_PARSE, lines)
+    violations = validate(circuit)
+    if violations:
+        lines = "\n".join(f"{path}: gate {v.gate_index}: {v.message}" for v in violations)
+        raise _fail(EXIT_PARSE, lines)
+    return circuit
+
+
+def _load_weight_map(path: str) -> WeightMap:
+    try:
+        return WeightMap.load(path)
+    except FileNotFoundError:
+        raise _fail(EXIT_CONFIG, f"{path}: file not found")
+    except (ValueError, KeyError) as exc:
+        raise _fail(EXIT_CONFIG, f"{path}: invalid weight map: {exc}")
+
+
+def _load_table(path: str):
+    try:
+        return load_duration_table(path)
+    except FileNotFoundError:
+        raise _fail(EXIT_CONFIG, f"{path}: file not found")
+    except DurationTableError as exc:
+        raise _fail(EXIT_CONFIG, str(exc))
+
+
+def _json_line(obj: dict) -> str:
+    return json.dumps(obj, sort_keys=False)
+
+
+# ---------------------------------------------------------------- depth ---
+
+def cmd_depth(args) -> int:
+    wmap = None
+    metrics = METRIC_NAMES if args.metric == "all" else (args.metric,)
+    if "gateaware" in metrics:
+        if args.weights is None:
+            raise _fail(EXIT_RESOLUTION, "--metric gateaware requires --weights")
+        wmap = _load_weight_map(args.weights)
+    for path in args.files:
+        circuit = _load_circuit(path)
+        record: dict = {"file": path}
+        for metric in metrics:
+            if metric == "traditional":
+                record["traditional_depth"] = traditional_depth(circuit, args.barrier)
+            elif metric == "multiqubit":
+                record["multiqubit_depth"] = multiqubit_depth(circuit, args.barrier)
+            else:
+                try:
+                    record["gate_aware_depth"] = gate_aware_depth(circuit, wmap, args.barrier)
+                except MissingWeightError as exc:
+                    raise _fail(EXIT_RESOLUTION, f"{path}: {exc.args[0]}")
+        print(_json_line(record))
+    return EXIT_OK
+
+
+# -------------------------------------------------------------- weights ---
+
+def cmd_weights(args) -> int:
+    tables = [_load_table(path) for path in args.tables]
+    try:
+        wmap = configure_weights(tables, pooled=args.pooled)
+    except ArchitectureMismatchError as exc:
+        raise _fail(EXIT_CONFIG, str(exc))
+    except ValueError as exc:
+        raise _fail(EXIT_CONFIG, str(exc))
+    if args.out:
+        wmap.save(args.out)
+    print(f"architecture: {wmap.architecture}")
+    for name in sorted(wmap.weights):
+        print(f"  {name:>10s}  {wmap.weights[name]:.6g}")
+    return EXIT_OK
+
+
+# ------------------------------------------------------------- estimate ---
+
+def cmd_estimate(args) -> int:
+    table = _load_table(args.durations)
+    for path in args.files:
+        circuit = _load_circuit(path)
+        try:
+            runtime = estimate_runtime(circuit, table, args.barrier)
+        except UnresolvedDurationError as exc:
+            raise _fail(EXIT_RESOLUTION, f"{path}: {exc.args[0]}")
+        print(_json_line({"file": path, "runtime_s": runtime}))
+    return EXIT_OK
+
+
+# ------------------------------------------------------------- manifest ---
+
+def _load_manifest(path: str) -> list[dict]:
+    try:
+        with open(path, encoding="utf-8") as fh:
+            data = json.load(fh)
+    except FileNotFoundError:
+        raise _fail(EXIT_MANIFEST, f"{path}: file not found")
+    except json.JSONDecodeError as exc:
+        raise _fail(EXIT_MANIFEST, f"{path}: invalid JSON: {exc}")
+    bases = data.get("bases") if isinstance(data, dict) else None
+    if not isinstance(bases, list) or not bases:
+        raise _fail(EXIT_MANIFEST, f"{path}: /bases: required non-empty array")
+    root = Path(path).parent
+    out = []
+    for i, base in enumerate(bases):
+        if not isinstance(base, dict) or not isinstance(base.get("name"), str):
+            raise _fail(EXIT_MANIFEST, f"{path}: /bases/{i}/name: required string")
+        versions = base.get("versions")
+        if not isinstance(versions, list) or len(versions) < 1:
+            raise _fail(EXIT_MANIFEST, f"{path}: /bases/{i}/versions: required non-empty array")
+        resolved = []
+        for j, ver in enumerate(versions):
+            if (not isinstance(ver, dict) or not isinstance(ver.get("compiler"), str)
+                    or not isinstance(ver.get("file"), str)):
+                raise _fail(EXIT_MANIFEST,
+                            f"{path}: /bases/{i}/versions/{j}: requires compiler and file strings")
+            file_path = Path(ver["file"])
+            if not file_path.is_absolute():
+                file_path = root / file_path
+            resolved.append({"compiler": ver["compiler"], "file": str(file_path)})
+        out.append({"name": base["name"], "versions": resolved})
+    return out
+
+
+def _build_records(manifest: list[dict], metrics: tuple[str, ...],
+                   table, wmap, barrier: str) -> list[VersionRecord]:
+    records = []
+    for base in manifest:
+        for ver in base["versions"]:
+            circuit = _load_circuit(ver["file"])
+            values: dict[str, float] = {}
+            for metric in metrics:
+                if metric == "traditional":
+                    values[metric] = float(traditional_depth(circuit, barrier))
+                elif metric == "multiqubit":
+                    values[metric] = float(multiqubit_depth(circuit, barrier))
+                else:
+                    try:
+                        values[metric] = gate_aware_depth(circuit, wmap, barrier)
+                    except MissingWeightError as exc:
+                        raise _fail(EXIT_RESOLUTION, f"{ver['file']}: {exc.args[0]}")
+            try:
+                runtime = estimate_runtime(circuit, table, barrier)
+            except UnresolvedDurationError as exc:
+                raise _fail(EXIT_RESOLUTION, f"{ver['file']}: {exc.args[0]}")
+            records.append(VersionRecord(base["name"], ver["compiler"], values, runtime))
+    return records
+
+
+# -------------------------------------------------------------- compare ---
+
+def cmd_compare(args) -> int:
+    metrics = tuple(args.metrics.split(","))
+    for metric in metrics:
+        if metric not in METRIC_NAMES:
+            raise _fail(EXIT_CONFIG, f"unknown metric {metric!r}; choose from {METRIC_NAMES}")
+    manifest = _load_manifest(args.manifest)
+    table = _load_table(args.durations)
+    wmap = None
+    if "gateaware" in metrics:
+        if args.weights is None:
+            raise _fail(EXIT_RESOLUTION, "--metrics gateaware requires --weights")
+        wmap = _load_weight_map(args.weights)
+
+    records = _build_records(manifest, metrics, table, wmap, args.barrier)
+
+    out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
+
+    pair_rows = []
+    summary: dict = {
+        "quartile_method": "linear",
+        "orientation": "lexicographically smaller compiler id is the denominator C2",
+        "metrics": {},
+    }
+    report: dict = {"records": [
+        {"base": r.base, "compiler": r.compiler, "metrics": r.metrics, "runtime_s": r.runtime_s}
+        for r in records
+    ], "pairs": []}
+
+    for metric in metrics:
+        comparisons = all_pairs(records, metric)
+        res = [c.percent_re for c in comparisons if c.percent_re is not None]
+        try:
+            accuracy, idents = identification_accuracy(records, metric)
+        except ValueError as exc:
+            raise _fail(EXIT_MANIFEST, str(exc))
+        for c in comparisons:
+            row = {
+                "base": c.base, "compiler_a": c.compiler_a, "compiler_b": c.compiler_b,
+                "metric": metric, "delta_metric": c.delta_metric,
+                "delta_runtime": c.delta_runtime, "percent_re": c.percent_re,
+                "flags": ";".join(c.flags),
+            }
+            pair_rows.append(row)
+            report["pairs"].append(row)
+        summary["metrics"][metric] = {
+            "pair_count": len(comparisons),
+            "excluded_pairs": len(comparisons) - len(res),
+            "percent_re": summarize_distribution(res).to_dict() if res else None,
+            "identification_accuracy_percent": accuracy,
+            "identifications": [
+                {"base": r.base, "correct": r.correct,
+                 "metric_argmin": list(r.metric_argmin),
+                 "runtime_argmin": list(r.runtime_argmin)}
+                for r in idents
+            ],
+        }
+
+    with open(out_dir / "pairs.csv", "w", newline="", encoding="utf-8") as fh:
+        writer = csv.DictWriter(fh, fieldnames=[
+            "base", "compiler_a", "compiler_b", "metric",
+            "delta_metric", "delta_runtime", "percent_re", "flags"])
+        writer.writeheader()
+        for row in pair_rows:
+            writer.writerow({k: ("" if v is None else v) for k, v in row.items()})
+    with open(out_dir / "report.json", "w", encoding="utf-8") as fh:
+        json.dump(report, fh, indent=2)
+        fh.write("\n")
+    with open(out_dir / "summary.json", "w", encoding="utf-8") as fh:
+        json.dump(summary, fh, indent=2)
+        fh.write("\n")
+
+    for metric in metrics:
+        m = summary["metrics"][metric]
+        med = m["percent_re"]["median"] if m["percent_re"] else float("nan")
+        print(f"{metric:>12s}: {m['pair_count']} pairs, median %RE {med:.6g}, "
+              f"identification accuracy {m['identification_accuracy_percent']:.6g}%")
+    return EXIT_OK
+
+
+# ---------------------------------------------------------------- sweep ---
+
+def _parse_grid(spec: str) -> list[float]:
+    try:
+        start, stop, step = (float(part) for part in spec.split(":"))
+    except ValueError:
+        raise _fail(EXIT_CONFIG, f"invalid grid {spec!r}; expected start:stop:step")
+    if step <= 0 or stop < start:
+        raise _fail(EXIT_CONFIG, f"invalid grid {spec!r}; need step > 0 and stop >= start")
+    n = int(round((stop - start) / step)) + 1
+    grid = [round(start + i * step, 12) for i in range(n)]
+    return [g for g in grid if g <= stop + 1e-12]
+
+
+def cmd_sweep(args) -> int:
+    manifest = _load_manifest(args.manifest)
+    tables = [_load_table(path) for path in args.durations]
+    grid = _parse_grid(args.grid)
+    bases = []
+    for base in manifest:
+        versions = []
+        for ver in base["versions"]:
+            versions.append((ver["compiler"], _load_circuit(ver["file"])))
+        bases.append((base["name"], versions))
+    try:
+        result = sweep_single_qubit_weight(bases, tables, grid)
+    except UnresolvedDurationError as exc:
+        raise _fail(EXIT_RESOLUTION, exc.args[0])
+
+    rows = [(p.w_s, p.device, p.median_percent_re) for p in result.points]
+    if args.out:
+        with open(args.out, "w", newline="", encoding="utf-8") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["w_s", "device", "median_percent_re"])
+            writer.writerows(rows)
+    else:
+        print("w_s,device,median_percent_re")
+        for row in rows:
+            print(f"{row[0]},{row[1]},{row[2]}")
+    print(json.dumps({"argmin_w_s": dict(result.argmin_w_s)}, sort_keys=True))
+    return EXIT_OK
+
+
+# ----------------------------------------------------------------- main ---
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="gatedepth",
+        description="Quantum circuit depth metrics, runtime estimation, and accuracy analyses.",
+    )
+    parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    p = sub.add_parser("depth", help="compute depth metrics for circuits")
+    p.add_argument("files", nargs="+", metavar="FILE.qasm")
+    p.add_argument("--metric", choices=METRIC_NAMES + ("all",), default="all")
+    p.add_argument("--weights", help="weight-map JSON (required for gateaware)")
+    p.add_argument("--barrier", choices=("skip", "sync"), default="skip")
+    p.set_defaults(func=cmd_depth)
+
+    p = sub.add_parser("weights", help="configure a weight map from duration tables")
+    p.add_argument("tables", nargs="+", metavar="TABLE.json")
+    p.add_argument("--out", help="write the weight map JSON here")
+    p.add_argument("--pooled", action="store_true",
+                   help="pool entries across devices instead of averaging device means")
+    p.set_defaults(func=cmd_weights)
+
+    p = sub.add_parser("estimate", help="estimate circuit runtimes")
+    p.add_argument("files", nargs="+", metavar="FILE.qasm")
+    p.add_argument("--durations", required=True, help="duration-table JSON")
+    p.add_argument("--barrier", choices=("skip", "sync"), default="skip")
+    p.set_defaults(func=cmd_estimate)
+
+    p = sub.add_parser("compare", help="pairwise %RE and identification analyses")
+    p.add_argument("manifest", help="manifest JSON mapping bases to version files")
+    p.add_argument("--metrics", default="traditional,multiqubit,gateaware",
+                   help="comma-separated metric list")
+    p.add_argument("--durations", required=True)
+    p.add_argument("--weights")
+    p.add_argument("--barrier", choices=("skip", "sync"), default="skip")
+    p.add_argument("--out", required=True, help="output directory for reports")
+    p.set_defaults(func=cmd_compare)
+
+    p = sub.add_parser("sweep", help="sweep the single-qubit weight w_s")
+    p.add_argument("manifest")
+    p.add_argument("--durations", required=True, nargs="+",
+                   help="one duration-table JSON per device")
+    p.add_argument("--grid", default="0:1:0.01", help="start:stop:step")
+    p.add_argument("--out", help="CSV output path (stdout if omitted)")
+    p.set_defaults(func=cmd_sweep)
+    return parser
+
+
+def main(argv=None) -> int:
+    args = build_parser().parse_args(argv)
+    try:
+        return args.func(args)
+    except CliError as exc:
+        print(str(exc), file=sys.stderr)
+        return exc.code
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -1,0 +1,270 @@
+"""Accuracy harness for comparing depth metrics against true runtimes.
+
+Given several compiled versions of each base circuit, this module computes
+relative-difference predictions and their percent relative error (%RE) for
+every version pair, checks whether each metric picks out the
+runtime-optimal version(s), summarizes %RE distributions, and sweeps the
+single-qubit weight of a parameterized weight map over a grid.
+"""
+from __future__ import annotations
+
+from dataclasses import dataclass
+from typing import Mapping, Sequence
+
+import numpy as np
+
+from .calibration import DurationTable
+from .ir import Circuit, is_multi_qubit
+from .metrics import WeightMap, gate_aware_depth
+from .runtime import estimate_runtime
+
+# argmin tie tolerances: depths are exact sums of a few doubles, runtimes
+# can differ by float noise around 1e-16 s
+METRIC_REL_TOL = 1e-9
+RUNTIME_ABS_TOL = 1e-12
+
+FLAG_ZERO_DELTA_RUNTIME = "zero_delta_runtime"
+FLAG_ZERO_METRIC_BASE = "zero_metric_base"
+FLAG_ZERO_RUNTIME_BASE = "zero_runtime_base"
+
+
+@dataclass(frozen=True)
+class VersionRecord:
+    """One compiled version of a base circuit with its metric values."""
+
+    base: str
+    compiler: str
+    metrics: Mapping[str, float]
+    runtime_s: float
+
+    def __post_init__(self):
+        object.__setattr__(self, "metrics", dict(self.metrics))
+
+
+def relative_difference(a: float, b: float) -> float:
+    """(a - b) / b, the relative change of ``a`` with respect to base ``b``."""
+    if b == 0:
+        raise ZeroDivisionError("relative difference undefined for zero base value")
+    return (a - b) / b
+
+
+def percent_relative_error(delta_metric: float, delta_runtime: float) -> float:
+    """|dD - dR| / |dR| * 100; at least 100 whenever the signs differ."""
+    if delta_runtime == 0:
+        raise ZeroDivisionError("%RE undefined for zero runtime difference")
+    return abs(delta_metric - delta_runtime) / abs(delta_runtime) * 100.0
+
+
+@dataclass(frozen=True)
+class PairComparison:
+    """One pairwise prediction: compiler_a is C1, compiler_b the base C2."""
+
+    base: str
+    compiler_a: str
+    compiler_b: str
+    metric: str
+    delta_metric: float | None
+    delta_runtime: float | None
+    percent_re: float | None
+    flags: tuple[str, ...] = ()
+
+
+def _group_by_base(records: Sequence[VersionRecord]) -> dict[str, list[VersionRecord]]:
+    groups: dict[str, list[VersionRecord]] = {}
+    for rec in records:
+        groups.setdefault(rec.base, []).append(rec)
+    return groups
+
+
+def all_pairs(records: Sequence[VersionRecord], metric: str) -> list[PairComparison]:
+    """One comparison per unordered compiler pair per base circuit.
+
+    Orientation is deterministic: the lexicographically smaller compiler id
+    is the denominator C2. A base with k versions yields k*(k-1)/2 pairs.
+    %RE is left None (with a flag) when a denominator is zero.
+    """
+    comparisons: list[PairComparison] = []
+    for base, group in _group_by_base(records).items():
+        by_compiler = {rec.compiler: rec for rec in group}
+        if len(by_compiler) != len(group):
+            raise ValueError(f"duplicate compiler ids for base {base!r}")
+        compilers = sorted(by_compiler)
+        for i, c2 in enumerate(compilers):
+            for c1 in compilers[i + 1:]:
+                rec1, rec2 = by_compiler[c1], by_compiler[c2]
+                flags: list[str] = []
+                delta_metric = delta_runtime = percent_re = None
+                if rec2.metrics[metric] == 0:
+                    flags.append(FLAG_ZERO_METRIC_BASE)
+                else:
+                    delta_metric = relative_difference(rec1.metrics[metric], rec2.metrics[metric])
+                if rec2.runtime_s == 0:
+                    flags.append(FLAG_ZERO_RUNTIME_BASE)
+                else:
+                    delta_runtime = relative_difference(rec1.runtime_s, rec2.runtime_s)
+                if delta_metric is not None and delta_runtime is not None:
+                    if delta_runtime == 0:
+                        flags.append(FLAG_ZERO_DELTA_RUNTIME)
+                    else:
+                        percent_re = percent_relative_error(delta_metric, delta_runtime)
+                comparisons.append(
+                    PairComparison(base, c1, c2, metric, delta_metric, delta_runtime,
+                                   percent_re, tuple(flags))
+                )
+    return comparisons
+
+
+@dataclass(frozen=True)
+class IdentificationResult:
+    base: str
+    metric: str
+    correct: bool
+    metric_argmin: tuple[str, ...]
+    runtime_argmin: tuple[str, ...]
+
+
+def _argmin_set(values: Mapping[str, float], rel_tol: float, abs_tol: float) -> tuple[str, ...]:
+    lowest = min(values.values())
+    tied = [
+        key for key, v in values.items()
+        if v - lowest <= abs_tol or (lowest != 0 and (v - lowest) / abs(lowest) <= rel_tol)
+    ]
+    return tuple(sorted(tied))
+
+
+def identify_optimal(records: Sequence[VersionRecord], metric: str) -> IdentificationResult:
+    """Check whether the metric's argmin set equals the runtime argmin set.
+
+    Ties that enlarge the metric argmin set beyond the runtime argmin set
+    count as incorrect; a symmetric tie on both sides is correct.
+    """
+    if len(records) < 2:
+        raise ValueError("identification needs at least two versions")
+    bases = {rec.base for rec in records}
+    if len(bases) != 1:
+        raise ValueError(f"records span multiple base circuits: {sorted(bases)}")
+    metric_values = {rec.compiler: rec.metrics[metric] for rec in records}
+    runtimes = {rec.compiler: rec.runtime_s for rec in records}
+    metric_argmin = _argmin_set(metric_values, METRIC_REL_TOL, 0.0)
+    runtime_argmin = _argmin_set(runtimes, 0.0, RUNTIME_ABS_TOL)
+    return IdentificationResult(
+        base=next(iter(bases)),
+        metric=metric,
+        correct=metric_argmin == runtime_argmin,
+        metric_argmin=metric_argmin,
+        runtime_argmin=runtime_argmin,
+    )
+
+
+def identification_accuracy(records: Sequence[VersionRecord], metric: str) -> tuple[float, list[IdentificationResult]]:
+    """Percentage of base circuits whose runtime-optimal set is identified."""
+    results = [
+        identify_optimal(group, metric)
+        for group in _group_by_base(records).values()
+        if len(group) >= 2
+    ]
+    if not results:
+        raise ValueError("no base circuit has two or more versions")
+    accuracy = 100.0 * sum(r.correct for r in results) / len(results)
+    return accuracy, results
+
+
+@dataclass(frozen=True)
+class DistributionSummary:
+    """Boxplot-style summary: quartiles by linear interpolation, Tukey fences."""
+
+    n: int
+    median: float
+    q1: float
+    q3: float
+    iqr: float
+    outliers: tuple[float, ...]
+
+    def to_dict(self) -> dict:
+        return {
+            "n": self.n, "median": self.median, "q1": self.q1, "q3": self.q3,
+            "iqr": self.iqr, "outliers": list(self.outliers),
+        }
+
+
+def summarize_distribution(values: Sequence[float]) -> DistributionSummary:
+    """Median/quartiles via linear interpolation between order statistics;
+    outliers are values beyond the 1.5*IQR fences."""
+    if len(values) == 0:
+        raise ValueError("cannot summarize an empty distribution")
+    arr = np.asarray(values, dtype=float)
+    q1, median, q3 = np.percentile(arr, [25.0, 50.0, 75.0])
+    iqr = q3 - q1
+    lo, hi = q1 - 1.5 * iqr, q3 + 1.5 * iqr
+    outliers = tuple(float(v) for v in sorted(arr[(arr < lo) | (arr > hi)]))
+    return DistributionSummary(len(arr), float(median), float(q1), float(q3), float(iqr), outliers)
+
+
+@dataclass(frozen=True)
+class SweepPoint:
+    w_s: float
+    device: str
+    median_percent_re: float
+
+
+@dataclass(frozen=True)
+class SweepResult:
+    points: tuple[SweepPoint, ...]
+    argmin_w_s: Mapping[str, float]  # device -> w_s minimizing median %RE
+
+    def __post_init__(self):
+        object.__setattr__(self, "argmin_w_s", dict(self.argmin_w_s))
+
+
+def sweep_single_qubit_weight(
+    bases: Sequence[tuple[str, Sequence[tuple[str, Circuit]]]],
+    tables: Sequence[DurationTable],
+    grid: Sequence[float],
+) -> SweepResult:
+    """Evaluate gate-aware depth accuracy for each single-qubit weight w_s.
+
+    For each grid value a weight map is rebuilt with w_s for every non-rz
+    single-qubit name (and measure), 1.0 for multi-qubit names, and 0.0 for
+    rz; gate-aware depths are recomputed and compared against runtimes from
+    each device's duration table, reporting the median %RE. Ties in the
+    argmin go to the smallest w_s.
+    """
+    names: set[str] = set()
+    multiqubit_names: set[str] = set()
+    for _, versions in bases:
+        for _, circuit in versions:
+            for gate in circuit.gates:
+                if gate.kind in ("unitary", "measure"):
+                    names.add(gate.name)
+                    if is_multi_qubit(gate):
+                        multiqubit_names.add(gate.name)
+
+    points: list[SweepPoint] = []
+    argmin: dict[str, float] = {}
+    for table in tables:
+        runtimes = {
+            (base, compiler): estimate_runtime(circuit, table)
+            for base, versions in bases
+            for compiler, circuit in versions
+        }
+        best: tuple[float, float] | None = None  # (median, w_s)
+        for w_s in grid:
+            weights = {
+                name: 0.0 if name == "rz" else 1.0 if name in multiqubit_names else w_s
+                for name in names
+            }
+            wmap = WeightMap(weights, architecture=table.architecture)
+            records = [
+                VersionRecord(base, compiler,
+                              {"gateaware": gate_aware_depth(circuit, wmap)},
+                              runtimes[(base, compiler)])
+                for base, versions in bases
+                for compiler, circuit in versions
+            ]
+            res = [c.percent_re for c in all_pairs(records, "gateaware") if c.percent_re is not None]
+            median = summarize_distribution(res).median
+            points.append(SweepPoint(w_s, table.device, median))
+            if best is None or median < best[0]:
+                best = (median, w_s)
+        argmin[table.device] = best[1]
+    return SweepResult(tuple(points), argmin)

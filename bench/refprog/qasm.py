@@ -1,0 +1,529 @@
+"""OpenQASM 2.0 subset frontend.
+
+Supports the dialect emitted by mainstream transpilers: version header,
+``include "qelib1.inc";``, quantum/classical register declarations, gate
+applications with pi-expression parameters, measure, and barrier. Custom
+gate definitions, opaque declarations, and classical control flow are
+rejected with diagnostics. Classical registers are accepted and ignored
+with a warning.
+
+Gate names are taken at face value: "cx" is never rewritten to "ecr" or
+vice versa, so weight maps and duration tables must be keyed by the names
+appearing in the file.
+"""
+from __future__ import annotations
+
+import math
+import re
+from dataclasses import dataclass, field
+
+from .ir import BARRIER, DELAY, MEASURE, UNITARY, Circuit, Gate
+
+# name -> (qubit arity, parameter count). Delay allows 0 or 1 params.
+BUILTIN_GATES: dict[str, tuple[int, int]] = {
+    "u0": (1, 1), "u1": (1, 1), "u2": (1, 2), "u3": (1, 3), "u": (1, 3),
+    "p": (1, 1), "id": (1, 0), "x": (1, 0), "y": (1, 0), "z": (1, 0),
+    "h": (1, 0), "s": (1, 0), "sdg": (1, 0), "t": (1, 0), "tdg": (1, 0),
+    "sx": (1, 0), "sxdg": (1, 0), "rx": (1, 1), "ry": (1, 1), "rz": (1, 1),
+    "cx": (2, 0), "cy": (2, 0), "cz": (2, 0), "ch": (2, 0), "ecr": (2, 0),
+    "swap": (2, 0), "iswap": (2, 0), "csx": (2, 0),
+    "crx": (2, 1), "cry": (2, 1), "crz": (2, 1), "cp": (2, 1), "cu1": (2, 1),
+    "cu3": (2, 3), "rxx": (2, 1), "ryy": (2, 1), "rzz": (2, 1), "rzx": (2, 1),
+    "ccx": (3, 0), "ccz": (3, 0), "cswap": (3, 0),
+}
+
+_REJECTED_KEYWORDS = {
+    "gate": "custom gate definitions unsupported",
+    "opaque": "opaque declarations unsupported",
+    "if": "classical control flow unsupported",
+    "reset": "reset unsupported",
+    "for": "loops unsupported",
+    "while": "loops unsupported",
+}
+
+
+@dataclass(frozen=True)
+class ParseDiagnostic:
+    line: int
+    column: int
+    message: str
+    severity: str = "error"
+
+    def __str__(self):
+        return f"{self.line}:{self.column}: {self.severity}: {self.message}"
+
+
+@dataclass
+class ParseResult:
+    """Outcome of a parse: a circuit on success, diagnostics either way."""
+
+    circuit: Circuit | None
+    diagnostics: list[ParseDiagnostic] = field(default_factory=list)
+
+    @property
+    def ok(self) -> bool:
+        return self.circuit is not None
+
+    def errors(self) -> list[ParseDiagnostic]:
+        return [d for d in self.diagnostics if d.severity == "error"]
+
+
+class QasmParseError(ValueError):
+    """Raised by :func:`parse` when the input has error diagnostics."""
+
+    def __init__(self, diagnostics: list[ParseDiagnostic]):
+        self.diagnostics = diagnostics
+        super().__init__("; ".join(str(d) for d in diagnostics))
+
+
+_TOKEN_RE = re.compile(
+    r"""
+    (?P<ws>[ \t\r]+)
+  | (?P<comment>//[^\n]*)
+  | (?P<newline>\n)
+  | (?P<real>(\d+\.\d*|\.\d+)([eE][+-]?\d+)?|\d+[eE][+-]?\d+)
+  | (?P<int>\d+)
+  | (?P<id>[A-Za-z_][A-Za-z0-9_]*)
+  | (?P<string>"[^"\n]*")
+  | (?P<arrow>->)
+  | (?P<sym>[;,()\[\]{}*/+\-])
+    """,
+    re.VERBOSE,
+)
+
+
+@dataclass(frozen=True)
+class _Token:
+    kind: str
+    text: str
+    line: int
+    column: int
+
+
+def _tokenize(text: str) -> tuple[list[_Token], list[ParseDiagnostic]]:
+    tokens: list[_Token] = []
+    diags: list[ParseDiagnostic] = []
+    line, col, pos = 1, 1, 0
+    while pos < len(text):
+        m = _TOKEN_RE.match(text, pos)
+        if m is None:
+            diags.append(ParseDiagnostic(line, col, f"unexpected character {text[pos]!r}"))
+            pos += 1
+            col += 1
+            continue
+        kind = m.lastgroup
+        tok = m.group()
+        if kind == "newline":
+            line += 1
+            col = 1
+        elif kind not in ("ws", "comment"):
+            tokens.append(_Token(kind, tok, line, col))
+            col += len(tok)
+        else:
+            col += len(tok)
+        pos = m.end()
+    tokens.append(_Token("eof", "", line, col))
+    return tokens, diags
+
+
+class _Parser:
+    def __init__(self, tokens: list[_Token]):
+        self.tokens = tokens
+        self.i = 0
+        self.diags: list[ParseDiagnostic] = []
+        self.qregs: dict[str, tuple[int, int]] = {}  # name -> (offset, size)
+        self.cregs: dict[str, int] = {}
+        self.num_qubits = 0
+        self.gates: list[Gate] = []
+        self.failed = False
+
+    # --- token helpers -------------------------------------------------
+    def peek(self) -> _Token:
+        return self.tokens[self.i]
+
+    def advance(self) -> _Token:
+        tok = self.tokens[self.i]
+        if tok.kind != "eof":
+            self.i += 1
+        return tok
+
+    def error(self, tok: _Token, message: str):
+        self.diags.append(ParseDiagnostic(tok.line, tok.column, message))
+        self.failed = True
+
+    def warn(self, tok: _Token, message: str):
+        self.diags.append(ParseDiagnostic(tok.line, tok.column, message, "warning"))
+
+    def expect(self, kind: str, text: str | None = None, what: str | None = None) -> _Token | None:
+        tok = self.peek()
+        if tok.kind == kind and (text is None or tok.text == text):
+            return self.advance()
+        expected = what or (text or kind)
+        self.error(tok, f"expected {expected}, found {tok.text!r}" if tok.text else f"expected {expected}, found end of input")
+        return None
+
+    def skip_statement(self):
+        """Recover by skipping to just past the next ';'."""
+        while True:
+            tok = self.advance()
+            if tok.kind == "eof" or (tok.kind == "sym" and tok.text == ";"):
+                return
+
+    # --- grammar -------------------------------------------------------
+    def parse_program(self):
+        self.parse_header()
+        while self.peek().kind != "eof":
+            self.parse_statement()
+
+    def parse_header(self):
+        if self.expect("id", "OPENQASM") is None:
+            self.skip_statement()
+            return
+        tok = self.peek()
+        if tok.kind == "real" and tok.text == "2.0":
+            self.advance()
+        else:
+            self.error(tok, f"unsupported OPENQASM version {tok.text!r}; only 2.0 is supported")
+            self.skip_statement()
+            return
+        self.expect("sym", ";")
+
+    def parse_statement(self):
+        tok = self.peek()
+        if tok.kind != "id":
+            self.error(tok, f"expected statement, found {tok.text!r}")
+            self.skip_statement()
+            return
+        if tok.text in _REJECTED_KEYWORDS:
+            self.error(tok, _REJECTED_KEYWORDS[tok.text])
+            self.skip_rejected(tok.text)
+            return
+        if tok.text == "include":
+            self.parse_include()
+        elif tok.text == "qreg":
+            self.parse_qreg()
+        elif tok.text == "creg":
+            self.parse_creg()
+        elif tok.text == "measure":
+            self.parse_measure()
+        elif tok.text == "barrier":
+            self.parse_barrier()
+        else:
+            self.parse_gate_application()
+
+    def skip_rejected(self, keyword: str):
+        # gate definitions span a {...} block; other constructs end at ';'
+        if keyword == "gate":
+            depth = 0
+            while True:
+                tok = self.advance()
+                if tok.kind == "eof":
+                    return
+                if tok.kind == "sym" and tok.text == "{":
+                    depth += 1
+                elif tok.kind == "sym" and tok.text == "}":
+                    depth -= 1
+                    if depth <= 0:
+                        return
+        else:
+            self.skip_statement()
+
+    def parse_include(self):
+        self.advance()
+        tok = self.expect("string", what="include file name")
+        if tok is not None and tok.text != '"qelib1.inc"':
+            self.error(tok, f"unknown include file {tok.text}; only \"qelib1.inc\" is supported")
+        self.expect("sym", ";")
+
+    def parse_register_decl(self) -> tuple[_Token, int] | None:
+        name = self.expect("id", what="register name")
+        if name is None or self.expect("sym", "[") is None:
+            self.skip_statement()
+            return None
+        size = self.expect("int", what="register size")
+        if size is None or self.expect("sym", "]") is None or self.expect("sym", ";") is None:
+            self.skip_statement()
+            return None
+        n = int(size.text)
+        if n < 1:
+            self.error(size, f"register size must be positive, got {n}")
+            return None
+        return name, n
+
+    def parse_qreg(self):
+        self.advance()
+        decl = self.parse_register_decl()
+        if decl is None:
+            return
+        name, n = decl
+        if name.text in self.qregs:
+            self.error(name, f"duplicate register name {name.text!r}")
+            return
+        self.qregs[name.text] = (self.num_qubits, n)
+        self.num_qubits += n
+
+    def parse_creg(self):
+        tok = self.advance()
+        decl = self.parse_register_decl()
+        if decl is None:
+            return
+        name, n = decl
+        self.cregs[name.text] = n
+        self.warn(tok, f"classical register {name.text!r} accepted and ignored")
+
+    def parse_operand(self, classical: bool = False) -> list[int] | None:
+        """Parse ``name`` or ``name[i]``; return flattened qubit indices."""
+        name = self.expect("id", what="operand")
+        if name is None:
+            return None
+        regs = self.cregs if classical else self.qregs
+        if self.peek().kind == "sym" and self.peek().text == "[":
+            self.advance()
+            idx = self.expect("int", what="qubit index")
+            if idx is None or self.expect("sym", "]") is None:
+                return None
+            if classical:
+                if name.text not in self.cregs:
+                    self.error(name, f"undeclared classical register {name.text!r}")
+                    return None
+                return [int(idx.text)]
+            if name.text not in self.qregs:
+                self.error(name, f"undeclared register {name.text!r}")
+                return None
+            offset, size = self.qregs[name.text]
+            k = int(idx.text)
+            if k >= size:
+                self.error(idx, f"index {k} out of range for register {name.text!r} of size {size}")
+                return None
+            return [offset + k]
+        # whole-register operand
+        if classical:
+            if name.text not in self.cregs:
+                self.error(name, f"undeclared classical register {name.text!r}")
+                return None
+            return list(range(self.cregs[name.text]))
+        if name.text not in self.qregs:
+            self.error(name, f"undeclared register {name.text!r}")
+            return None
+        offset, size = self.qregs[name.text]
+        return list(range(offset, offset + size))
+
+    def parse_measure(self):
+        tok = self.advance()
+        src = self.parse_operand()
+        if src is None or self.expect("arrow", what="'->'") is None:
+            self.skip_statement()
+            return
+        dst = self.parse_operand(classical=True)
+        if dst is None or self.expect("sym", ";") is None:
+            self.skip_statement()
+            return
+        if len(dst) not in (1, len(src)) and len(src) != 1:
+            self.error(tok, f"measure operand lengths differ ({len(src)} vs {len(dst)})")
+            return
+        for q in src:
+            self.gates.append(Gate("measure", (q,), (), MEASURE))
+
+    def parse_barrier(self):
+        self.advance()
+        qubits: list[int] = []
+        while True:
+            op = self.parse_operand()
+            if op is None:
+                self.skip_statement()
+                return
+            qubits.extend(op)
+            tok = self.peek()
+            if tok.kind == "sym" and tok.text == ",":
+                self.advance()
+                continue
+            break
+        if self.expect("sym", ";") is None:
+            self.skip_statement()
+            return
+        # duplicate operands would be rejected by validate(); dedupe preserving order
+        seen: list[int] = []
+        for q in qubits:
+            if q not in seen:
+                seen.append(q)
+        self.gates.append(Gate("barrier", tuple(seen), (), BARRIER))
+
+    def parse_gate_application(self):
+        name = self.advance()
+        gate_name = name.text
+        params: list[float] = []
+        if self.peek().kind == "sym" and self.peek().text == "(":
+            self.advance()
+            if not (self.peek().kind == "sym" and self.peek().text == ")"):
+                while True:
+                    val = self.parse_expression()
+                    if val is None:
+                        self.skip_statement()
+                        return
+                    params.append(val)
+                    tok = self.peek()
+                    if tok.kind == "sym" and tok.text == ",":
+                        self.advance()
+                        continue
+                    break
+            if self.expect("sym", ")") is None:
+                self.skip_statement()
+                return
+
+        if gate_name == "delay":
+            arity, nparams = 1, len(params)
+            if len(params) > 1:
+                self.error(name, f"delay takes at most one parameter, got {len(params)}")
+                self.skip_statement()
+                return
+        elif gate_name in BUILTIN_GATES:
+            arity, nparams = BUILTIN_GATES[gate_name]
+        else:
+            self.error(name, f"unknown gate {gate_name!r}")
+            self.skip_statement()
+            return
+
+        if gate_name != "delay" and len(params) != nparams:
+            self.error(name, f"gate {gate_name!r} takes {nparams} parameter(s), got {len(params)}")
+            self.skip_statement()
+            return
+
+        operands: list[list[int]] = []
+        while True:
+            op = self.parse_operand()
+            if op is None:
+                self.skip_statement()
+                return
+            operands.append(op)
+            tok = self.peek()
+            if tok.kind == "sym" and tok.text == ",":
+                self.advance()
+                continue
+            break
+        if self.expect("sym", ";") is None:
+            self.skip_statement()
+            return
+
+        if len(operands) != arity:
+            self.error(name, f"gate {gate_name!r} expects {arity} operand(s), got {len(operands)}")
+            return
+
+        # register broadcasting: all multi-qubit operands must share a length;
+        # length-1 operands broadcast against them
+        lengths = {len(op) for op in operands if len(op) > 1}
+        if len(lengths) > 1:
+            self.error(name, f"mismatched register lengths {sorted(lengths)} in broadcast")
+            return
+        width = lengths.pop() if lengths else 1
+        kind = DELAY if gate_name == "delay" else UNITARY
+        for k in range(width):
+            qubits = tuple(op[k] if len(op) > 1 else op[0] for op in operands)
+            if len(set(qubits)) != len(qubits):
+                self.error(name, f"gate {gate_name!r} applied to duplicate qubits {list(qubits)}")
+                return
+            self.gates.append(Gate(gate_name, qubits, tuple(params), kind))
+
+    # --- pi-expression evaluation (precedence: unary -, * /, + -) ------
+    def parse_expression(self) -> float | None:
+        return self.parse_additive()
+
+    def parse_additive(self) -> float | None:
+        left = self.parse_multiplicative()
+        if left is None:
+            return None
+        while self.peek().kind == "sym" and self.peek().text in "+-":
+            op = self.advance().text
+            right = self.parse_multiplicative()
+            if right is None:
+                return None
+            left = left + right if op == "+" else left - right
+        return left
+
+    def parse_multiplicative(self) -> float | None:
+        left = self.parse_unary()
+        if left is None:
+            return None
+        while self.peek().kind == "sym" and self.peek().text in "*/":
+            op = self.advance().text
+            right = self.parse_unary()
+            if right is None:
+                return None
+            if op == "/":
+                if right == 0:
+                    self.error(self.peek(), "division by zero in parameter expression")
+                    return None
+                left = left / right
+            else:
+                left = left * right
+        return left
+
+    def parse_unary(self) -> float | None:
+        tok = self.peek()
+        if tok.kind == "sym" and tok.text == "-":
+            self.advance()
+            val = self.parse_unary()
+            return None if val is None else -val
+        if tok.kind == "sym" and tok.text == "+":
+            self.advance()
+            return self.parse_unary()
+        if tok.kind == "sym" and tok.text == "(":
+            self.advance()
+            val = self.parse_additive()
+            if val is None or self.expect("sym", ")") is None:
+                return None
+            return val
+        if tok.kind in ("real", "int"):
+            self.advance()
+            return float(tok.text)
+        if tok.kind == "id" and tok.text == "pi":
+            self.advance()
+            return math.pi
+        self.error(tok, f"expected parameter expression, found {tok.text!r}")
+        return None
+
+
+def parse_program(text: str) -> ParseResult:
+    """Parse QASM text, returning the circuit (or None) plus all diagnostics."""
+    tokens, lex_diags = _tokenize(text)
+    parser = _Parser(tokens)
+    parser.parse_program()
+    diags = lex_diags + parser.diags
+    failed = parser.failed or any(d.severity == "error" for d in diags)
+    if failed:
+        return ParseResult(None, diags)
+    if parser.num_qubits == 0:
+        diags.append(ParseDiagnostic(1, 1, "program declares no quantum register"))
+        return ParseResult(None, diags)
+    return ParseResult(Circuit(parser.num_qubits, tuple(parser.gates)), diags)
+
+
+def parse(text: str) -> Circuit:
+    """Parse QASM text; raise :class:`QasmParseError` on any error."""
+    result = parse_program(text)
+    if result.circuit is None:
+        raise QasmParseError(result.errors())
+    return result.circuit
+
+
+def parse_file(path) -> Circuit:
+    with open(path, encoding="utf-8") as fh:
+        return parse(fh.read())
+
+
+def unparse(circuit: Circuit) -> str:
+    """Emit QASM text that reparses to a structurally equal circuit."""
+    lines = ["OPENQASM 2.0;", 'include "qelib1.inc";', f"qreg q[{circuit.num_qubits}];"]
+    if any(g.kind == MEASURE for g in circuit.gates):
+        lines.append(f"creg c[{circuit.num_qubits}];")
+    for g in circuit.gates:
+        operands = ",".join(f"q[{q}]" for q in g.qubits)
+        if g.kind == MEASURE:
+            lines.append(f"measure q[{g.qubits[0]}] -> c[{g.qubits[0]}];")
+        elif g.kind == BARRIER:
+            lines.append(f"barrier {operands};")
+        elif g.params:
+            params = ",".join(repr(p) for p in g.params)
+            lines.append(f"{g.name}({params}) {operands};")
+        else:
+            lines.append(f"{g.name} {operands};")
+    return "\n".join(lines) + "\n"

@@ -1,0 +1,51 @@
+"""Exact circuit runtime from per-location gate durations.
+
+Runs the same critical-path sweep as the depth metrics, but each gate
+contributes its device duration in seconds instead of a dimensionless
+weight. With per-gate exact times this reproduces an ASAP schedule's total
+duration.
+"""
+from __future__ import annotations
+
+from .calibration import DurationTable
+from .ir import DELAY, Circuit, Gate
+from .metrics import BARRIER_SKIP, sweep
+
+
+class UnresolvedDurationError(LookupError):
+    """A gate's duration could not be resolved from the table."""
+
+    def __init__(self, gate_name: str, qubits: tuple[int, ...], position: int, reason: str = ""):
+        self.gate_name = gate_name
+        self.qubits = tuple(qubits)
+        self.position = position
+        detail = f": {reason}" if reason else ""
+        super().__init__(
+            f"no duration for gate {gate_name!r} at qubits {list(self.qubits)} "
+            f"(gate position {position}){detail}"
+        )
+
+
+def estimate_runtime(circuit: Circuit, table: DurationTable, barrier: str = BARRIER_SKIP) -> float:
+    """Total runtime in seconds of the ASAP schedule implied by the table.
+
+    Lookup precedence per gate: exact (name, qubit tuple) entry, then the
+    per-gate default, then error. The qubit tuple is direction-sensitive; a
+    reversed two-qubit gate with no reversed entry and no default is an
+    error, never a silent reuse of the forward duration. Delays contribute
+    their explicit duration parameter (seconds).
+    """
+
+    def inc(gate: Gate, pos: int) -> float:
+        if gate.kind == DELAY:
+            if not gate.params:
+                raise UnresolvedDurationError(
+                    gate.name, gate.qubits, pos, "delay without a duration parameter"
+                )
+            return gate.params[0]
+        dur = table.lookup(gate.name, gate.qubits)
+        if dur is None:
+            raise UnresolvedDurationError(gate.name, gate.qubits, pos)
+        return dur
+
+    return sweep(circuit, inc, barrier)
