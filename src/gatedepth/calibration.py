@@ -9,11 +9,10 @@ average, so the slowest gate gets weight exactly 1.0 and virtual gates
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
-from .metrics import WeightMap
+from .metrics import WeightMap, nonnegative_number
 
 
 class DurationTableError(ValueError):
@@ -45,9 +44,6 @@ class DurationTable:
             return hit
         return self.defaults.get(gate_name)
 
-    def gate_names(self) -> set[str]:
-        return {name for name, _ in self.entries} | set(self.defaults)
-
     def to_dict(self) -> dict:
         return {
             "device": self.device,
@@ -63,17 +59,6 @@ class DurationTable:
         with open(path, "w", encoding="utf-8") as fh:
             json.dump(self.to_dict(), fh, indent=2)
             fh.write("\n")
-
-
-def _check_duration(value, pointer: str) -> float:
-    if not isinstance(value, (int, float)) or isinstance(value, bool):
-        raise DurationTableError(f"{pointer}: duration must be a number, got {value!r}")
-    dur = float(value)
-    if not math.isfinite(dur):
-        raise DurationTableError(f"{pointer}: duration must be finite, got {dur}")
-    if dur < 0:
-        raise DurationTableError(f"{pointer}: duration must be >= 0, got {dur}")
-    return dur
 
 
 def duration_table_from_dict(data: dict) -> DurationTable:
@@ -97,7 +82,8 @@ def duration_table_from_dict(data: dict) -> DurationTable:
         qubits = item.get("qubits")
         if not isinstance(qubits, list) or not all(isinstance(q, int) and not isinstance(q, bool) and q >= 0 for q in qubits):
             raise DurationTableError(f"{ptr}/qubits: required array of non-negative integers")
-        dur = _check_duration(item.get("duration_s"), f"{ptr}/duration_s")
+        dur = nonnegative_number(item.get("duration_s"), f"{ptr}/duration_s: duration",
+                                 DurationTableError)
         key = (gate, tuple(qubits))
         if key in entries:
             raise DurationTableError(f"{ptr}: duplicate entry for gate {gate!r} at qubits {qubits}")
@@ -107,7 +93,7 @@ def duration_table_from_dict(data: dict) -> DurationTable:
     if not isinstance(raw_defaults, dict):
         raise DurationTableError("/defaults: must be an object")
     for name, value in raw_defaults.items():
-        defaults[name] = _check_duration(value, f"/defaults/{name}")
+        defaults[name] = nonnegative_number(value, f"/defaults/{name}: duration", DurationTableError)
     return DurationTable(data["device"], data["architecture"], entries, defaults)
 
 

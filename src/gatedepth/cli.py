@@ -19,8 +19,8 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .calibration import (ArchitectureMismatchError, DurationTableError,
-                          configure_weights, load_duration_table)
+from .calibration import (DurationTableError, configure_weights,
+                          load_duration_table)
 from .compare import (VersionRecord, all_pairs, identification_accuracy,
                       summarize_distribution, sweep_single_qubit_weight)
 from .ir import validate
@@ -36,6 +36,9 @@ EXIT_CONFIG = 4
 EXIT_MANIFEST = 5
 
 METRIC_NAMES = ("traditional", "multiqubit", "gateaware")
+# the key of each metric in a `depth` output line
+DEPTH_KEYS = {"traditional": "traditional_depth", "multiqubit": "multiqubit_depth",
+              "gateaware": "gate_aware_depth"}
 
 
 class CliError(Exception):
@@ -44,22 +47,18 @@ class CliError(Exception):
         super().__init__(message)
 
 
-def _fail(code: int, message: str) -> "CliError":
-    return CliError(code, message)
-
-
 def _load_circuit(path: str):
     try:
         circuit = parse_file(path)
     except FileNotFoundError:
-        raise _fail(EXIT_PARSE, f"{path}: file not found")
+        raise CliError(EXIT_PARSE, f"{path}: file not found")
     except QasmParseError as exc:
         lines = "\n".join(f"{path}:{d}" for d in exc.diagnostics)
-        raise _fail(EXIT_PARSE, lines)
+        raise CliError(EXIT_PARSE, lines)
     violations = validate(circuit)
     if violations:
         lines = "\n".join(f"{path}: gate {v.gate_index}: {v.message}" for v in violations)
-        raise _fail(EXIT_PARSE, lines)
+        raise CliError(EXIT_PARSE, lines)
     return circuit
 
 
@@ -67,47 +66,58 @@ def _load_weight_map(path: str) -> WeightMap:
     try:
         return WeightMap.load(path)
     except FileNotFoundError:
-        raise _fail(EXIT_CONFIG, f"{path}: file not found")
-    except (ValueError, KeyError) as exc:
-        raise _fail(EXIT_CONFIG, f"{path}: invalid weight map: {exc}")
+        raise CliError(EXIT_CONFIG, f"{path}: file not found")
+    except ValueError as exc:
+        raise CliError(EXIT_CONFIG, f"{path}: invalid weight map: {exc}")
 
 
 def _load_table(path: str):
     try:
         return load_duration_table(path)
     except FileNotFoundError:
-        raise _fail(EXIT_CONFIG, f"{path}: file not found")
+        raise CliError(EXIT_CONFIG, f"{path}: file not found")
     except DurationTableError as exc:
-        raise _fail(EXIT_CONFIG, str(exc))
+        raise CliError(EXIT_CONFIG, str(exc))
 
 
-def _json_line(obj: dict) -> str:
-    return json.dumps(obj, sort_keys=False)
+def _weights_for(metrics: tuple[str, ...], path: str | None) -> WeightMap | None:
+    """The weight map the gate-aware metric needs, if it is requested."""
+    if "gateaware" not in metrics:
+        return None
+    if path is None:
+        raise CliError(EXIT_RESOLUTION, "metric gateaware requires --weights")
+    return _load_weight_map(path)
+
+
+def _metric_values(path: str, circuit, metrics: tuple[str, ...], wmap, barrier: str) -> dict:
+    """Each requested metric of one circuit; a missing weight exits 3.
+
+    The metric functions are looked up in this module at each call, so a
+    wrapper installed on these names sees every call.
+    """
+    values = {}
+    for metric in metrics:
+        if metric == "traditional":
+            values[metric] = traditional_depth(circuit, barrier)
+        elif metric == "multiqubit":
+            values[metric] = multiqubit_depth(circuit, barrier)
+        else:
+            try:
+                values[metric] = gate_aware_depth(circuit, wmap, barrier)
+            except MissingWeightError as exc:
+                raise CliError(EXIT_RESOLUTION, f"{path}: {exc.args[0]}")
+    return values
 
 
 # ---------------------------------------------------------------- depth ---
 
 def cmd_depth(args) -> int:
-    wmap = None
     metrics = METRIC_NAMES if args.metric == "all" else (args.metric,)
-    if "gateaware" in metrics:
-        if args.weights is None:
-            raise _fail(EXIT_RESOLUTION, "--metric gateaware requires --weights")
-        wmap = _load_weight_map(args.weights)
+    wmap = _weights_for(metrics, args.weights)
     for path in args.files:
-        circuit = _load_circuit(path)
-        record: dict = {"file": path}
-        for metric in metrics:
-            if metric == "traditional":
-                record["traditional_depth"] = traditional_depth(circuit, args.barrier)
-            elif metric == "multiqubit":
-                record["multiqubit_depth"] = multiqubit_depth(circuit, args.barrier)
-            else:
-                try:
-                    record["gate_aware_depth"] = gate_aware_depth(circuit, wmap, args.barrier)
-                except MissingWeightError as exc:
-                    raise _fail(EXIT_RESOLUTION, f"{path}: {exc.args[0]}")
-        print(_json_line(record))
+        values = _metric_values(path, _load_circuit(path), metrics, wmap, args.barrier)
+        record = {"file": path, **{DEPTH_KEYS[m]: v for m, v in values.items()}}
+        print(json.dumps(record))
     return EXIT_OK
 
 
@@ -117,10 +127,8 @@ def cmd_weights(args) -> int:
     tables = [_load_table(path) for path in args.tables]
     try:
         wmap = configure_weights(tables, pooled=args.pooled)
-    except ArchitectureMismatchError as exc:
-        raise _fail(EXIT_CONFIG, str(exc))
-    except ValueError as exc:
-        raise _fail(EXIT_CONFIG, str(exc))
+    except ValueError as exc:  # includes ArchitectureMismatchError
+        raise CliError(EXIT_CONFIG, str(exc))
     if args.out:
         wmap.save(args.out)
     print(f"architecture: {wmap.architecture}")
@@ -138,8 +146,8 @@ def cmd_estimate(args) -> int:
         try:
             runtime = estimate_runtime(circuit, table, args.barrier)
         except UnresolvedDurationError as exc:
-            raise _fail(EXIT_RESOLUTION, f"{path}: {exc.args[0]}")
-        print(_json_line({"file": path, "runtime_s": runtime}))
+            raise CliError(EXIT_RESOLUTION, f"{path}: {exc.args[0]}")
+        print(json.dumps({"file": path, "runtime_s": runtime}))
     return EXIT_OK
 
 
@@ -150,25 +158,25 @@ def _load_manifest(path: str) -> list[dict]:
         with open(path, encoding="utf-8") as fh:
             data = json.load(fh)
     except FileNotFoundError:
-        raise _fail(EXIT_MANIFEST, f"{path}: file not found")
+        raise CliError(EXIT_MANIFEST, f"{path}: file not found")
     except json.JSONDecodeError as exc:
-        raise _fail(EXIT_MANIFEST, f"{path}: invalid JSON: {exc}")
+        raise CliError(EXIT_MANIFEST, f"{path}: invalid JSON: {exc}")
     bases = data.get("bases") if isinstance(data, dict) else None
     if not isinstance(bases, list) or not bases:
-        raise _fail(EXIT_MANIFEST, f"{path}: /bases: required non-empty array")
+        raise CliError(EXIT_MANIFEST, f"{path}: /bases: required non-empty array")
     root = Path(path).parent
     out = []
     for i, base in enumerate(bases):
         if not isinstance(base, dict) or not isinstance(base.get("name"), str):
-            raise _fail(EXIT_MANIFEST, f"{path}: /bases/{i}/name: required string")
+            raise CliError(EXIT_MANIFEST, f"{path}: /bases/{i}/name: required string")
         versions = base.get("versions")
         if not isinstance(versions, list) or len(versions) < 1:
-            raise _fail(EXIT_MANIFEST, f"{path}: /bases/{i}/versions: required non-empty array")
+            raise CliError(EXIT_MANIFEST, f"{path}: /bases/{i}/versions: required non-empty array")
         resolved = []
         for j, ver in enumerate(versions):
             if (not isinstance(ver, dict) or not isinstance(ver.get("compiler"), str)
                     or not isinstance(ver.get("file"), str)):
-                raise _fail(EXIT_MANIFEST,
+                raise CliError(EXIT_MANIFEST,
                             f"{path}: /bases/{i}/versions/{j}: requires compiler and file strings")
             file_path = Path(ver["file"])
             if not file_path.is_absolute():
@@ -184,22 +192,13 @@ def _build_records(manifest: list[dict], metrics: tuple[str, ...],
     for base in manifest:
         for ver in base["versions"]:
             circuit = _load_circuit(ver["file"])
-            values: dict[str, float] = {}
-            for metric in metrics:
-                if metric == "traditional":
-                    values[metric] = float(traditional_depth(circuit, barrier))
-                elif metric == "multiqubit":
-                    values[metric] = float(multiqubit_depth(circuit, barrier))
-                else:
-                    try:
-                        values[metric] = gate_aware_depth(circuit, wmap, barrier)
-                    except MissingWeightError as exc:
-                        raise _fail(EXIT_RESOLUTION, f"{ver['file']}: {exc.args[0]}")
+            values = _metric_values(ver["file"], circuit, metrics, wmap, barrier)
             try:
                 runtime = estimate_runtime(circuit, table, barrier)
             except UnresolvedDurationError as exc:
-                raise _fail(EXIT_RESOLUTION, f"{ver['file']}: {exc.args[0]}")
-            records.append(VersionRecord(base["name"], ver["compiler"], values, runtime))
+                raise CliError(EXIT_RESOLUTION, f"{ver['file']}: {exc.args[0]}")
+            records.append(VersionRecord(base["name"], ver["compiler"],
+                                         {m: float(v) for m, v in values.items()}, runtime))
     return records
 
 
@@ -209,14 +208,10 @@ def cmd_compare(args) -> int:
     metrics = tuple(args.metrics.split(","))
     for metric in metrics:
         if metric not in METRIC_NAMES:
-            raise _fail(EXIT_CONFIG, f"unknown metric {metric!r}; choose from {METRIC_NAMES}")
+            raise CliError(EXIT_CONFIG, f"unknown metric {metric!r}; choose from {METRIC_NAMES}")
     manifest = _load_manifest(args.manifest)
     table = _load_table(args.durations)
-    wmap = None
-    if "gateaware" in metrics:
-        if args.weights is None:
-            raise _fail(EXIT_RESOLUTION, "--metrics gateaware requires --weights")
-        wmap = _load_weight_map(args.weights)
+    wmap = _weights_for(metrics, args.weights)
 
     records = _build_records(manifest, metrics, table, wmap, args.barrier)
 
@@ -240,7 +235,7 @@ def cmd_compare(args) -> int:
         try:
             accuracy, idents = identification_accuracy(records, metric)
         except ValueError as exc:
-            raise _fail(EXIT_MANIFEST, str(exc))
+            raise CliError(EXIT_MANIFEST, str(exc))
         for c in comparisons:
             row = {
                 "base": c.base, "compiler_a": c.compiler_a, "compiler_b": c.compiler_b,
@@ -291,9 +286,9 @@ def _parse_grid(spec: str) -> list[float]:
     try:
         start, stop, step = (float(part) for part in spec.split(":"))
     except ValueError:
-        raise _fail(EXIT_CONFIG, f"invalid grid {spec!r}; expected start:stop:step")
+        raise CliError(EXIT_CONFIG, f"invalid grid {spec!r}; expected start:stop:step")
     if step <= 0 or stop < start:
-        raise _fail(EXIT_CONFIG, f"invalid grid {spec!r}; need step > 0 and stop >= start")
+        raise CliError(EXIT_CONFIG, f"invalid grid {spec!r}; need step > 0 and stop >= start")
     n = int(round((stop - start) / step)) + 1
     grid = [round(start + i * step, 12) for i in range(n)]
     return [g for g in grid if g <= stop + 1e-12]
@@ -312,7 +307,7 @@ def cmd_sweep(args) -> int:
     try:
         result = sweep_single_qubit_weight(bases, tables, grid)
     except UnresolvedDurationError as exc:
-        raise _fail(EXIT_RESOLUTION, exc.args[0])
+        raise CliError(EXIT_RESOLUTION, exc.args[0])
 
     rows = [(p.w_s, p.device, p.median_percent_re) for p in result.points]
     if args.out:

@@ -7,7 +7,6 @@ order of the logical-dependency DAG.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable
 
 UNITARY = "unitary"
 MEASURE = "measure"
@@ -57,13 +56,6 @@ class Circuit:
     def __post_init__(self):
         object.__setattr__(self, "gates", tuple(self.gates))
 
-    def append(self, gate: Gate) -> "Circuit":
-        """Return a new circuit with ``gate`` appended; self is unchanged."""
-        return Circuit(self.num_qubits, self.gates + (gate,))
-
-    def gate_names(self) -> set[str]:
-        return {g.name for g in self.gates}
-
 
 @dataclass(frozen=True)
 class Violation:
@@ -96,7 +88,3 @@ def validate(circuit: Circuit) -> list[Violation]:
         if g.kind == MEASURE and len(g.qubits) != 1:
             violations.append(Violation(i, f"measure must have exactly one qubit operand, got {len(g.qubits)}"))
     return violations
-
-
-def circuit_from_gates(num_qubits: int, gates: Iterable[Gate]) -> Circuit:
-    return Circuit(num_qubits, tuple(gates))

@@ -1,21 +1,41 @@
 """Depth metrics computed by a single weighted critical-path sweep.
 
-All three metrics share one algorithm: sweep the gate list in order, keep a
-running depth per qubit, and for each counted gate set its operands' depths
-to ``max(operand depths) + increment``. The metrics differ only in the
-increment: 1 for traditional depth, 1/0 for multi-qubit depth, and a
-per-gate-name weight for gate-aware depth.
+Every metric is the same sweep over a different increments vector. A metric
+first maps each gate of the circuit to its increment, in gate order; the
+sweep then walks the gates with a running depth per qubit and sets each
+gate's operands to ``max(operand depths) + increment``. Traditional depth
+uses 1 per unitary or measure, multi-qubit depth 1 per multi-qubit unitary,
+and gate-aware depth the gate name's weight; barriers and delays add 0.
+The runtime estimate (:mod:`gatedepth.runtime`) is the same sweep over
+per-gate durations.
 """
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
-from typing import Callable, Mapping
+from typing import Mapping, Sequence
 
-from .ir import BARRIER, DELAY, MEASURE, UNITARY, Circuit, Gate, is_multi_qubit
+from .ir import BARRIER, DELAY, MEASURE, UNITARY, Circuit, is_multi_qubit
 
 BARRIER_SKIP = "skip"
 BARRIER_SYNC = "sync"
+
+
+def nonnegative_number(value, label: str, error: type[ValueError] = ValueError) -> float:
+    """``value`` as a float if it is a finite number >= 0; booleans are not
+    numbers. Otherwise raise ``error("<label> must be ...")``."""
+    if not isinstance(value, (int, float)) or isinstance(value, bool):
+        raise error(f"{label} must be a number, got {value!r}")
+    try:
+        num = float(value)
+    except OverflowError:
+        num = math.inf
+    if not math.isfinite(num):
+        raise error(f"{label} must be finite, got {num}")
+    if num < 0:
+        raise error(f"{label} must be >= 0, got {num}")
+    return num
 
 
 @dataclass(frozen=True)
@@ -26,10 +46,10 @@ class WeightMap:
     architecture: str | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "weights", dict(self.weights))
-        for name, w in self.weights.items():
-            if not (w >= 0.0 and w == w and w != float("inf")):
-                raise ValueError(f"weight for {name!r} must be finite and >= 0, got {w}")
+        object.__setattr__(self, "weights", {
+            name: nonnegative_number(w, f"/weights/{name}: weight")
+            for name, w in self.weights.items()
+        })
 
     def __getitem__(self, name: str) -> float:
         return self.weights[name]
@@ -38,8 +58,12 @@ class WeightMap:
         return {"architecture": self.architecture or "", "weights": dict(self.weights)}
 
     @classmethod
-    def from_dict(cls, data: dict) -> "WeightMap":
-        return cls(weights=dict(data["weights"]), architecture=data.get("architecture") or None)
+    def from_dict(cls, data) -> "WeightMap":
+        if not isinstance(data, dict):
+            raise ValueError("/: weight map must be a JSON object")
+        if not isinstance(data.get("weights"), dict):
+            raise ValueError("/weights: required object")
+        return cls(weights=data["weights"], architecture=data.get("architecture") or None)
 
     def save(self, path) -> None:
         with open(path, "w", encoding="utf-8") as fh:
@@ -61,27 +85,23 @@ class MissingWeightError(KeyError):
         super().__init__(f"no weight for gate {gate_name!r} (gate position {position})")
 
 
-def sweep(
-    circuit: Circuit,
-    increment: Callable[[Gate, int], float],
-    barrier: str = BARRIER_SKIP,
-) -> float:
-    """Run the critical-path sweep; ``increment(gate, position)`` supplies
-    each counted gate's contribution.
+def sweep(circuit: Circuit, increments: Sequence[float], barrier: str = BARRIER_SKIP) -> float:
+    """Run the critical-path sweep; ``increments[i]`` is gate ``i``'s
+    contribution.
 
-    Barriers never increment; with ``barrier="sync"`` they propagate the max
-    depth across their operands, with the default ``"skip"`` they are ignored
-    entirely. Delays are passed to ``increment`` like any other gate.
+    Barriers never increment (their entry is ignored); with
+    ``barrier="sync"`` they propagate the max depth across their operands,
+    with the default ``"skip"`` they are ignored entirely.
     """
     depths = [0.0] * circuit.num_qubits
-    for pos, gate in enumerate(circuit.gates):
+    for gate, inc in zip(circuit.gates, increments):
         if gate.kind == BARRIER:
             if barrier == BARRIER_SYNC:
                 top = max(depths[q] for q in gate.qubits)
                 for q in gate.qubits:
                     depths[q] = top
             continue
-        new_depth = max(depths[q] for q in gate.qubits) + increment(gate, pos)
+        new_depth = max(depths[q] for q in gate.qubits) + inc
         for q in gate.qubits:
             depths[q] = new_depth
     return max(depths) if depths else 0.0
@@ -92,10 +112,8 @@ def traditional_depth(circuit: Circuit, barrier: str = BARRIER_SKIP) -> int:
 
     Unitaries and measurements count 1; barriers and delays count 0.
     """
-    def inc(gate: Gate, pos: int) -> float:
-        return 1.0 if gate.kind in (UNITARY, MEASURE) else 0.0
-
-    return int(round(sweep(circuit, inc, barrier)))
+    increments = [1.0 if g.kind in (UNITARY, MEASURE) else 0.0 for g in circuit.gates]
+    return int(round(sweep(circuit, increments, barrier)))
 
 
 def multiqubit_depth(circuit: Circuit, barrier: str = BARRIER_SKIP) -> int:
@@ -103,10 +121,8 @@ def multiqubit_depth(circuit: Circuit, barrier: str = BARRIER_SKIP) -> int:
 
     Single-qubit gates still propagate the running max without incrementing.
     """
-    def inc(gate: Gate, pos: int) -> float:
-        return 1.0 if is_multi_qubit(gate) else 0.0
-
-    return int(round(sweep(circuit, inc, barrier)))
+    increments = [1.0 if is_multi_qubit(g) else 0.0 for g in circuit.gates]
+    return int(round(sweep(circuit, increments, barrier)))
 
 
 def gate_aware_depth(circuit: Circuit, weight_map: WeightMap, barrier: str = BARRIER_SKIP) -> float:
@@ -116,13 +132,12 @@ def gate_aware_depth(circuit: Circuit, weight_map: WeightMap, barrier: str = BAR
     delays are exempt and contribute 0.
     """
     weights = weight_map.weights
-
-    def inc(gate: Gate, pos: int) -> float:
-        if gate.kind == DELAY:
-            return 0.0
-        try:
-            return weights[gate.name]
-        except KeyError:
-            raise MissingWeightError(gate.name, pos) from None
-
-    return sweep(circuit, inc, barrier)
+    try:
+        increments = [0.0 if g.kind in (BARRIER, DELAY) else weights[g.name] for g in circuit.gates]
+    except KeyError as exc:
+        # gates are mapped in order, so the first gate with this name is the culprit
+        name = exc.args[0]
+        pos = next(i for i, g in enumerate(circuit.gates)
+                   if g.name == name and g.kind not in (BARRIER, DELAY))
+        raise MissingWeightError(name, pos) from None
+    return sweep(circuit, increments, barrier)

@@ -32,6 +32,10 @@ BUILTIN_GATES: dict[str, tuple[int, int]] = {
     "ccx": (3, 0), "ccz": (3, 0), "cswap": (3, 0),
 }
 
+# deepest parenthesis nesting accepted in a parameter expression; the
+# expression parser recurses once per level
+MAX_PAREN_DEPTH = 100
+
 _REJECTED_KEYWORDS = {
     "gate": "custom gate definitions unsupported",
     "opaque": "opaque declarations unsupported",
@@ -131,11 +135,12 @@ class _Parser:
         self.tokens = tokens
         self.i = 0
         self.diags: list[ParseDiagnostic] = []
-        self.qregs: dict[str, tuple[int, int]] = {}  # name -> (offset, size)
-        self.cregs: dict[str, int] = {}
+        # name -> (offset, size); classical bits are not kept, so cregs' offsets are 0
+        self.qregs: dict[str, tuple[int, int]] = {}
+        self.cregs: dict[str, tuple[int, int]] = {}
         self.num_qubits = 0
         self.gates: list[Gate] = []
-        self.failed = False
+        self.paren_depth = 0
 
     # --- token helpers -------------------------------------------------
     def peek(self) -> _Token:
@@ -149,7 +154,6 @@ class _Parser:
 
     def error(self, tok: _Token, message: str):
         self.diags.append(ParseDiagnostic(tok.line, tok.column, message))
-        self.failed = True
 
     def warn(self, tok: _Token, message: str):
         self.diags.append(ParseDiagnostic(tok.line, tok.column, message, "warning"))
@@ -268,45 +272,33 @@ class _Parser:
         if decl is None:
             return
         name, n = decl
-        self.cregs[name.text] = n
+        self.cregs[name.text] = (0, n)
         self.warn(tok, f"classical register {name.text!r} accepted and ignored")
 
     def parse_operand(self, classical: bool = False) -> list[int] | None:
-        """Parse ``name`` or ``name[i]``; return flattened qubit indices."""
+        """Parse ``name`` or ``name[i]``; return flattened qubit (or bit) indices."""
         name = self.expect("id", what="operand")
         if name is None:
             return None
-        regs = self.cregs if classical else self.qregs
+        idx = None
         if self.peek().kind == "sym" and self.peek().text == "[":
             self.advance()
             idx = self.expect("int", what="qubit index")
             if idx is None or self.expect("sym", "]") is None:
                 return None
-            if classical:
-                if name.text not in self.cregs:
-                    self.error(name, f"undeclared classical register {name.text!r}")
-                    return None
-                return [int(idx.text)]
-            if name.text not in self.qregs:
-                self.error(name, f"undeclared register {name.text!r}")
-                return None
-            offset, size = self.qregs[name.text]
-            k = int(idx.text)
-            if k >= size:
-                self.error(idx, f"index {k} out of range for register {name.text!r} of size {size}")
-                return None
-            return [offset + k]
-        # whole-register operand
-        if classical:
-            if name.text not in self.cregs:
-                self.error(name, f"undeclared classical register {name.text!r}")
-                return None
-            return list(range(self.cregs[name.text]))
-        if name.text not in self.qregs:
-            self.error(name, f"undeclared register {name.text!r}")
+        regs = self.cregs if classical else self.qregs
+        if name.text not in regs:
+            kind = "classical register" if classical else "register"
+            self.error(name, f"undeclared {kind} {name.text!r}")
             return None
-        offset, size = self.qregs[name.text]
-        return list(range(offset, offset + size))
+        offset, size = regs[name.text]
+        if idx is None:  # whole register
+            return list(range(offset, offset + size))
+        k = int(idx.text)
+        if k >= size:
+            self.error(idx, f"index {k} out of range for register {name.text!r} of size {size}")
+            return None
+        return [offset + k]
 
     def parse_measure(self):
         tok = self.advance()
@@ -318,7 +310,7 @@ class _Parser:
         if dst is None or self.expect("sym", ";") is None:
             self.skip_statement()
             return
-        if len(dst) not in (1, len(src)) and len(src) != 1:
+        if len(dst) != len(src):
             self.error(tok, f"measure operand lengths differ ({len(src)} vs {len(dst)})")
             return
         for q in src:
@@ -356,7 +348,7 @@ class _Parser:
             self.advance()
             if not (self.peek().kind == "sym" and self.peek().text == ")"):
                 while True:
-                    val = self.parse_expression()
+                    val = self.parse_additive()
                     if val is None:
                         self.skip_statement()
                         return
@@ -424,9 +416,6 @@ class _Parser:
             self.gates.append(Gate(gate_name, qubits, tuple(params), kind))
 
     # --- pi-expression evaluation (precedence: unary -, * /, + -) ------
-    def parse_expression(self) -> float | None:
-        return self.parse_additive()
-
     def parse_additive(self) -> float | None:
         left = self.parse_multiplicative()
         if left is None:
@@ -458,28 +447,32 @@ class _Parser:
         return left
 
     def parse_unary(self) -> float | None:
+        negate = False
         tok = self.peek()
-        if tok.kind == "sym" and tok.text == "-":
+        while tok.kind == "sym" and tok.text in "+-":
+            negate ^= tok.text == "-"
             self.advance()
-            val = self.parse_unary()
-            return None if val is None else -val
-        if tok.kind == "sym" and tok.text == "+":
-            self.advance()
-            return self.parse_unary()
-        if tok.kind == "sym" and tok.text == "(":
-            self.advance()
-            val = self.parse_additive()
-            if val is None or self.expect("sym", ")") is None:
-                return None
-            return val
+            tok = self.peek()
         if tok.kind in ("real", "int"):
             self.advance()
-            return float(tok.text)
-        if tok.kind == "id" and tok.text == "pi":
+            val = float(tok.text)
+        elif tok.kind == "id" and tok.text == "pi":
             self.advance()
-            return math.pi
-        self.error(tok, f"expected parameter expression, found {tok.text!r}")
-        return None
+            val = math.pi
+        elif tok.kind == "sym" and tok.text == "(":
+            if self.paren_depth == MAX_PAREN_DEPTH:
+                self.error(tok, f"parameter expression nests parentheses deeper than {MAX_PAREN_DEPTH}")
+                return None
+            self.advance()
+            self.paren_depth += 1
+            val = self.parse_additive()
+            self.paren_depth -= 1
+            if val is None or self.expect("sym", ")") is None:
+                return None
+        else:
+            self.error(tok, f"expected parameter expression, found {tok.text!r}")
+            return None
+        return -val if negate else val
 
 
 def parse_program(text: str) -> ParseResult:
@@ -488,8 +481,7 @@ def parse_program(text: str) -> ParseResult:
     parser = _Parser(tokens)
     parser.parse_program()
     diags = lex_diags + parser.diags
-    failed = parser.failed or any(d.severity == "error" for d in diags)
-    if failed:
+    if any(d.severity == "error" for d in diags):
         return ParseResult(None, diags)
     if parser.num_qubits == 0:
         diags.append(ParseDiagnostic(1, 1, "program declares no quantum register"))

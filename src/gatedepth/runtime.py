@@ -8,7 +8,7 @@ duration.
 from __future__ import annotations
 
 from .calibration import DurationTable
-from .ir import DELAY, Circuit, Gate
+from .ir import BARRIER, DELAY, Circuit
 from .metrics import BARRIER_SKIP, sweep
 
 
@@ -33,19 +33,21 @@ def estimate_runtime(circuit: Circuit, table: DurationTable, barrier: str = BARR
     per-gate default, then error. The qubit tuple is direction-sensitive; a
     reversed two-qubit gate with no reversed entry and no default is an
     error, never a silent reuse of the forward duration. Delays contribute
-    their explicit duration parameter (seconds).
+    their explicit duration parameter (seconds); barriers need no entry.
     """
-
-    def inc(gate: Gate, pos: int) -> float:
-        if gate.kind == DELAY:
+    durations = []
+    for pos, gate in enumerate(circuit.gates):
+        if gate.kind == BARRIER:
+            dur = 0.0
+        elif gate.kind == DELAY:
             if not gate.params:
                 raise UnresolvedDurationError(
                     gate.name, gate.qubits, pos, "delay without a duration parameter"
                 )
-            return gate.params[0]
-        dur = table.lookup(gate.name, gate.qubits)
-        if dur is None:
-            raise UnresolvedDurationError(gate.name, gate.qubits, pos)
-        return dur
-
-    return sweep(circuit, inc, barrier)
+            dur = gate.params[0]
+        else:
+            dur = table.lookup(gate.name, gate.qubits)
+            if dur is None:
+                raise UnresolvedDurationError(gate.name, gate.qubits, pos)
+        durations.append(dur)
+    return sweep(circuit, durations, barrier)

@@ -9,19 +9,26 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).parent))
 sys.setrecursionlimit(10000)
 
-from gatedepth.ir import Circuit, Gate
+from gatedepth.ir import BARRIER, DELAY, MEASURE, Circuit, Gate
 
 ONE_QUBIT = ("x", "sx", "rz", "h")
 TWO_QUBIT = ("cz", "ecr", "cx")
 THREE_QUBIT = ("ccx",)
 
 
-def random_circuit(rng: random.Random, max_qubits: int = 8, max_gates: int = 30) -> Circuit:
-    """Unitary-only random circuit; barrier/delay/measure semantics are
-    covered by targeted tests instead."""
+def random_circuit(rng: random.Random, max_qubits: int = 8, max_gates: int = 30,
+                   directives: bool = False) -> Circuit:
+    """Random circuit of unitaries; with ``directives=True`` about a quarter
+    of the gates are measures, single-qubit delays with a duration, or
+    barriers over two or more qubits (one qubit if the circuit has one).
+    The default draws no extra random numbers, which keeps the seeded
+    corpora of the tests that use it fixed."""
     n = rng.randint(1, max_qubits)
     gates = []
     for _ in range(rng.randint(0, max_gates)):
+        if directives and rng.random() < 0.25:
+            gates.append(random_directive(rng, n))
+            continue
         r = rng.random()
         if n >= 3 and r < 0.05:
             name = rng.choice(THREE_QUBIT)
@@ -35,6 +42,16 @@ def random_circuit(rng: random.Random, max_qubits: int = 8, max_gates: int = 30)
         params = (rng.uniform(-3.14, 3.14),) if name == "rz" else ()
         gates.append(Gate(name, qubits, params))
     return Circuit(n, tuple(gates))
+
+
+def random_directive(rng: random.Random, n: int) -> Gate:
+    kind = rng.choice((MEASURE, DELAY, BARRIER))
+    if kind == BARRIER:
+        return Gate("barrier", tuple(rng.sample(range(n), rng.randint(min(2, n), n))), (), BARRIER)
+    qubit = (rng.randrange(n),)
+    if kind == DELAY:
+        return Gate("delay", qubit, (rng.uniform(0.0, 1e-6),), DELAY)
+    return Gate("measure", qubit, (), MEASURE)
 
 
 def dependency_predecessors(circuit: Circuit, counted) -> list[list[int]]:

@@ -1,5 +1,7 @@
 import csv
+import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
@@ -91,6 +93,40 @@ def test_depth_parse_error_exits_2(tmp_path, capsys):
     code, _, err = run(capsys, "depth", "--metric", "traditional", str(bad))
     assert code == 2
     assert "custom gate definitions unsupported" in err
+
+
+@pytest.mark.parametrize("document, named", [
+    ("[1, 2]", "/:"),
+    ("{}", "/weights:"),
+    ('{"weights": [1]}', "/weights:"),
+    ('{"weights": {"x": "a"}}', "/weights/x:"),
+    ('{"weights": {"x": true}}', "/weights/x:"),
+    ('{"weights": {"x": 1e400}}', "/weights/x:"),
+    ('{"weights": {"x": 1' + "0" * 400 + "}}", "/weights/x:"),
+], ids=["list", "no-weights", "weights-list", "string", "bool", "inf", "huge-int"])
+def test_malformed_weight_map_exits_4(document, named, ref_qasm, tmp_path, capsys):
+    weights = tmp_path / "w.json"
+    weights.write_text(document)
+    code, out, err = run(capsys, "depth", "--weights", str(weights), ref_qasm)
+    assert code == 4
+    assert out == ""
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert f"invalid weight map: {named}" in err
+
+
+@pytest.mark.parametrize("body", [
+    "creg c[1]; measure q[0] -> c[5];",
+    "creg c[1]; measure q -> c[0];",
+    "qreg r[1]; creg c[3]; measure r -> c;",
+    "rz(" + "(" * 30_000 + "1" + ")" * 30_000 + ") q[0];",
+], ids=["bit-index", "register-to-bit", "register-sizes", "nested-parentheses"])
+def test_malformed_qasm_exits_2(body, tmp_path, capsys):
+    qasm = tmp_path / "bad.qasm"
+    qasm.write_text(f"OPENQASM 2.0; qreg q[3]; {body}")
+    code, out, err = run(capsys, "depth", "--metric", "traditional", str(qasm))
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1 and "Traceback" not in err
 
 
 def test_depth_deterministic_output(ref_qasm, weights_json, capsys):
@@ -301,3 +337,30 @@ def test_sweep_single_point(compare_setup, tmp_path, capsys):
     assert code == 0
     data_lines = [l for l in out.splitlines() if l and not l.startswith("w_s") and not l.startswith("{")]
     assert len(data_lines) == 1
+
+
+# --- byte identity on the bundled demo ------------------------------------
+
+DEMO = Path(__file__).resolve().parent.parent / "demo"
+
+# sha256 of the demo outputs; a change to any of them changes a reported number
+DEMO_SHA256 = {
+    "pairs.csv": "4bcbac243614abb4e909295e759a25bba4a77a17db75d5c4126f088a689ae7a4",
+    "report.json": "125dfcf395b3138663510d7408c3e5cfe0929d5259d461947a490a8e50469b74",
+    "summary.json": "63b1615a49e781130e70e63c97231e0c77d4e316dcdb239745ddb2244233d302",
+    "sweep.csv": "e7a6275ad383d4d22a2491a32e260c4a79a55b352ead2d621a5b695d80f591d5",
+}
+
+
+def test_demo_outputs_byte_identical(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(DEMO)
+    code, _, _ = run(capsys, "compare", "manifest.json", "--durations", "durations_device0.json",
+                     "--weights", "weights.json", "--out", str(tmp_path))
+    assert code == 0
+    code, _, _ = run(capsys, "sweep", "manifest.json", "--durations", "durations_device0.json",
+                     "durations_device1.json", "durations_device2.json",
+                     "--grid", "0:1:0.01", "--out", str(tmp_path / "sweep.csv"))
+    assert code == 0
+    digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+               for name in DEMO_SHA256}
+    assert digests == DEMO_SHA256

@@ -46,14 +46,6 @@ def test_validate_measure_arity():
     assert any("exactly one qubit" in v.message for v in validate(c))
 
 
-def test_append_is_persistent():
-    c = Circuit(2, (Gate("x", (0,)),))
-    c2 = c.append(Gate("cz", (0, 1)))
-    assert len(c.gates) == 1
-    assert len(c2.gates) == 2
-    assert c2.gates[0] == c.gates[0]
-
-
 def test_structural_equality():
     a = Circuit(2, (Gate("x", (0,)),))
     b = Circuit(2, (Gate("x", (0,)),))

@@ -5,9 +5,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import ONE_QUBIT, TWO_QUBIT, THREE_QUBIT, longest_path_oracle, random_circuit
-from gatedepth.ir import BARRIER, DELAY, MEASURE, UNITARY, Circuit, Gate, is_multi_qubit
-from gatedepth.metrics import (MissingWeightError, WeightMap, gate_aware_depth,
-                               multiqubit_depth, traditional_depth)
+from gatedepth.calibration import DurationTable
+from gatedepth.ir import BARRIER, DELAY, MEASURE, Circuit, Gate, is_multi_qubit
+from gatedepth.metrics import (BARRIER_SKIP, BARRIER_SYNC, MissingWeightError, WeightMap,
+                               gate_aware_depth, multiqubit_depth, traditional_depth)
+from gatedepth.runtime import estimate_runtime
 
 REFERENCE = Circuit(3, (
     Gate("cz", (0, 1)),
@@ -162,15 +164,36 @@ def test_raising_a_weight_never_decreases_depth(seed):
     assert gate_aware_depth(c, WeightMap(raised)) >= gate_aware_depth(c, w) - 1e-12
 
 
-@given(seed=st.integers(0, 10_000))
+@given(seed=st.integers(0, 10_000), barrier=st.sampled_from((BARRIER_SKIP, BARRIER_SYNC)))
 @settings(max_examples=100, deadline=None)
-def test_sweep_matches_brute_force_oracle(seed):
+def test_sweep_matches_brute_force_oracle(seed, barrier):
+    """All four sweeps against the DAG oracle on circuits with measures,
+    delays and barriers. Neither the weight map nor the duration table has
+    a barrier or delay entry: both are exempt from lookup."""
     rng = random.Random(seed)
-    c = random_circuit(rng)
-    w = random_weights(rng, high=2.0)
-    got = gate_aware_depth(c, w)
-    expected = longest_path_oracle(c, lambda g: w[g.name], counted=lambda g: g.kind == UNITARY)
-    assert got == pytest.approx(expected, rel=1e-12, abs=1e-15)
+    c = random_circuit(rng, directives=True)
+    w = WeightMap({**random_weights(rng, high=2.0).weights, "measure": rng.uniform(0, 2)})
+    table = DurationTable("dev", "arch", {}, {name: rng.uniform(0, 1e-6) for name in w.weights})
+
+    def directives_zero(weight_of):
+        return lambda g: 0.0 if g.kind in (BARRIER, DELAY) else weight_of(g)
+
+    def duration_of(g):
+        if g.kind == DELAY:
+            return g.params[0]
+        return 0.0 if g.kind == BARRIER else table.defaults[g.name]
+
+    # a synchronizing barrier is a node of weight 0 that joins its qubits
+    counted = (lambda g: g.kind != BARRIER) if barrier == BARRIER_SKIP else (lambda g: True)
+    cases = [
+        (traditional_depth(c, barrier), directives_zero(lambda g: 1.0)),
+        (multiqubit_depth(c, barrier), lambda g: 1.0 if is_multi_qubit(g) else 0.0),
+        (gate_aware_depth(c, w, barrier), directives_zero(lambda g: w[g.name])),
+        (estimate_runtime(c, table, barrier), duration_of),
+    ]
+    for got, weight_of in cases:
+        expected = longest_path_oracle(c, weight_of, counted)
+        assert got == pytest.approx(expected, rel=1e-12, abs=1e-15)
 
 
 @given(seed=st.integers(0, 10_000))

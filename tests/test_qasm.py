@@ -1,4 +1,5 @@
 import math
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -6,7 +7,8 @@ from hypothesis import strategies as st
 
 from conftest import random_circuit
 from gatedepth.ir import BARRIER, DELAY, MEASURE, Circuit, Gate
-from gatedepth.qasm import QasmParseError, parse, parse_program, unparse
+from gatedepth.qasm import (MAX_PAREN_DEPTH, ParseDiagnostic, QasmParseError, parse,
+                            parse_program, unparse)
 
 import random
 
@@ -136,6 +138,43 @@ def test_measure_broadcast():
     c = parse("OPENQASM 2.0; qreg q[3]; creg c[3]; measure q -> c;")
     assert len(c.gates) == 3
     assert all(g.kind == MEASURE for g in c.gates)
+
+
+def test_measure_bit_index_out_of_range():
+    result = parse_program("OPENQASM 2.0; qreg q[1]; creg c[1]; measure q[0] -> c[5];")
+    assert [d.message for d in result.errors()] == ["index 5 out of range for register 'c' of size 1"]
+
+
+def test_measure_register_to_single_bit_rejected():
+    result = parse_program("OPENQASM 2.0; qreg q[3]; creg c[1]; measure q -> c[0];")
+    assert [d.message for d in result.errors()] == ["measure operand lengths differ (3 vs 1)"]
+
+
+def test_measure_registers_of_unequal_size_rejected():
+    result = parse_program("OPENQASM 2.0; qreg q[1]; creg c[3]; measure q -> c;")
+    assert [d.message for d in result.errors()] == ["measure operand lengths differ (1 vs 3)"]
+
+
+def test_sign_chain_longer_than_recursion_limit():
+    n = 2 * sys.getrecursionlimit()
+    c = parse("OPENQASM 2.0; qreg q[1]; rz(" + "-" * (n + 1) + "+-" * n + "1) q[0];")
+    assert c.gates[0].params == (-1.0,)
+
+
+def test_parentheses_at_depth_limit_accepted():
+    d = MAX_PAREN_DEPTH
+    c = parse("OPENQASM 2.0; qreg q[1]; rz(" + "(" * d + "-pi" + ")" * d + ") q[0];")
+    assert c.gates[0].params == (-math.pi,)
+
+
+def test_parentheses_nested_deeper_than_recursion_limit_rejected():
+    n = 2 * sys.getrecursionlimit()
+    text = "OPENQASM 2.0;\nqreg q[1];\nrz(" + "(" * n + "1" + ")" * n + ") q[0];\nx q[0];\n"
+    result = parse_program(text)
+    # the first '(' past the limit is column 4 + MAX_PAREN_DEPTH of line 3
+    assert result.errors() == [ParseDiagnostic(
+        3, 4 + MAX_PAREN_DEPTH,
+        f"parameter expression nests parentheses deeper than {MAX_PAREN_DEPTH}")]
 
 
 def test_barrier_flattens_registers():
