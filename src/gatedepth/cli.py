@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -39,6 +40,8 @@ METRIC_NAMES = ("traditional", "multiqubit", "gateaware")
 # the key of each metric in a `depth` output line
 DEPTH_KEYS = {"traditional": "traditional_depth", "multiqubit": "multiqubit_depth",
               "gateaware": "gate_aware_depth"}
+# most points a --grid may have; a larger grid is rejected before it is built
+MAX_GRID_POINTS = 1_000_000
 
 
 class CliError(Exception):
@@ -47,11 +50,20 @@ class CliError(Exception):
         super().__init__(message)
 
 
+def _unreadable(code: int, path: str, exc: OSError | UnicodeDecodeError) -> CliError:
+    """The one-line error for an input file that cannot be read as UTF-8 text."""
+    if isinstance(exc, FileNotFoundError):
+        return CliError(code, f"{path}: file not found")
+    if isinstance(exc, UnicodeDecodeError):
+        return CliError(code, f"{path}: not UTF-8 text: byte {exc.start}: {exc.reason}")
+    return CliError(code, f"{path}: {exc.strerror or exc}")
+
+
 def _load_circuit(path: str):
     try:
         circuit = parse_file(path)
-    except FileNotFoundError:
-        raise CliError(EXIT_PARSE, f"{path}: file not found")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise _unreadable(EXIT_PARSE, path, exc)
     except QasmParseError as exc:
         lines = "\n".join(f"{path}:{d}" for d in exc.diagnostics)
         raise CliError(EXIT_PARSE, lines)
@@ -65,8 +77,8 @@ def _load_circuit(path: str):
 def _load_weight_map(path: str) -> WeightMap:
     try:
         return WeightMap.load(path)
-    except FileNotFoundError:
-        raise CliError(EXIT_CONFIG, f"{path}: file not found")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise _unreadable(EXIT_CONFIG, path, exc)
     except ValueError as exc:
         raise CliError(EXIT_CONFIG, f"{path}: invalid weight map: {exc}")
 
@@ -74,8 +86,8 @@ def _load_weight_map(path: str) -> WeightMap:
 def _load_table(path: str):
     try:
         return load_duration_table(path)
-    except FileNotFoundError:
-        raise CliError(EXIT_CONFIG, f"{path}: file not found")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise _unreadable(EXIT_CONFIG, path, exc)
     except DurationTableError as exc:
         raise CliError(EXIT_CONFIG, str(exc))
 
@@ -157,8 +169,8 @@ def _load_manifest(path: str) -> list[dict]:
     try:
         with open(path, encoding="utf-8") as fh:
             data = json.load(fh)
-    except FileNotFoundError:
-        raise CliError(EXIT_MANIFEST, f"{path}: file not found")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise _unreadable(EXIT_MANIFEST, path, exc)
     except json.JSONDecodeError as exc:
         raise CliError(EXIT_MANIFEST, f"{path}: invalid JSON: {exc}")
     bases = data.get("bases") if isinstance(data, dict) else None
@@ -287,9 +299,14 @@ def _parse_grid(spec: str) -> list[float]:
         start, stop, step = (float(part) for part in spec.split(":"))
     except ValueError:
         raise CliError(EXIT_CONFIG, f"invalid grid {spec!r}; expected start:stop:step")
+    if not all(map(math.isfinite, (start, stop, step))):
+        raise CliError(EXIT_CONFIG, f"invalid grid {spec!r}; start, stop and step must be finite")
     if step <= 0 or stop < start:
         raise CliError(EXIT_CONFIG, f"invalid grid {spec!r}; need step > 0 and stop >= start")
-    n = int(round((stop - start) / step)) + 1
+    span = (stop - start) / step  # may overflow to inf, which round() rejects
+    if span >= MAX_GRID_POINTS or round(span) + 1 > MAX_GRID_POINTS:
+        raise CliError(EXIT_CONFIG, f"invalid grid {spec!r}; more than {MAX_GRID_POINTS} points")
+    n = round(span) + 1
     grid = [round(start + i * step, 12) for i in range(n)]
     return [g for g in grid if g <= stop + 1e-12]
 

@@ -13,9 +13,11 @@ appearing in the file.
 """
 from __future__ import annotations
 
+import bisect
 import math
 import re
 from dataclasses import dataclass, field
+from typing import Callable, NamedTuple
 
 from .ir import BARRIER, DELAY, MEASURE, UNITARY, Circuit, Gate
 
@@ -80,61 +82,46 @@ class QasmParseError(ValueError):
         super().__init__("; ".join(str(d) for d in diagnostics))
 
 
+# Tokens carry their kind, text and character offset; line and column are
+# worked out from the offset only when a diagnostic needs them. A symbol's
+# kind is its own text ("->" included), so the parser tests ``kind == ";"``;
+# the other kinds are "real", "int", "id", "string" and "eof".
 _TOKEN_RE = re.compile(
     r"""
-    (?P<ws>[ \t\r]+)
-  | (?P<comment>//[^\n]*)
-  | (?P<newline>\n)
+    (?P<skip>[ \t\r\n]+|//[^\n]*)
   | (?P<real>(\d+\.\d*|\.\d+)([eE][+-]?\d+)?|\d+[eE][+-]?\d+)
   | (?P<int>\d+)
   | (?P<id>[A-Za-z_][A-Za-z0-9_]*)
   | (?P<string>"[^"\n]*")
-  | (?P<arrow>->)
-  | (?P<sym>[;,()\[\]{}*/+\-])
+  | (?P<symbol>->|[;,()\[\]{}*/+\-])
+  | (?P<bad>.)
     """,
     re.VERBOSE,
 )
 
 
-@dataclass(frozen=True)
-class _Token:
+class _Token(NamedTuple):
     kind: str
     text: str
-    line: int
-    column: int
-
-
-def _tokenize(text: str) -> tuple[list[_Token], list[ParseDiagnostic]]:
-    tokens: list[_Token] = []
-    diags: list[ParseDiagnostic] = []
-    line, col, pos = 1, 1, 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            diags.append(ParseDiagnostic(line, col, f"unexpected character {text[pos]!r}"))
-            pos += 1
-            col += 1
-            continue
-        kind = m.lastgroup
-        tok = m.group()
-        if kind == "newline":
-            line += 1
-            col = 1
-        elif kind not in ("ws", "comment"):
-            tokens.append(_Token(kind, tok, line, col))
-            col += len(tok)
-        else:
-            col += len(tok)
-        pos = m.end()
-    tokens.append(_Token("eof", "", line, col))
-    return tokens, diags
+    offset: int
 
 
 class _Parser:
-    def __init__(self, tokens: list[_Token]):
-        self.tokens = tokens
-        self.i = 0
+    def __init__(self, text: str):
+        self.newlines = [m.start() for m in re.finditer("\n", text)]
         self.diags: list[ParseDiagnostic] = []
+        self.tokens: list[_Token] = []
+        for m in _TOKEN_RE.finditer(text):
+            kind = m.lastgroup
+            if kind == "skip":
+                continue
+            tok = _Token(m.group() if kind == "symbol" else kind, m.group(), m.start())
+            if kind == "bad":
+                self.error(tok, f"unexpected character {tok.text!r}")
+            else:
+                self.tokens.append(tok)
+        self.tokens.append(_Token("eof", "", len(text)))
+        self.i = 0
         # name -> (offset, size); classical bits are not kept, so cregs' offsets are 0
         self.qregs: dict[str, tuple[int, int]] = {}
         self.cregs: dict[str, tuple[int, int]] = {}
@@ -152,11 +139,16 @@ class _Parser:
             self.i += 1
         return tok
 
-    def error(self, tok: _Token, message: str):
-        self.diags.append(ParseDiagnostic(tok.line, tok.column, message))
+    def accept(self, kind: str) -> bool:
+        if self.tokens[self.i].kind == kind:
+            self.i += 1
+            return True
+        return False
 
-    def warn(self, tok: _Token, message: str):
-        self.diags.append(ParseDiagnostic(tok.line, tok.column, message, "warning"))
+    def error(self, tok: _Token, message: str, severity: str = "error"):
+        line = bisect.bisect_left(self.newlines, tok.offset)
+        line_start = self.newlines[line - 1] + 1 if line else 0
+        self.diags.append(ParseDiagnostic(line + 1, tok.offset - line_start + 1, message, severity))
 
     def expect(self, kind: str, text: str | None = None, what: str | None = None) -> _Token | None:
         tok = self.peek()
@@ -166,12 +158,21 @@ class _Parser:
         self.error(tok, f"expected {expected}, found {tok.text!r}" if tok.text else f"expected {expected}, found end of input")
         return None
 
+    def comma_list(self, item: Callable[[], object]) -> list | None:
+        """Parse ``item (',' item)*``; None as soon as an item fails."""
+        items = []
+        while True:
+            value = item()
+            if value is None:
+                return None
+            items.append(value)
+            if not self.accept(","):
+                return items
+
     def skip_statement(self):
         """Recover by skipping to just past the next ';'."""
-        while True:
-            tok = self.advance()
-            if tok.kind == "eof" or (tok.kind == "sym" and tok.text == ";"):
-                return
+        while self.advance().kind not in ("eof", ";"):
+            pass
 
     # --- grammar -------------------------------------------------------
     def parse_program(self):
@@ -190,7 +191,7 @@ class _Parser:
             self.error(tok, f"unsupported OPENQASM version {tok.text!r}; only 2.0 is supported")
             self.skip_statement()
             return
-        self.expect("sym", ";")
+        self.expect(";")
 
     def parse_statement(self):
         tok = self.peek()
@@ -223,9 +224,9 @@ class _Parser:
                 tok = self.advance()
                 if tok.kind == "eof":
                     return
-                if tok.kind == "sym" and tok.text == "{":
+                if tok.kind == "{":
                     depth += 1
-                elif tok.kind == "sym" and tok.text == "}":
+                elif tok.kind == "}":
                     depth -= 1
                     if depth <= 0:
                         return
@@ -237,15 +238,15 @@ class _Parser:
         tok = self.expect("string", what="include file name")
         if tok is not None and tok.text != '"qelib1.inc"':
             self.error(tok, f"unknown include file {tok.text}; only \"qelib1.inc\" is supported")
-        self.expect("sym", ";")
+        self.expect(";")
 
     def parse_register_decl(self) -> tuple[_Token, int] | None:
         name = self.expect("id", what="register name")
-        if name is None or self.expect("sym", "[") is None:
+        if name is None or self.expect("[") is None:
             self.skip_statement()
             return None
         size = self.expect("int", what="register size")
-        if size is None or self.expect("sym", "]") is None or self.expect("sym", ";") is None:
+        if size is None or self.expect("]") is None or self.expect(";") is None:
             self.skip_statement()
             return None
         n = int(size.text)
@@ -273,18 +274,17 @@ class _Parser:
             return
         name, n = decl
         self.cregs[name.text] = (0, n)
-        self.warn(tok, f"classical register {name.text!r} accepted and ignored")
+        self.error(tok, f"classical register {name.text!r} accepted and ignored", severity="warning")
 
-    def parse_operand(self, classical: bool = False) -> list[int] | None:
+    def parse_operand(self, classical: bool = False) -> range | None:
         """Parse ``name`` or ``name[i]``; return flattened qubit (or bit) indices."""
         name = self.expect("id", what="operand")
         if name is None:
             return None
         idx = None
-        if self.peek().kind == "sym" and self.peek().text == "[":
-            self.advance()
+        if self.accept("["):
             idx = self.expect("int", what="qubit index")
-            if idx is None or self.expect("sym", "]") is None:
+            if idx is None or self.expect("]") is None:
                 return None
         regs = self.cregs if classical else self.qregs
         if name.text not in regs:
@@ -293,21 +293,21 @@ class _Parser:
             return None
         offset, size = regs[name.text]
         if idx is None:  # whole register
-            return list(range(offset, offset + size))
+            return range(offset, offset + size)
         k = int(idx.text)
         if k >= size:
             self.error(idx, f"index {k} out of range for register {name.text!r} of size {size}")
             return None
-        return [offset + k]
+        return range(offset + k, offset + k + 1)
 
     def parse_measure(self):
         tok = self.advance()
         src = self.parse_operand()
-        if src is None or self.expect("arrow", what="'->'") is None:
+        if src is None or self.expect("->", what="'->'") is None:
             self.skip_statement()
             return
         dst = self.parse_operand(classical=True)
-        if dst is None or self.expect("sym", ";") is None:
+        if dst is None or self.expect(";") is None:
             self.skip_statement()
             return
         if len(dst) != len(src):
@@ -318,47 +318,22 @@ class _Parser:
 
     def parse_barrier(self):
         self.advance()
-        qubits: list[int] = []
-        while True:
-            op = self.parse_operand()
-            if op is None:
-                self.skip_statement()
-                return
-            qubits.extend(op)
-            tok = self.peek()
-            if tok.kind == "sym" and tok.text == ",":
-                self.advance()
-                continue
-            break
-        if self.expect("sym", ";") is None:
+        operands = self.comma_list(self.parse_operand)
+        if operands is None or self.expect(";") is None:
             self.skip_statement()
             return
         # duplicate operands would be rejected by validate(); dedupe preserving order
-        seen: list[int] = []
-        for q in qubits:
-            if q not in seen:
-                seen.append(q)
-        self.gates.append(Gate("barrier", tuple(seen), (), BARRIER))
+        qubits = tuple(dict.fromkeys(q for op in operands for q in op))
+        self.gates.append(Gate("barrier", qubits, (), BARRIER))
 
     def parse_gate_application(self):
         name = self.advance()
         gate_name = name.text
-        params: list[float] = []
-        if self.peek().kind == "sym" and self.peek().text == "(":
-            self.advance()
-            if not (self.peek().kind == "sym" and self.peek().text == ")"):
-                while True:
-                    val = self.parse_additive()
-                    if val is None:
-                        self.skip_statement()
-                        return
-                    params.append(val)
-                    tok = self.peek()
-                    if tok.kind == "sym" and tok.text == ",":
-                        self.advance()
-                        continue
-                    break
-            if self.expect("sym", ")") is None:
+        params: list[float] | None = []
+        if self.accept("("):
+            if self.peek().kind != ")":
+                params = self.comma_list(self.parse_additive)
+            if params is None or self.expect(")") is None:
                 self.skip_statement()
                 return
 
@@ -380,19 +355,8 @@ class _Parser:
             self.skip_statement()
             return
 
-        operands: list[list[int]] = []
-        while True:
-            op = self.parse_operand()
-            if op is None:
-                self.skip_statement()
-                return
-            operands.append(op)
-            tok = self.peek()
-            if tok.kind == "sym" and tok.text == ",":
-                self.advance()
-                continue
-            break
-        if self.expect("sym", ";") is None:
+        operands = self.comma_list(self.parse_operand)
+        if operands is None or self.expect(";") is None:
             self.skip_statement()
             return
 
@@ -420,8 +384,8 @@ class _Parser:
         left = self.parse_multiplicative()
         if left is None:
             return None
-        while self.peek().kind == "sym" and self.peek().text in "+-":
-            op = self.advance().text
+        while self.peek().kind in ("+", "-"):
+            op = self.advance().kind
             right = self.parse_multiplicative()
             if right is None:
                 return None
@@ -432,8 +396,8 @@ class _Parser:
         left = self.parse_unary()
         if left is None:
             return None
-        while self.peek().kind == "sym" and self.peek().text in "*/":
-            op = self.advance().text
+        while self.peek().kind in ("*", "/"):
+            op = self.advance().kind
             right = self.parse_unary()
             if right is None:
                 return None
@@ -449,8 +413,8 @@ class _Parser:
     def parse_unary(self) -> float | None:
         negate = False
         tok = self.peek()
-        while tok.kind == "sym" and tok.text in "+-":
-            negate ^= tok.text == "-"
+        while tok.kind in ("+", "-"):
+            negate ^= tok.kind == "-"
             self.advance()
             tok = self.peek()
         if tok.kind in ("real", "int"):
@@ -459,7 +423,7 @@ class _Parser:
         elif tok.kind == "id" and tok.text == "pi":
             self.advance()
             val = math.pi
-        elif tok.kind == "sym" and tok.text == "(":
+        elif tok.kind == "(":
             if self.paren_depth == MAX_PAREN_DEPTH:
                 self.error(tok, f"parameter expression nests parentheses deeper than {MAX_PAREN_DEPTH}")
                 return None
@@ -467,7 +431,7 @@ class _Parser:
             self.paren_depth += 1
             val = self.parse_additive()
             self.paren_depth -= 1
-            if val is None or self.expect("sym", ")") is None:
+            if val is None or self.expect(")") is None:
                 return None
         else:
             self.error(tok, f"expected parameter expression, found {tok.text!r}")
@@ -477,10 +441,9 @@ class _Parser:
 
 def parse_program(text: str) -> ParseResult:
     """Parse QASM text, returning the circuit (or None) plus all diagnostics."""
-    tokens, lex_diags = _tokenize(text)
-    parser = _Parser(tokens)
+    parser = _Parser(text)
     parser.parse_program()
-    diags = lex_diags + parser.diags
+    diags = parser.diags
     if any(d.severity == "error" for d in diags):
         return ParseResult(None, diags)
     if parser.num_qubits == 0:

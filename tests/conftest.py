@@ -1,5 +1,6 @@
-"""Shared helpers: random circuit generation and the brute-force
-dependency-DAG longest-path oracle used to cross-check the sweep."""
+"""Shared helpers: random circuit generation, the brute-force
+dependency-DAG longest-path oracle used to cross-check the sweep, and the
+QASM texts that fuzz the parser and the CLI."""
 from __future__ import annotations
 
 import random
@@ -9,7 +10,40 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).parent))
 sys.setrecursionlimit(10000)
 
+from hypothesis import settings
+from hypothesis import strategies as st
+
 from gatedepth.ir import BARRIER, DELAY, MEASURE, Circuit, Gate
+
+# every property test draws the same examples on every run, with no time limit
+settings.register_profile("tier1", deadline=None, derandomize=True)
+settings.load_profile("tier1")
+
+# pieces of QASM programs for fuzzing the front end; registers are small,
+# so no text drawn from them declares one that is costly to sweep
+QASM_STATEMENTS = (
+    "OPENQASM 2.0;", "OPENQASM 3.0;", 'include "qelib1.inc";', 'include "x.inc";',
+    "qreg q[3];", "qreg r[1];", "creg c[3];", "creg c[1];",
+    "x q[0];", "cx q[0],q[1];", "cx q,r;", "ccx q[0],q[1],q[2];", "rz(-pi/2) q[2];",
+    "u3(0.1,2e-3,(pi)) q;", "delay(1e-7) q[1];", "delay q;",
+    "measure q -> c;", "measure q[1] -> c[0];", "barrier q;", "barrier q[2],q,q[0];",
+    "gate g a { x a; }", "if (c==1) x q[0];", "reset q;",
+)
+QASM_PIECES = (
+    "q", "c", "r", "[", "]", "(", ")", "{", "}", ";", ",", "->", "-", "+", "*", "/",
+    "0", "2", "1.5e3", ".5", "pi", "x", "rz", "//", '"', "@", " ", "\t", "\n", "\r\n",
+)
+
+# arbitrary text; QASM statements, pieces and arbitrary characters spliced
+# together; and whole statements after the declarations they use, which
+# often parse
+qasm_texts = st.one_of(
+    st.text(),
+    st.lists(st.one_of(st.sampled_from(QASM_STATEMENTS + QASM_PIECES), st.text(max_size=3)),
+             max_size=30).map("".join),
+    st.lists(st.sampled_from(QASM_STATEMENTS[8:]), max_size=20).map(
+        lambda statements: "OPENQASM 2.0;\nqreg q[3];\nqreg r[1];\ncreg c[3];\n" + "\n".join(statements)),
+)
 
 ONE_QUBIT = ("x", "sx", "rz", "h")
 TWO_QUBIT = ("cz", "ecr", "cx")

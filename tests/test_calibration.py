@@ -198,7 +198,7 @@ def test_hierarchical_vs_pooled():
 
 
 @given(scale=st.floats(min_value=1e-3, max_value=1e3), seed=st.integers(0, 1000))
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40)
 def test_scale_invariance(scale, seed):
     rng = random.Random(seed)
     tables = [

@@ -1,11 +1,16 @@
+import contextlib
 import csv
 import hashlib
+import io
 import json
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from gatedepth.cli import main
+from conftest import qasm_texts
+from gatedepth.cli import MAX_GRID_POINTS, CliError, _parse_grid, main
 
 REF_TEXT = (
     "OPENQASM 2.0;\n"
@@ -127,6 +132,46 @@ def test_malformed_qasm_exits_2(body, tmp_path, capsys):
     assert code == 2
     assert out == ""
     assert err.count("\n") == 1 and "Traceback" not in err
+
+
+@pytest.fixture(scope="module")
+def fuzz_qasm(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz") / "input.qasm"
+
+
+@given(data=st.one_of(st.binary(), qasm_texts.map(str.encode)))
+@settings(max_examples=200)
+def test_depth_on_any_bytes_exits_0_or_2(data, fuzz_qasm):
+    fuzz_qasm.write_bytes(data)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["depth", "--metric", "traditional", str(fuzz_qasm)])
+    assert code in (0, 2)
+    assert "Traceback" not in err.getvalue()
+
+
+@pytest.mark.parametrize("unreadable", ["directory", "not-utf8"])
+@pytest.mark.parametrize("loader, expected", [
+    ("qasm", 2), ("durations", 4), ("weights", 4), ("manifest", 5),
+])
+def test_unreadable_input_exits_with_its_loader_code(loader, expected, unreadable, ref_qasm,
+                                                     durations_json, tmp_path, capsys):
+    bad = tmp_path / "input"
+    if unreadable == "directory":
+        bad.mkdir()
+    else:
+        bad.write_bytes(b'OPENQASM 2.0; {"\xff": 1}\n')
+    argv = {
+        "qasm": ["depth", "--metric", "traditional", str(bad)],
+        "durations": ["estimate", "--durations", str(bad), ref_qasm],
+        "weights": ["depth", "--weights", str(bad), ref_qasm],
+        "manifest": ["compare", str(bad), "--durations", durations_json,
+                     "--out", str(tmp_path / "out")],
+    }[loader]
+    code, out, err = run(capsys, *argv)
+    assert code == expected
+    assert out == ""
+    assert err.startswith(f"{bad}: ") and err.count("\n") == 1
 
 
 def test_depth_deterministic_output(ref_qasm, weights_json, capsys):
@@ -337,6 +382,19 @@ def test_sweep_single_point(compare_setup, tmp_path, capsys):
     assert code == 0
     data_lines = [l for l in out.splitlines() if l and not l.startswith("w_s") and not l.startswith("{")]
     assert len(data_lines) == 1
+
+
+@pytest.mark.parametrize("spec", [
+    "0:inf:1", "nan:1:0.1", "0:1:inf", "0:1:1e-9", "0:1:1e-6", "-1e308:1e308:1e-300",
+])
+def test_grid_not_finite_or_too_many_points_exits_4(spec):
+    with pytest.raises(CliError) as exc:
+        _parse_grid(spec)
+    assert exc.value.code == 4
+
+
+def test_grid_at_point_limit_accepted():
+    assert len(_parse_grid("0:0.999999:1e-6")) == MAX_GRID_POINTS
 
 
 # --- byte identity on the bundled demo ------------------------------------

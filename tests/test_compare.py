@@ -38,7 +38,7 @@ def test_relative_difference_zero_base():
 
 
 @given(a=st.floats(0.1, 1e6), b=st.floats(0.1, 1e6))
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=100)
 def test_relative_difference_antisymmetry(a, b):
     d_ab = relative_difference(a, b)
     d_ba = relative_difference(b, a)
@@ -65,7 +65,7 @@ def test_percent_re_zero_runtime_difference():
 
 
 @given(dD=st.floats(1e-6, 1e3), dR=st.floats(1e-6, 1e3))
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200)
 def test_percent_re_sign_property(dD, dR):
     # opposite signs always give at least 100%
     assert percent_relative_error(-dD, dR) >= 100.0

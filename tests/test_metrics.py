@@ -118,7 +118,7 @@ def test_negative_weight_rejected():
 # --- equivalence and bounding properties --------------------------------
 
 @given(seed=st.integers(0, 10_000))
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=100)
 def test_all_ones_equals_traditional(seed):
     c = random_circuit(random.Random(seed))
     ones = WeightMap({name: 1.0 for name in ALL_NAMES})
@@ -126,7 +126,7 @@ def test_all_ones_equals_traditional(seed):
 
 
 @given(seed=st.integers(0, 10_000))
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=100)
 def test_multiqubit_indicator_equals_multiqubit(seed):
     c = random_circuit(random.Random(seed))
     w = WeightMap({name: 1.0 if name in TWO_QUBIT + THREE_QUBIT else 0.0 for name in ALL_NAMES})
@@ -134,7 +134,7 @@ def test_multiqubit_indicator_equals_multiqubit(seed):
 
 
 @given(seed=st.integers(0, 10_000))
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=100)
 def test_bounded_by_traditional_when_weights_below_one(seed):
     rng = random.Random(seed)
     c = random_circuit(rng)
@@ -143,7 +143,7 @@ def test_bounded_by_traditional_when_weights_below_one(seed):
 
 
 @given(seed=st.integers(0, 10_000))
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=100)
 def test_bounded_below_by_multiqubit_when_multiqubit_weights_are_one(seed):
     rng = random.Random(seed)
     c = random_circuit(rng)
@@ -153,7 +153,7 @@ def test_bounded_below_by_multiqubit_when_multiqubit_weights_are_one(seed):
 
 
 @given(seed=st.integers(0, 10_000))
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 def test_raising_a_weight_never_decreases_depth(seed):
     rng = random.Random(seed)
     c = random_circuit(rng)
@@ -165,7 +165,7 @@ def test_raising_a_weight_never_decreases_depth(seed):
 
 
 @given(seed=st.integers(0, 10_000), barrier=st.sampled_from((BARRIER_SKIP, BARRIER_SYNC)))
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=100)
 def test_sweep_matches_brute_force_oracle(seed, barrier):
     """All four sweeps against the DAG oracle on circuits with measures,
     delays and barriers. Neither the weight map nor the duration table has
@@ -197,7 +197,7 @@ def test_sweep_matches_brute_force_oracle(seed, barrier):
 
 
 @given(seed=st.integers(0, 10_000))
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 def test_concatenation_superadditive(seed):
     rng = random.Random(seed)
     n = rng.randint(1, 6)

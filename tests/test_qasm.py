@@ -1,11 +1,12 @@
 import math
 import sys
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_circuit
+from conftest import qasm_texts, random_circuit
 from gatedepth.ir import BARRIER, DELAY, MEASURE, Circuit, Gate
 from gatedepth.qasm import (MAX_PAREN_DEPTH, ParseDiagnostic, QasmParseError, parse,
                             parse_program, unparse)
@@ -95,6 +96,40 @@ def test_diagnostic_positions():
     assert (err.line, err.column) == (3, 1)
 
 
+@pytest.mark.parametrize("text, expected", [
+    ("OPENQASM 2.0;\r\nqreg q[1];\r\nbadgate q[0];\r\n", [(3, 1, "unknown gate 'badgate'")]),
+    ("OPENQASM 2.0;\nqreg q[1];\n\tx q[3];\n",
+     [(3, 6, "index 3 out of range for register 'q' of size 1")]),
+    ("OPENQASM 2.0; // header\nqreg q[1]; // one qubit\nx q[9]; // out of range\n",
+     [(3, 5, "index 9 out of range for register 'q' of size 1")]),
+    # lexical diagnostics come before the parser's
+    ("OPENQASM 2.0;\nqreg q[1];\nfoo q[0]; x @q[0];\n",
+     [(3, 13, "unexpected character '@'"), (3, 1, "unknown gate 'foo'")]),
+    ("OPENQASM 2.0;\nqreg q[1];\nx q[0]", [(3, 7, "expected ;, found end of input")]),
+    ("OPENQASM 2.0;\nqreg q[1];\nx q[0]\n", [(4, 1, "expected ;, found end of input")]),
+    ("qreg q[1];", [(1, 1, "expected OPENQASM, found 'qreg'")]),
+    ("", [(1, 1, "expected OPENQASM, found end of input")]),
+    ("OPENQASM 2.0;\n// only a comment\n", [(1, 1, "program declares no quantum register")]),
+    ("OPENQASM 2.0;\r\nqreg q[2];\r\n\tcreg c[1];\r\n  rz(pi/0) q[1];\r\n",
+     [(3, 2, "classical register 'c' accepted and ignored"),
+      (4, 10, "division by zero in parameter expression")]),
+])
+def test_diagnostic_line_and_column(text, expected):
+    result = parse_program(text)
+    assert [(d.line, d.column, d.message) for d in result.diagnostics] == expected
+
+
+@given(text=qasm_texts)
+@settings(max_examples=500)
+def test_parse_program_total_on_any_text(text):
+    result = parse_program(text)
+    assert result.ok == (not result.errors())
+    lines = text.split("\n")
+    for d in result.diagnostics:
+        assert 1 <= d.line <= len(lines)
+        assert 1 <= d.column <= len(lines[d.line - 1]) + 1
+
+
 def test_multiple_diagnostics_collected():
     result = parse_program("OPENQASM 2.0;\nqreg q[1];\nfoo q[0];\nbar q[0];\n")
     assert len(result.errors()) == 2
@@ -155,6 +190,18 @@ def test_measure_registers_of_unequal_size_rejected():
     assert [d.message for d in result.errors()] == ["measure operand lengths differ (1 vs 3)"]
 
 
+def test_measure_into_huge_register_rejected_without_allocating_it():
+    text = "OPENQASM 2.0; qreg q[1]; creg c[2000000]; measure q -> c;"
+    tracemalloc.start()
+    try:
+        result = parse_program(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert [d.message for d in result.errors()] == ["measure operand lengths differ (1 vs 2000000)"]
+    assert peak < 2**20
+
+
 def test_sign_chain_longer_than_recursion_limit():
     n = 2 * sys.getrecursionlimit()
     c = parse("OPENQASM 2.0; qreg q[1]; rz(" + "-" * (n + 1) + "+-" * n + "1) q[0];")
@@ -180,6 +227,11 @@ def test_parentheses_nested_deeper_than_recursion_limit_rejected():
 def test_barrier_flattens_registers():
     c = parse("OPENQASM 2.0; qreg q[3]; barrier q;")
     assert c.gates[0] == Gate("barrier", (0, 1, 2), (), BARRIER)
+
+
+def test_barrier_dedupes_in_first_seen_order():
+    c = parse("OPENQASM 2.0; qreg q[3]; barrier q[2],q,q[0];")
+    assert c.gates[0] == Gate("barrier", (2, 0, 1), (), BARRIER)
 
 
 def test_delay_with_duration():
@@ -224,7 +276,7 @@ def test_roundtrip_reference():
 
 
 @given(seed=st.integers(0, 10_000))
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 def test_roundtrip_random_circuits(seed):
     c = random_circuit(random.Random(seed))
     assert parse(unparse(c)) == c

@@ -93,7 +93,7 @@ def test_barrier_skip_vs_sync():
 
 
 @given(seed=st.integers(0, 10_000))
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=100)
 def test_runtime_matches_brute_force_oracle(seed):
     rng = random.Random(seed)
     c = random_circuit(rng, max_qubits=6, max_gates=25)
@@ -105,7 +105,7 @@ def test_runtime_matches_brute_force_oracle(seed):
 
 
 @given(seed=st.integers(0, 10_000))
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=100)
 def test_proportional_durations_consistency(seed):
     # durations = W(g) * T implies runtime = gate_aware_depth * T
     rng = random.Random(seed)
@@ -121,7 +121,7 @@ def test_proportional_durations_consistency(seed):
 
 
 @given(seed=st.integers(0, 10_000))
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 def test_runtime_lower_bound_is_slowest_gate(seed):
     rng = random.Random(seed)
     c = random_circuit(rng)
