@@ -178,18 +178,24 @@ def _load_manifest(path: str) -> list[dict]:
         raise CliError(EXIT_MANIFEST, f"{path}: /bases: required non-empty array")
     root = Path(path).parent
     out = []
+    compilers: dict[str, set[str]] = {}  # base name -> compiler ids seen so far
     for i, base in enumerate(bases):
         if not isinstance(base, dict) or not isinstance(base.get("name"), str):
             raise CliError(EXIT_MANIFEST, f"{path}: /bases/{i}/name: required string")
         versions = base.get("versions")
         if not isinstance(versions, list) or len(versions) < 1:
             raise CliError(EXIT_MANIFEST, f"{path}: /bases/{i}/versions: required non-empty array")
+        seen = compilers.setdefault(base["name"], set())
         resolved = []
         for j, ver in enumerate(versions):
             if (not isinstance(ver, dict) or not isinstance(ver.get("compiler"), str)
                     or not isinstance(ver.get("file"), str)):
                 raise CliError(EXIT_MANIFEST,
                             f"{path}: /bases/{i}/versions/{j}: requires compiler and file strings")
+            if ver["compiler"] in seen:
+                raise CliError(EXIT_MANIFEST, f"{path}: /bases/{i}/versions/{j}/compiler: "
+                                              f"duplicate compiler id {ver['compiler']!r}")
+            seen.add(ver["compiler"])
             file_path = Path(ver["file"])
             if not file_path.is_absolute():
                 file_path = root / file_path
@@ -301,6 +307,8 @@ def _parse_grid(spec: str) -> list[float]:
         raise CliError(EXIT_CONFIG, f"invalid grid {spec!r}; expected start:stop:step")
     if not all(map(math.isfinite, (start, stop, step))):
         raise CliError(EXIT_CONFIG, f"invalid grid {spec!r}; start, stop and step must be finite")
+    if start < 0:
+        raise CliError(EXIT_CONFIG, f"invalid grid {spec!r}; w_s must be >= 0")
     if step <= 0 or stop < start:
         raise CliError(EXIT_CONFIG, f"invalid grid {spec!r}; need step > 0 and stop >= start")
     span = (stop - start) / step  # may overflow to inf, which round() rejects
@@ -325,6 +333,8 @@ def cmd_sweep(args) -> int:
         result = sweep_single_qubit_weight(bases, tables, grid)
     except UnresolvedDurationError as exc:
         raise CliError(EXIT_RESOLUTION, exc.args[0])
+    except ValueError as exc:  # the grid is valid, so a point has no defined %RE
+        raise CliError(EXIT_MANIFEST, str(exc))
 
     rows = [(p.w_s, p.device, p.median_percent_re) for p in result.points]
     if args.out:

@@ -14,8 +14,10 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .calibration import DurationTable
-from .ir import Circuit, is_multi_qubit
-from .metrics import WeightMap, gate_aware_depth
+from .ir import BARRIER, DELAY, Circuit, is_multi_qubit
+# gate_aware_depth is not called here; the benchmark's tracer looks the name
+# up in this module (bench/tracing.py)
+from .metrics import gate_aware_depth, nonnegative_number, sweep
 from .runtime import estimate_runtime
 
 # argmin tie tolerances: depths are exact sums of a few doubles, runtimes
@@ -26,6 +28,9 @@ RUNTIME_ABS_TOL = 1e-12
 FLAG_ZERO_DELTA_RUNTIME = "zero_delta_runtime"
 FLAG_ZERO_METRIC_BASE = "zero_metric_base"
 FLAG_ZERO_RUNTIME_BASE = "zero_runtime_base"
+
+# most grid values one weight-sweep pass carries; bounds the per-qubit rows
+GRID_BLOCK = 256
 
 
 @dataclass(frozen=True)
@@ -223,48 +228,38 @@ def sweep_single_qubit_weight(
 ) -> SweepResult:
     """Evaluate gate-aware depth accuracy for each single-qubit weight w_s.
 
-    For each grid value a weight map is rebuilt with w_s for every non-rz
-    single-qubit name (and measure), 1.0 for multi-qubit names, and 0.0 for
-    rz; gate-aware depths are recomputed and compared against runtimes from
-    each device's duration table, reporting the median %RE. Ties in the
-    argmin go to the smallest w_s.
+    A gate weighs 0.0 if it is an rz, barrier or delay, 1.0 if some version
+    applies its name to two or more qubits, and w_s otherwise (measure
+    included). Depths do not depend on the device, so each version is swept
+    once per block of ``GRID_BLOCK`` grid values, one column per w_s; each
+    device's runtimes give the median %RE per (device, w_s). Ties in the
+    argmin go to the smallest w_s. A grid value that is not a finite number
+    >= 0, or a point where no pair has a defined %RE, raises ``ValueError``.
     """
-    names: set[str] = set()
-    multiqubit_names: set[str] = set()
-    for _, versions in bases:
-        for _, circuit in versions:
-            for gate in circuit.gates:
-                if gate.kind in ("unitary", "measure"):
-                    names.add(gate.name)
-                    if is_multi_qubit(gate):
-                        multiqubit_names.add(gate.name)
-
-    points: list[SweepPoint] = []
-    argmin: dict[str, float] = {}
-    for table in tables:
-        runtimes = {
-            (base, compiler): estimate_runtime(circuit, table)
-            for base, versions in bases
-            for compiler, circuit in versions
-        }
-        best: tuple[float, float] | None = None  # (median, w_s)
-        for w_s in grid:
-            weights = {
-                name: 0.0 if name == "rz" else 1.0 if name in multiqubit_names else w_s
-                for name in names
-            }
-            wmap = WeightMap(weights, architecture=table.architecture)
-            records = [
-                VersionRecord(base, compiler,
-                              {"gateaware": gate_aware_depth(circuit, wmap)},
-                              runtimes[(base, compiler)])
-                for base, versions in bases
-                for compiler, circuit in versions
-            ]
-            res = [c.percent_re for c in all_pairs(records, "gateaware") if c.percent_re is not None]
-            median = summarize_distribution(res).median
-            points.append(SweepPoint(w_s, table.device, median))
-            if best is None or median < best[0]:
-                best = (median, w_s)
-        argmin[table.device] = best[1]
-    return SweepResult(tuple(points), argmin)
+    for w_s in grid:
+        nonnegative_number(w_s, "w_s")
+    multiqubit = {g.name for _, vs in bases for _, c in vs for g in c.gates if is_multi_qubit(g)}
+    versions = [(base, compiler, c) for base, vs in bases for compiler, c in vs]
+    runtimes = [[estimate_runtime(c, table) for *_, c in versions] for table in tables]
+    points: list[list[SweepPoint]] = [[] for _ in tables]
+    for start in range(0, len(grid), GRID_BLOCK):
+        block = tuple(grid[start:start + GRID_BLOCK])
+        zeros, ones = (0.0,) * len(block), (1.0,) * len(block)
+        depths = [sweep(c, [zeros if g.kind in (BARRIER, DELAY) or g.name == "rz"
+                            else ones if g.name in multiqubit else block for g in c.gates],
+                        width=len(block)) for *_, c in versions]
+        for table, table_runtimes, table_points in zip(tables, runtimes, points):
+            for k, w_s in enumerate(block):
+                records = [VersionRecord(base, compiler, {"gateaware": d[k]}, r)
+                           for (base, compiler, _), d, r in zip(versions, depths, table_runtimes)]
+                res = [c.percent_re for c in all_pairs(records, "gateaware")
+                       if c.percent_re is not None]
+                if not res:
+                    raise ValueError(f"device {table.device!r}: no version pair has a defined %RE "
+                                     f"at w_s={w_s}")
+                median = summarize_distribution(res).median
+                table_points.append(SweepPoint(w_s, table.device, median))
+    # min keeps the first of equal medians: the smallest w_s of an ascending grid
+    argmin = {table.device: min(ps, key=lambda p: p.median_percent_re).w_s
+              for table, ps in zip(tables, points)}
+    return SweepResult(tuple(p for ps in points for p in ps), argmin)

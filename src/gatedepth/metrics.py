@@ -7,13 +7,14 @@ gate's operands to ``max(operand depths) + increment``. Traditional depth
 uses 1 per unitary or measure, multi-qubit depth 1 per multi-qubit unitary,
 and gate-aware depth the gate name's weight; barriers and delays add 0.
 The runtime estimate (:mod:`gatedepth.runtime`) is the same sweep over
-per-gate durations.
+per-gate durations. Increments are rows, so one pass can sweep many columns.
 """
 from __future__ import annotations
 
 import json
 import math
 from dataclasses import dataclass
+from operator import add
 from typing import Mapping, Sequence
 
 from .ir import BARRIER, DELAY, MEASURE, UNITARY, Circuit, is_multi_qubit
@@ -85,26 +86,30 @@ class MissingWeightError(KeyError):
         super().__init__(f"no weight for gate {gate_name!r} (gate position {position})")
 
 
-def sweep(circuit: Circuit, increments: Sequence[float], barrier: str = BARRIER_SKIP) -> float:
-    """Run the critical-path sweep; ``increments[i]`` is gate ``i``'s
-    contribution.
-
-    Barriers never increment (their entry is ignored); with
-    ``barrier="sync"`` they propagate the max depth across their operands,
-    with the default ``"skip"`` they are ignored entirely.
+def sweep(circuit: Circuit, increments: Sequence[Sequence[float]],
+          barrier: str = BARRIER_SKIP, width: int = 1) -> list[float]:
+    """Run the critical-path sweep; ``increments[i]`` is gate ``i``'s row of
+    ``width`` contributions, and entry ``k`` of the result equals a sweep of
+    column ``k`` alone. Only touched qubits keep a depth. Barriers never
+    increment (their row is ignored); with ``barrier="sync"`` they propagate
+    the max depth across their operands, with the default ``"skip"`` they
+    are ignored entirely.
     """
-    depths = [0.0] * circuit.num_qubits
-    for gate, inc in zip(circuit.gates, increments):
-        if gate.kind == BARRIER:
-            if barrier == BARRIER_SYNC:
-                top = max(depths[q] for q in gate.qubits)
-                for q in gate.qubits:
-                    depths[q] = top
+    zero = (0.0,) * width
+    depths: dict[int, Sequence[float]] = {}
+    get = depths.get
+    for gate, row in zip(circuit.gates, increments):
+        if gate.kind == BARRIER and barrier != BARRIER_SYNC:
             continue
-        new_depth = max(depths[q] for q in gate.qubits) + inc
-        for q in gate.qubits:
-            depths[q] = new_depth
-    return max(depths) if depths else 0.0
+        qubits = gate.qubits
+        top = get(qubits[0], zero)
+        for q in qubits[1:]:
+            top = [*map(max, top, get(q, zero))]
+        if gate.kind != BARRIER:
+            top = [*map(add, top, row)]
+        for q in qubits:
+            depths[q] = top
+    return [max(column) for column in zip(zero, *depths.values())]
 
 
 def traditional_depth(circuit: Circuit, barrier: str = BARRIER_SKIP) -> int:
@@ -112,8 +117,8 @@ def traditional_depth(circuit: Circuit, barrier: str = BARRIER_SKIP) -> int:
 
     Unitaries and measurements count 1; barriers and delays count 0.
     """
-    increments = [1.0 if g.kind in (UNITARY, MEASURE) else 0.0 for g in circuit.gates]
-    return int(round(sweep(circuit, increments, barrier)))
+    increments = [(1.0,) if g.kind in (UNITARY, MEASURE) else (0.0,) for g in circuit.gates]
+    return int(round(sweep(circuit, increments, barrier)[0]))
 
 
 def multiqubit_depth(circuit: Circuit, barrier: str = BARRIER_SKIP) -> int:
@@ -121,8 +126,8 @@ def multiqubit_depth(circuit: Circuit, barrier: str = BARRIER_SKIP) -> int:
 
     Single-qubit gates still propagate the running max without incrementing.
     """
-    increments = [1.0 if is_multi_qubit(g) else 0.0 for g in circuit.gates]
-    return int(round(sweep(circuit, increments, barrier)))
+    increments = [(1.0,) if is_multi_qubit(g) else (0.0,) for g in circuit.gates]
+    return int(round(sweep(circuit, increments, barrier)[0]))
 
 
 def gate_aware_depth(circuit: Circuit, weight_map: WeightMap, barrier: str = BARRIER_SKIP) -> float:
@@ -131,13 +136,13 @@ def gate_aware_depth(circuit: Circuit, weight_map: WeightMap, barrier: str = BAR
     Every unitary and measure name must be present in the map; barriers and
     delays are exempt and contribute 0.
     """
-    weights = weight_map.weights
+    rows = {name: (w,) for name, w in weight_map.weights.items()}
     try:
-        increments = [0.0 if g.kind in (BARRIER, DELAY) else weights[g.name] for g in circuit.gates]
+        increments = [(0.0,) if g.kind in (BARRIER, DELAY) else rows[g.name] for g in circuit.gates]
     except KeyError as exc:
         # gates are mapped in order, so the first gate with this name is the culprit
         name = exc.args[0]
         pos = next(i for i, g in enumerate(circuit.gates)
                    if g.name == name and g.kind not in (BARRIER, DELAY))
         raise MissingWeightError(name, pos) from None
-    return sweep(circuit, increments, barrier)
+    return sweep(circuit, increments, barrier)[0]

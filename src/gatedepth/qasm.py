@@ -37,6 +37,9 @@ BUILTIN_GATES: dict[str, tuple[int, int]] = {
 # deepest parenthesis nesting accepted in a parameter expression; the
 # expression parser recurses once per level
 MAX_PAREN_DEPTH = 100
+# largest register a declaration may have, so register and operand lengths
+# stay within sys.maxsize
+MAX_REGISTER_SIZE = 2**31 - 1
 
 _REJECTED_KEYWORDS = {
     "gate": "custom gate definitions unsupported",
@@ -104,6 +107,16 @@ class _Token(NamedTuple):
     kind: str
     text: str
     offset: int
+
+
+def _int_literal(text: str) -> int | None:
+    """The value of a decimal literal, or None if it is larger than
+    MAX_REGISTER_SIZE; digits are counted first, since ``int`` refuses
+    literals of more than 4300 digits."""
+    digits = text.lstrip("0") or "0"
+    if len(digits) > len(str(MAX_REGISTER_SIZE)) or int(digits) > MAX_REGISTER_SIZE:
+        return None
+    return int(digits)
 
 
 class _Parser:
@@ -249,7 +262,10 @@ class _Parser:
         if size is None or self.expect("]") is None or self.expect(";") is None:
             self.skip_statement()
             return None
-        n = int(size.text)
+        n = _int_literal(size.text)
+        if n is None:
+            self.error(size, f"register size {size.text} is larger than {MAX_REGISTER_SIZE}")
+            return None
         if n < 1:
             self.error(size, f"register size must be positive, got {n}")
             return None
@@ -294,9 +310,10 @@ class _Parser:
         offset, size = regs[name.text]
         if idx is None:  # whole register
             return range(offset, offset + size)
-        k = int(idx.text)
-        if k >= size:
-            self.error(idx, f"index {k} out of range for register {name.text!r} of size {size}")
+        k = _int_literal(idx.text)
+        if k is None or k >= size:
+            self.error(idx, f"index {idx.text if k is None else k} out of range "
+                            f"for register {name.text!r} of size {size}")
             return None
         return range(offset + k, offset + k + 1)
 

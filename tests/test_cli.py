@@ -361,6 +361,18 @@ def test_compare_bad_manifest_exits_5(tmp_path, compare_setup, capsys):
     assert "/bases" in err
 
 
+@pytest.mark.parametrize("command", ["compare", "sweep"])
+def test_duplicate_compiler_id_exits_5(command, compare_setup, tmp_path, capsys):
+    manifest, table, _ = compare_setup
+    data = json.loads(manifest.read_text())
+    data["bases"][1]["versions"][1]["compiler"] = "qk"
+    manifest.write_text(json.dumps(data))
+    extra = ["--metrics", "traditional", "--out", str(tmp_path / "out")] if command == "compare" else []
+    code, _, err = run(capsys, command, str(manifest), "--durations", str(table), *extra)
+    assert code == 5
+    assert err == f"{manifest}: /bases/1/versions/1/compiler: duplicate compiler id 'qk'\n"
+
+
 # --- sweep --------------------------------------------------------------
 
 def test_sweep_grid_rows(compare_setup, tmp_path, capsys):
@@ -382,6 +394,27 @@ def test_sweep_single_point(compare_setup, tmp_path, capsys):
     assert code == 0
     data_lines = [l for l in out.splitlines() if l and not l.startswith("w_s") and not l.startswith("{")]
     assert len(data_lines) == 1
+
+
+def test_sweep_without_a_defined_percent_re_exits_5(compare_setup, tmp_path, capsys):
+    manifest, table, _ = compare_setup
+    data = json.loads(manifest.read_text())
+    for base in data["bases"]:
+        del base["versions"][1:]  # one version per base: no pairs at all
+    manifest.write_text(json.dumps(data))
+    code, out, err = run(capsys, "sweep", str(manifest), "--durations", str(table),
+                         "--grid", "0:1:0.5")
+    assert code == 5
+    assert out == ""
+    assert err == "device 'dev': no version pair has a defined %RE at w_s=0.0\n"
+
+
+def test_sweep_negative_grid_start_exits_4(compare_setup, capsys):
+    manifest, table, _ = compare_setup
+    code, _, err = run(capsys, "sweep", str(manifest), "--durations", str(table),
+                       "--grid=-0.5:1:0.5")
+    assert code == 4
+    assert err == "invalid grid '-0.5:1:0.5'; w_s must be >= 0\n"
 
 
 @pytest.mark.parametrize("spec", [

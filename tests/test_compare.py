@@ -1,3 +1,5 @@
+import dataclasses
+import math
 import random
 
 import pytest
@@ -5,13 +7,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_circuit
+from gatedepth import compare
 from gatedepth.calibration import DurationTable
-from gatedepth.compare import (FLAG_ZERO_DELTA_RUNTIME, VersionRecord,
-                               all_pairs, identification_accuracy,
+from gatedepth.compare import (FLAG_ZERO_DELTA_RUNTIME, SweepPoint, SweepResult,
+                               VersionRecord, all_pairs, identification_accuracy,
                                identify_optimal, percent_relative_error,
                                relative_difference, summarize_distribution,
                                sweep_single_qubit_weight)
-from gatedepth.ir import Circuit, Gate
+from gatedepth.ir import Circuit, Gate, is_multi_qubit
+from gatedepth.metrics import WeightMap, gate_aware_depth
+from gatedepth.runtime import estimate_runtime
 
 
 def rec(base, compiler, value, runtime, metric="m"):
@@ -263,3 +268,53 @@ def test_sweep_single_point():
     assert result.argmin_w_s["synth"] == 0.0
     # all single-qubit durations zero: w_s = 0 predicts perfectly
     assert result.points[0].median_percent_re == pytest.approx(0.0, abs=1e-9)
+
+
+def reference_sweep(bases, tables, grid) -> SweepResult:
+    """The weight sweep done the direct way: one weight map and one
+    gate-aware depth per version for every (device, w_s)."""
+    names = {g.name for _, versions in bases for _, c in versions for g in c.gates}
+    multiqubit = {g.name for _, versions in bases for _, c in versions for g in c.gates
+                  if is_multi_qubit(g)}
+    points, argmin = [], {}
+    for table in tables:
+        best = None
+        for w_s in grid:
+            wmap = WeightMap({name: 0.0 if name == "rz" else 1.0 if name in multiqubit else w_s
+                              for name in names})
+            records = [VersionRecord(base, compiler, {"gateaware": gate_aware_depth(c, wmap)},
+                                     estimate_runtime(c, table))
+                       for base, versions in bases for compiler, c in versions]
+            res = [p.percent_re for p in all_pairs(records, "gateaware") if p.percent_re is not None]
+            median = summarize_distribution(res).median
+            points.append(SweepPoint(w_s, table.device, median))
+            if best is None or median < best[0]:
+                best = (median, w_s)
+        argmin[table.device] = best[1]
+    return SweepResult(tuple(points), argmin)
+
+
+def test_sweep_equals_one_weight_map_per_point(monkeypatch):
+    """Blocked sweeping changes no float: 101 points in blocks of 7 cross
+    fifteen block edges, over two devices."""
+    monkeypatch.setattr(compare, "GRID_BLOCK", 7)
+    bases, fast = make_ratio_dataset(0.2, seed=3, n_bases=4)
+    _, slow = make_ratio_dataset(0.6, seed=3, n_bases=4)
+    tables = [fast, dataclasses.replace(slow, device="synth-slow")]
+    grid = [round(0.01 * i, 2) for i in range(101)]
+    assert sweep_single_qubit_weight(bases, tables, grid) == reference_sweep(bases, tables, grid)
+
+
+@pytest.mark.parametrize("w_s", [-0.5, math.inf, math.nan, "0.5", True])
+def test_sweep_rejects_a_bad_grid_value(w_s):
+    bases, table = make_ratio_dataset(0.3, seed=1, n_bases=2)
+    with pytest.raises(ValueError, match="w_s must be"):
+        sweep_single_qubit_weight(bases, [table], [0.0, w_s])
+
+
+def test_sweep_without_a_defined_percent_re_names_device_and_w_s():
+    c = Circuit(1, (Gate("x", (0,)),))
+    bases = [("b0", [("alpha", c), ("beta", c)])]  # equal runtimes: dR = 0
+    table = DurationTable("dev", "arch", {}, {"x": 1e-7})
+    with pytest.raises(ValueError, match=r"device 'dev': .* at w_s=0.5"):
+        sweep_single_qubit_weight(bases, [table], [0.5])

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -8,7 +9,7 @@ from conftest import ONE_QUBIT, TWO_QUBIT, THREE_QUBIT, longest_path_oracle, ran
 from gatedepth.calibration import DurationTable
 from gatedepth.ir import BARRIER, DELAY, MEASURE, Circuit, Gate, is_multi_qubit
 from gatedepth.metrics import (BARRIER_SKIP, BARRIER_SYNC, MissingWeightError, WeightMap,
-                               gate_aware_depth, multiqubit_depth, traditional_depth)
+                               gate_aware_depth, multiqubit_depth, sweep, traditional_depth)
 from gatedepth.runtime import estimate_runtime
 
 REFERENCE = Circuit(3, (
@@ -194,6 +195,42 @@ def test_sweep_matches_brute_force_oracle(seed, barrier):
     for got, weight_of in cases:
         expected = longest_path_oracle(c, weight_of, counted)
         assert got == pytest.approx(expected, rel=1e-12, abs=1e-15)
+
+
+@given(seed=st.integers(0, 10_000), width=st.integers(1, 4),
+       barrier=st.sampled_from((BARRIER_SKIP, BARRIER_SYNC)))
+@settings(max_examples=100)
+def test_row_sweep_equals_each_column_swept_alone(seed, width, barrier):
+    """Entry k of a width-K sweep is bit-identical to the width-1 sweep of
+    column k, and equals the DAG oracle with column k as the weights."""
+    rng = random.Random(seed)
+    c = random_circuit(rng, directives=True)
+    rows = [tuple(0.0 if g.kind == BARRIER else rng.uniform(0, 2) for _ in range(width))
+            for g in c.gates]
+    got = sweep(c, rows, barrier, width)
+    assert len(got) == width
+    counted = (lambda g: g.kind != BARRIER) if barrier == BARRIER_SKIP else (lambda g: True)
+    position = {id(g): i for i, g in enumerate(c.gates)}
+    for k in range(width):
+        assert got[k] == sweep(c, [(row[k],) for row in rows], barrier)[0]
+        expected = longest_path_oracle(c, lambda g: rows[position[id(g)]][k], counted)
+        assert got[k] == pytest.approx(expected, rel=1e-12, abs=1e-15)
+
+
+def test_sweep_of_no_gates_gives_a_zero_per_column():
+    assert sweep(Circuit(3), [], width=3) == [0.0, 0.0, 0.0]
+
+
+def test_depths_kept_only_for_touched_qubits():
+    """A huge declared register costs nothing unless its qubits are used."""
+    c = Circuit(20_000_000, (Gate("x", (0,)),))
+    tracemalloc.start()
+    try:
+        assert traditional_depth(c) == 1
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 @given(seed=st.integers(0, 10_000))

@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 
 from conftest import qasm_texts, random_circuit
 from gatedepth.ir import BARRIER, DELAY, MEASURE, Circuit, Gate
-from gatedepth.qasm import (MAX_PAREN_DEPTH, ParseDiagnostic, QasmParseError, parse,
-                            parse_program, unparse)
+from gatedepth.qasm import (MAX_PAREN_DEPTH, MAX_REGISTER_SIZE, ParseDiagnostic, QasmParseError,
+                            parse, parse_program, unparse)
 
 import random
 
@@ -248,6 +248,32 @@ def test_delay_without_duration():
 def test_out_of_range_register_index():
     result = parse_program("OPENQASM 2.0; qreg q[2]; x q[5];")
     assert any("out of range" in d.message for d in result.errors())
+
+
+@pytest.mark.parametrize("text, column", [
+    ("OPENQASM 2.0; qreg q[1]; creg c[100000000000000000000]; measure q -> c;", 33),
+    ("OPENQASM 2.0; qreg q[100000000000000000000]; qreg r[2]; cx q,r;", 22),
+])
+def test_register_larger_than_limit_rejected_at_its_size(text, column):
+    first = parse_program(text).errors()[0]
+    assert (first.line, first.column, first.message) == (
+        1, column, f"register size 100000000000000000000 is larger than {MAX_REGISTER_SIZE}")
+
+
+def test_register_at_size_limit_accepted():
+    c = parse(f"OPENQASM 2.0; qreg q[{MAX_REGISTER_SIZE}]; x q[{MAX_REGISTER_SIZE - 1}];")
+    assert c.num_qubits == MAX_REGISTER_SIZE
+    assert c.gates[0].qubits == (MAX_REGISTER_SIZE - 1,)
+
+
+def test_integer_literal_of_any_length_gives_a_diagnostic():
+    """``int`` refuses literals over 4300 digits; these are just too large."""
+    digits = "9" * 5000
+    text = f"OPENQASM 2.0; qreg q[{digits}]; qreg r[2]; x r[{digits}];"
+    result = parse_program(text)
+    assert [(d.column, d.message) for d in result.errors()] == [
+        (22, f"register size {digits} is larger than {MAX_REGISTER_SIZE}"),
+        (text.rindex(digits) + 1, f"index {digits} out of range for register 'r' of size 2")]
 
 
 def test_undeclared_register():
