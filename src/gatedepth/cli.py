@@ -224,9 +224,11 @@ def _build_records(manifest: list[dict], metrics: tuple[str, ...],
 
 def cmd_compare(args) -> int:
     metrics = tuple(args.metrics.split(","))
-    for metric in metrics:
+    for i, metric in enumerate(metrics):
         if metric not in METRIC_NAMES:
             raise CliError(EXIT_CONFIG, f"unknown metric {metric!r}; choose from {METRIC_NAMES}")
+        if metric in metrics[:i]:
+            raise CliError(EXIT_CONFIG, f"metric {metric!r} repeated in --metrics")
     manifest = _load_manifest(args.manifest)
     table = _load_table(args.durations)
     wmap = _weights_for(metrics, args.weights)

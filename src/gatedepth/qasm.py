@@ -15,9 +15,10 @@ from __future__ import annotations
 
 import bisect
 import math
+import operator
 import re
 from dataclasses import dataclass, field
-from typing import Callable, NamedTuple
+from typing import Callable, NamedTuple, NoReturn
 
 from .ir import BARRIER, DELAY, MEASURE, UNITARY, Circuit, Gate
 
@@ -49,6 +50,12 @@ _REJECTED_KEYWORDS = {
     "for": "loops unsupported",
     "while": "loops unsupported",
 }
+
+# binary operators of parameter expressions, loosest first
+_BINARY_OPERATORS = (
+    {"+": operator.add, "-": operator.sub},
+    {"*": operator.mul, "/": operator.truediv},
+)
 
 
 @dataclass(frozen=True)
@@ -119,6 +126,11 @@ def _int_literal(text: str) -> int | None:
     return int(digits)
 
 
+class _Skip(Exception):
+    """A statement failed; its diagnostic is recorded and the parser skips
+    to just past the next ';'."""
+
+
 class _Parser:
     def __init__(self, text: str):
         self.newlines = [m.start() for m in re.finditer("\n", text)]
@@ -163,65 +175,69 @@ class _Parser:
         line_start = self.newlines[line - 1] + 1 if line else 0
         self.diags.append(ParseDiagnostic(line + 1, tok.offset - line_start + 1, message, severity))
 
-    def expect(self, kind: str, text: str | None = None, what: str | None = None) -> _Token | None:
+    def fail(self, tok: _Token, message: str) -> NoReturn:
+        """Record an error at ``tok`` and give up on the statement."""
+        self.error(tok, message)
+        raise _Skip
+
+    def expected(self, what: str):
+        """Record that ``what`` was expected at the next token."""
         tok = self.peek()
-        if tok.kind == kind and (text is None or tok.text == text):
+        self.error(tok, f"expected {what}, found {tok.text!r}" if tok.text else f"expected {what}, found end of input")
+
+    def expect(self, kind: str, what: str | None = None) -> _Token:
+        if self.tokens[self.i].kind == kind:
             return self.advance()
-        expected = what or (text or kind)
-        self.error(tok, f"expected {expected}, found {tok.text!r}" if tok.text else f"expected {expected}, found end of input")
-        return None
+        self.expected(what or kind)
+        raise _Skip
 
-    def comma_list(self, item: Callable[[], object]) -> list | None:
-        """Parse ``item (',' item)*``; None as soon as an item fails."""
-        items = []
-        while True:
-            value = item()
-            if value is None:
-                return None
-            items.append(value)
-            if not self.accept(","):
-                return items
+    def comma_list(self, item: Callable[[], object]) -> list:
+        """Parse ``item (',' item)*``."""
+        items = [item()]
+        while self.accept(","):
+            items.append(item())
+        return items
 
-    def skip_statement(self):
-        """Recover by skipping to just past the next ';'."""
-        while self.advance().kind not in ("eof", ";"):
-            pass
+    def recover(self, parse_one: Callable[[], None]):
+        """Run ``parse_one``; if it fails, skip to just past the next ';'."""
+        try:
+            parse_one()
+        except _Skip:
+            self.paren_depth = 0
+            while self.advance().kind not in ("eof", ";"):
+                pass
 
     # --- grammar -------------------------------------------------------
     def parse_program(self):
-        self.parse_header()
+        self.recover(self.parse_header)
         while self.peek().kind != "eof":
-            self.parse_statement()
+            self.recover(self.parse_statement)
 
     def parse_header(self):
-        if self.expect("id", "OPENQASM") is None:
-            self.skip_statement()
-            return
+        if self.peek().text != "OPENQASM":
+            self.expected("OPENQASM")
+            raise _Skip
+        self.advance()
         tok = self.peek()
-        if tok.kind == "real" and tok.text == "2.0":
-            self.advance()
-        else:
-            self.error(tok, f"unsupported OPENQASM version {tok.text!r}; only 2.0 is supported")
-            self.skip_statement()
-            return
-        self.expect(";")
+        if tok.text != "2.0":
+            self.fail(tok, f"unsupported OPENQASM version {tok.text!r}; only 2.0 is supported")
+        self.advance()
+        if not self.accept(";"):
+            self.expected(";")
 
     def parse_statement(self):
         tok = self.peek()
         if tok.kind != "id":
-            self.error(tok, f"expected statement, found {tok.text!r}")
-            self.skip_statement()
-            return
-        if tok.text in _REJECTED_KEYWORDS:
-            self.error(tok, _REJECTED_KEYWORDS[tok.text])
-            self.skip_rejected(tok.text)
-            return
-        if tok.text == "include":
+            self.fail(tok, f"expected statement, found {tok.text!r}")
+        if tok.text == "gate":
+            self.error(tok, _REJECTED_KEYWORDS["gate"])
+            self.skip_gate_definition()
+        elif tok.text in _REJECTED_KEYWORDS:
+            self.fail(tok, _REJECTED_KEYWORDS[tok.text])
+        elif tok.text == "include":
             self.parse_include()
-        elif tok.text == "qreg":
-            self.parse_qreg()
-        elif tok.text == "creg":
-            self.parse_creg()
+        elif tok.text in ("qreg", "creg"):
+            self.parse_register()
         elif tok.text == "measure":
             self.parse_measure()
         elif tok.text == "barrier":
@@ -229,104 +245,79 @@ class _Parser:
         else:
             self.parse_gate_application()
 
-    def skip_rejected(self, keyword: str):
-        # gate definitions span a {...} block; other constructs end at ';'
-        if keyword == "gate":
-            depth = 0
-            while True:
-                tok = self.advance()
-                if tok.kind == "eof":
+    def skip_gate_definition(self):
+        # a gate definition spans a {...} block, not a statement
+        depth = 0
+        while True:
+            tok = self.advance()
+            if tok.kind == "eof":
+                return
+            if tok.kind == "{":
+                depth += 1
+            elif tok.kind == "}":
+                depth -= 1
+                if depth <= 0:
                     return
-                if tok.kind == "{":
-                    depth += 1
-                elif tok.kind == "}":
-                    depth -= 1
-                    if depth <= 0:
-                        return
-        else:
-            self.skip_statement()
 
     def parse_include(self):
         self.advance()
-        tok = self.expect("string", what="include file name")
-        if tok is not None and tok.text != '"qelib1.inc"':
+        tok = self.peek()
+        if not self.accept("string"):
+            self.expected("include file name")
+        elif tok.text != '"qelib1.inc"':
             self.error(tok, f"unknown include file {tok.text}; only \"qelib1.inc\" is supported")
-        self.expect(";")
+        if not self.accept(";"):
+            self.expected(";")
 
-    def parse_register_decl(self) -> tuple[_Token, int] | None:
-        name = self.expect("id", what="register name")
-        if name is None or self.expect("[") is None:
-            self.skip_statement()
-            return None
-        size = self.expect("int", what="register size")
-        if size is None or self.expect("]") is None or self.expect(";") is None:
-            self.skip_statement()
-            return None
+    def parse_register(self):
+        keyword = self.advance()
+        name = self.expect("id", "register name")
+        self.expect("[")
+        size = self.expect("int", "register size")
+        self.expect("]")
+        self.expect(";")
         n = _int_literal(size.text)
+        quantum = keyword.text == "qreg"
+        regs = self.qregs if quantum else self.cregs
         if n is None:
             self.error(size, f"register size {size.text} is larger than {MAX_REGISTER_SIZE}")
-            return None
-        if n < 1:
+        elif n < 1:
             self.error(size, f"register size must be positive, got {n}")
-            return None
-        return name, n
-
-    def parse_qreg(self):
-        self.advance()
-        decl = self.parse_register_decl()
-        if decl is None:
-            return
-        name, n = decl
-        if name.text in self.qregs:
+        elif name.text in regs:
             self.error(name, f"duplicate register name {name.text!r}")
-            return
-        self.qregs[name.text] = (self.num_qubits, n)
-        self.num_qubits += n
+        elif quantum:
+            regs[name.text] = (self.num_qubits, n)
+            self.num_qubits += n
+        else:
+            regs[name.text] = (0, n)
+            self.error(keyword, f"classical register {name.text!r} accepted and ignored", severity="warning")
 
-    def parse_creg(self):
-        tok = self.advance()
-        decl = self.parse_register_decl()
-        if decl is None:
-            return
-        name, n = decl
-        self.cregs[name.text] = (0, n)
-        self.error(tok, f"classical register {name.text!r} accepted and ignored", severity="warning")
-
-    def parse_operand(self, classical: bool = False) -> range | None:
+    def parse_operand(self, classical: bool = False) -> range:
         """Parse ``name`` or ``name[i]``; return flattened qubit (or bit) indices."""
-        name = self.expect("id", what="operand")
-        if name is None:
-            return None
+        name = self.expect("id", "operand")
         idx = None
         if self.accept("["):
-            idx = self.expect("int", what="qubit index")
-            if idx is None or self.expect("]") is None:
-                return None
+            idx = self.expect("int", "qubit index")
+            self.expect("]")
         regs = self.cregs if classical else self.qregs
         if name.text not in regs:
             kind = "classical register" if classical else "register"
-            self.error(name, f"undeclared {kind} {name.text!r}")
-            return None
+            self.fail(name, f"undeclared {kind} {name.text!r}")
         offset, size = regs[name.text]
         if idx is None:  # whole register
             return range(offset, offset + size)
         k = _int_literal(idx.text)
         if k is None or k >= size:
-            self.error(idx, f"index {idx.text if k is None else k} out of range "
-                            f"for register {name.text!r} of size {size}")
-            return None
+            self.fail(idx, f"index {idx.text if k is None else k} out of range "
+                           f"for register {name.text!r} of size {size}")
         return range(offset + k, offset + k + 1)
 
     def parse_measure(self):
         tok = self.advance()
         src = self.parse_operand()
-        if src is None or self.expect("->", what="'->'") is None:
-            self.skip_statement()
-            return
+        self.expect("->", "'->'")
         dst = self.parse_operand(classical=True)
-        if dst is None or self.expect(";") is None:
-            self.skip_statement()
-            return
+        self.expect(";")
         if len(dst) != len(src):
             self.error(tok, f"measure operand lengths differ ({len(src)} vs {len(dst)})")
             return
@@ -336,9 +327,7 @@ class _Parser:
     def parse_barrier(self):
         self.advance()
         operands = self.comma_list(self.parse_operand)
-        if operands is None or self.expect(";") is None:
-            self.skip_statement()
-            return
+        self.expect(";")
         # duplicate operands would be rejected by validate(); dedupe preserving order
         qubits = tuple(dict.fromkeys(q for op in operands for q in op))
         self.gates.append(Gate("barrier", qubits, (), BARRIER))
@@ -346,36 +335,26 @@ class _Parser:
     def parse_gate_application(self):
         name = self.advance()
         gate_name = name.text
-        params: list[float] | None = []
+        params: list[float] = []
         if self.accept("("):
             if self.peek().kind != ")":
-                params = self.comma_list(self.parse_additive)
-            if params is None or self.expect(")") is None:
-                self.skip_statement()
-                return
+                params = self.comma_list(self.parse_expression)
+            self.expect(")")
 
         if gate_name == "delay":
             arity, nparams = 1, len(params)
             if len(params) > 1:
-                self.error(name, f"delay takes at most one parameter, got {len(params)}")
-                self.skip_statement()
-                return
+                self.fail(name, f"delay takes at most one parameter, got {len(params)}")
         elif gate_name in BUILTIN_GATES:
             arity, nparams = BUILTIN_GATES[gate_name]
         else:
-            self.error(name, f"unknown gate {gate_name!r}")
-            self.skip_statement()
-            return
+            self.fail(name, f"unknown gate {gate_name!r}")
 
-        if gate_name != "delay" and len(params) != nparams:
-            self.error(name, f"gate {gate_name!r} takes {nparams} parameter(s), got {len(params)}")
-            self.skip_statement()
-            return
+        if len(params) != nparams:
+            self.fail(name, f"gate {gate_name!r} takes {nparams} parameter(s), got {len(params)}")
 
         operands = self.comma_list(self.parse_operand)
-        if operands is None or self.expect(";") is None:
-            self.skip_statement()
-            return
+        self.expect(";")
 
         if len(operands) != arity:
             self.error(name, f"gate {gate_name!r} expects {arity} operand(s), got {len(operands)}")
@@ -397,37 +376,23 @@ class _Parser:
             self.gates.append(Gate(gate_name, qubits, tuple(params), kind))
 
     # --- pi-expression evaluation (precedence: unary -, * /, + -) ------
-    def parse_additive(self) -> float | None:
-        left = self.parse_multiplicative()
-        if left is None:
-            return None
-        while self.peek().kind in ("+", "-"):
+    def parse_expression(self, level: int = 0) -> float:
+        """Parse a left-associative chain of the operators of
+        ``_BINARY_OPERATORS[level]``; its operands are chains of the next
+        level, and unary terms after the last. Each parenthesis level costs
+        three stack frames: this method twice and ``parse_unary``."""
+        operators = _BINARY_OPERATORS[level]
+        inner = level + 1 < len(_BINARY_OPERATORS)
+        left = self.parse_expression(level + 1) if inner else self.parse_unary()
+        while self.peek().kind in operators:
             op = self.advance().kind
-            right = self.parse_multiplicative()
-            if right is None:
-                return None
-            left = left + right if op == "+" else left - right
+            right = self.parse_expression(level + 1) if inner else self.parse_unary()
+            if op == "/" and right == 0:
+                self.fail(self.peek(), "division by zero in parameter expression")
+            left = operators[op](left, right)
         return left
 
-    def parse_multiplicative(self) -> float | None:
-        left = self.parse_unary()
-        if left is None:
-            return None
-        while self.peek().kind in ("*", "/"):
-            op = self.advance().kind
-            right = self.parse_unary()
-            if right is None:
-                return None
-            if op == "/":
-                if right == 0:
-                    self.error(self.peek(), "division by zero in parameter expression")
-                    return None
-                left = left / right
-            else:
-                left = left * right
-        return left
-
-    def parse_unary(self) -> float | None:
+    def parse_unary(self) -> float:
         negate = False
         tok = self.peek()
         while tok.kind in ("+", "-"):
@@ -442,17 +407,14 @@ class _Parser:
             val = math.pi
         elif tok.kind == "(":
             if self.paren_depth == MAX_PAREN_DEPTH:
-                self.error(tok, f"parameter expression nests parentheses deeper than {MAX_PAREN_DEPTH}")
-                return None
+                self.fail(tok, f"parameter expression nests parentheses deeper than {MAX_PAREN_DEPTH}")
             self.advance()
             self.paren_depth += 1
-            val = self.parse_additive()
+            val = self.parse_expression()
             self.paren_depth -= 1
-            if val is None or self.expect(")") is None:
-                return None
+            self.expect(")")
         else:
-            self.error(tok, f"expected parameter expression, found {tok.text!r}")
-            return None
+            self.fail(tok, f"expected parameter expression, found {tok.text!r}")
         return -val if negate else val
 
 

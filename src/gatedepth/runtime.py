@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from .calibration import DurationTable
 from .ir import BARRIER, DELAY, Circuit
-from .metrics import BARRIER_SKIP, sweep
+from .metrics import BARRIER_SKIP, nonnegative_number, sweep
 
 
 class UnresolvedDurationError(LookupError):
@@ -33,7 +33,8 @@ def estimate_runtime(circuit: Circuit, table: DurationTable, barrier: str = BARR
     per-gate default, then error. The qubit tuple is direction-sensitive; a
     reversed two-qubit gate with no reversed entry and no default is an
     error, never a silent reuse of the forward duration. Delays contribute
-    their explicit duration parameter (seconds); barriers need no entry.
+    their explicit duration parameter (seconds), which must be a finite
+    number >= 0; barriers need no entry.
     """
     durations = []
     for pos, gate in enumerate(circuit.gates):
@@ -44,7 +45,10 @@ def estimate_runtime(circuit: Circuit, table: DurationTable, barrier: str = BARR
                 raise UnresolvedDurationError(
                     gate.name, gate.qubits, pos, "delay without a duration parameter"
                 )
-            dur = gate.params[0]
+            try:
+                dur = nonnegative_number(gate.params[0], "delay duration")
+            except ValueError as exc:
+                raise UnresolvedDurationError(gate.name, gate.qubits, pos, str(exc)) from None
         else:
             dur = table.lookup(gate.name, gate.qubits)
             if dur is None:

@@ -259,6 +259,19 @@ def test_estimate_reversed_direction_exits_3(tmp_path, capsys):
     assert "ecr" in err and "[1, 0]" in err
 
 
+@pytest.mark.parametrize("duration, reason", [
+    ("-1e-6", "must be >= 0, got -1e-06"),
+    ("1e400", "must be finite, got inf"),
+])
+def test_estimate_bad_delay_duration_exits_3(duration, reason, tmp_path, durations_json, capsys):
+    qasm = tmp_path / "delay.qasm"
+    qasm.write_text(f"OPENQASM 2.0; qreg q[1]; delay({duration}) q[0]; x q[0];")
+    code, out, err = run(capsys, "estimate", "--durations", durations_json, str(qasm))
+    assert code == 3 and out == ""
+    assert err == (f"{qasm}: no duration for gate 'delay' at qubits [0] "
+                   f"(gate position 0): delay duration {reason}\n")
+
+
 def test_estimate_bad_table_exits_4(tmp_path, ref_qasm, capsys):
     table = tmp_path / "bad.json"
     table.write_text(json.dumps({"device": "d", "architecture": "a",
@@ -359,6 +372,15 @@ def test_compare_bad_manifest_exits_5(tmp_path, compare_setup, capsys):
                        "--durations", str(table), "--out", str(tmp_path / "x"))
     assert code == 5
     assert "/bases" in err
+
+
+def test_compare_repeated_metric_exits_4(compare_setup, tmp_path, capsys):
+    manifest, table, _ = compare_setup
+    code, _, err = run(capsys, "compare", str(manifest), "--metrics", "traditional,traditional",
+                       "--durations", str(table), "--out", str(tmp_path / "out"))
+    assert code == 4
+    assert err == "metric 'traditional' repeated in --metrics\n"
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("command", ["compare", "sweep"])

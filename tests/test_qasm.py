@@ -1,3 +1,4 @@
+import inspect
 import math
 import sys
 import tracemalloc
@@ -113,6 +114,10 @@ def test_diagnostic_positions():
     ("OPENQASM 2.0;\r\nqreg q[2];\r\n\tcreg c[1];\r\n  rz(pi/0) q[1];\r\n",
      [(3, 2, "classical register 'c' accepted and ignored"),
       (4, 10, "division by zero in parameter expression")]),
+    ("OPENQASM 2.0;\nqreg q[1];\nqreg q[2];\n", [(3, 6, "duplicate register name 'q'")]),
+    ("OPENQASM 2.0;\nqreg q[1];\ncreg c[1];\n  creg c[2];\n",
+     [(3, 1, "classical register 'c' accepted and ignored"),
+      (4, 8, "duplicate register name 'c'")]),
 ])
 def test_diagnostic_line_and_column(text, expected):
     result = parse_program(text)
@@ -209,9 +214,28 @@ def test_sign_chain_longer_than_recursion_limit():
 
 
 def test_parentheses_at_depth_limit_accepted():
+    """The expression parser takes three stack frames per parenthesis
+    level; the limit here is far below conftest's, so a parser that needs
+    more fails."""
     d = MAX_PAREN_DEPTH
-    c = parse("OPENQASM 2.0; qreg q[1]; rz(" + "(" * d + "-pi" + ")" * d + ") q[0];")
+    text = "OPENQASM 2.0; qreg q[1]; rz(" + "(" * d + "-pi" + ")" * d + ") q[0];"
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack(0)) + 3 * d + 20)
+    try:
+        c = parse(text)
+    finally:
+        sys.setrecursionlimit(limit)
     assert c.gates[0].params == (-math.pi,)
+
+
+def test_parenthesis_depth_restored_after_failed_statements():
+    failing = "rz(" + "(" * 60 + "1/0" + ")" * 60 + ") q[0];\n"
+    text = ("OPENQASM 2.0;\nqreg q[1];\n" + failing * 2
+            + "rz(" + "(" * 60 + "pi" + ")" * 60 + ") q[0];\n")
+    result = parse_program(text)
+    assert [(d.line, d.message) for d in result.diagnostics] == [
+        (3, "division by zero in parameter expression"),
+        (4, "division by zero in parameter expression")]
 
 
 def test_parentheses_nested_deeper_than_recursion_limit_rejected():

@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -73,6 +74,20 @@ def test_delay_without_duration_errors():
     c = Circuit(1, (Gate("delay", (0,), (), DELAY),))
     with pytest.raises(UnresolvedDurationError):
         estimate_runtime(c, DurationTable("d", "a", {}))
+
+
+@pytest.mark.parametrize("duration, reason", [
+    (-1e-6, "delay duration must be >= 0, got -1e-06"),
+    (math.inf, "delay duration must be finite, got inf"),
+    (math.nan, "delay duration must be finite, got nan"),
+])
+def test_delay_duration_must_be_finite_and_nonnegative(duration, reason):
+    c = Circuit(1, (Gate("delay", (0,), (duration,), DELAY), Gate("x", (0,))))
+    table = DurationTable("d", "a", {("x", (0,)): 1e-8})
+    with pytest.raises(UnresolvedDurationError) as exc:
+        estimate_runtime(c, table)
+    assert exc.value.gate_name == "delay" and exc.value.position == 0
+    assert str(exc.value).endswith(f"(gate position 0): {reason}")
 
 
 def test_measure_is_a_timed_instruction():
