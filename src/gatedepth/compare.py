@@ -81,6 +81,24 @@ def _group_by_base(records: Sequence[VersionRecord]) -> dict[str, list[VersionRe
     return groups
 
 
+def _oriented_pairs(keys: Sequence[tuple[str, str]]) -> list[tuple[int, int]]:
+    """Index pairs (C1, C2) into ``keys``, one (base, compiler) per version:
+    one per unordered compiler pair of each base name, bases in order of
+    first appearance, the lexicographically smaller compiler id as C2."""
+    groups: dict[str, list[tuple[str, int]]] = {}
+    for i, (base, compiler) in enumerate(keys):
+        groups.setdefault(base, []).append((compiler, i))
+    pairs = []
+    for base, group in groups.items():
+        by_compiler = dict(group)
+        if len(by_compiler) != len(group):
+            raise ValueError(f"duplicate compiler ids for base {base!r}")
+        compilers = sorted(by_compiler)
+        for i, c2 in enumerate(compilers):
+            pairs.extend((by_compiler[c1], by_compiler[c2]) for c1 in compilers[i + 1:])
+    return pairs
+
+
 def all_pairs(records: Sequence[VersionRecord], metric: str) -> list[PairComparison]:
     """One comparison per unordered compiler pair per base circuit.
 
@@ -89,33 +107,27 @@ def all_pairs(records: Sequence[VersionRecord], metric: str) -> list[PairCompari
     %RE is left None (with a flag) when a denominator is zero.
     """
     comparisons: list[PairComparison] = []
-    for base, group in _group_by_base(records).items():
-        by_compiler = {rec.compiler: rec for rec in group}
-        if len(by_compiler) != len(group):
-            raise ValueError(f"duplicate compiler ids for base {base!r}")
-        compilers = sorted(by_compiler)
-        for i, c2 in enumerate(compilers):
-            for c1 in compilers[i + 1:]:
-                rec1, rec2 = by_compiler[c1], by_compiler[c2]
-                flags: list[str] = []
-                delta_metric = delta_runtime = percent_re = None
-                if rec2.metrics[metric] == 0:
-                    flags.append(FLAG_ZERO_METRIC_BASE)
-                else:
-                    delta_metric = relative_difference(rec1.metrics[metric], rec2.metrics[metric])
-                if rec2.runtime_s == 0:
-                    flags.append(FLAG_ZERO_RUNTIME_BASE)
-                else:
-                    delta_runtime = relative_difference(rec1.runtime_s, rec2.runtime_s)
-                if delta_metric is not None and delta_runtime is not None:
-                    if delta_runtime == 0:
-                        flags.append(FLAG_ZERO_DELTA_RUNTIME)
-                    else:
-                        percent_re = percent_relative_error(delta_metric, delta_runtime)
-                comparisons.append(
-                    PairComparison(base, c1, c2, metric, delta_metric, delta_runtime,
-                                   percent_re, tuple(flags))
-                )
+    for i, j in _oriented_pairs([(rec.base, rec.compiler) for rec in records]):
+        rec1, rec2 = records[i], records[j]
+        flags: list[str] = []
+        delta_metric = delta_runtime = percent_re = None
+        if rec2.metrics[metric] == 0:
+            flags.append(FLAG_ZERO_METRIC_BASE)
+        else:
+            delta_metric = relative_difference(rec1.metrics[metric], rec2.metrics[metric])
+        if rec2.runtime_s == 0:
+            flags.append(FLAG_ZERO_RUNTIME_BASE)
+        else:
+            delta_runtime = relative_difference(rec1.runtime_s, rec2.runtime_s)
+        if delta_metric is not None and delta_runtime is not None:
+            if delta_runtime == 0:
+                flags.append(FLAG_ZERO_DELTA_RUNTIME)
+            else:
+                percent_re = percent_relative_error(delta_metric, delta_runtime)
+        comparisons.append(
+            PairComparison(rec1.base, rec1.compiler, rec2.compiler, metric, delta_metric,
+                           delta_runtime, percent_re, tuple(flags))
+        )
     return comparisons
 
 
@@ -230,35 +242,59 @@ def sweep_single_qubit_weight(
 
     A gate weighs 0.0 if it is an rz, barrier or delay, 1.0 if some version
     applies its name to two or more qubits, and w_s otherwise (measure
-    included). Depths do not depend on the device, so each version is swept
-    once per block of ``GRID_BLOCK`` grid values, one column per w_s; each
-    device's runtimes give the median %RE per (device, w_s). Ties in the
-    argmin go to the smallest w_s. A grid value that is not a finite number
-    >= 0, or a point where no pair has a defined %RE, raises ``ValueError``.
+    included). Every float equals what :func:`all_pairs` and
+    :func:`summarize_distribution` give for the same weight map, but the
+    work is done per block of at most ``GRID_BLOCK`` grid values: each
+    version is swept once per block, one numpy column per w_s (depths do
+    not depend on the device), and each device's %RE is one pairs x block
+    array with its column medians. The version pairs, and each device's
+    relative runtime differences, are formed once. Memory is per block.
+    Ties in the argmin go to the smallest w_s. A grid value that is not a
+    finite number >= 0, or a point where no pair has a defined %RE, raises
+    ``ValueError``.
     """
     for w_s in grid:
         nonnegative_number(w_s, "w_s")
     multiqubit = {g.name for _, vs in bases for _, c in vs for g in c.gates if is_multi_qubit(g)}
     versions = [(base, compiler, c) for base, vs in bases for compiler, c in vs]
-    runtimes = [[estimate_runtime(c, table) for *_, c in versions] for table in tables]
+    runtimes = [np.array([estimate_runtime(c, table) for *_, c in versions]) for table in tables]
+    c1, c2 = np.array(_oriented_pairs([(base, compiler) for base, compiler, _ in versions]),
+                      dtype=np.intp).reshape(-1, 2).T
+    # per device, the pairs with a defined relative runtime difference, and that difference
+    device_pairs = []
+    for r in runtimes:
+        nonzero_base = r[c2] != 0
+        i1, i2 = c1[nonzero_base], c2[nonzero_base]
+        delta_runtime = (r[i1] - r[i2]) / r[i2]
+        nonzero = delta_runtime != 0
+        device_pairs.append((i1[nonzero], i2[nonzero], delta_runtime[nonzero, None]))
     points: list[list[SweepPoint]] = [[] for _ in tables]
     for start in range(0, len(grid), GRID_BLOCK):
-        block = tuple(grid[start:start + GRID_BLOCK])
-        zeros, ones = (0.0,) * len(block), (1.0,) * len(block)
-        depths = [sweep(c, [zeros if g.kind in (BARRIER, DELAY) or g.name == "rz"
-                            else ones if g.name in multiqubit else block for g in c.gates],
-                        width=len(block)) for *_, c in versions]
-        for table, table_runtimes, table_points in zip(tables, runtimes, points):
-            for k, w_s in enumerate(block):
-                records = [VersionRecord(base, compiler, {"gateaware": d[k]}, r)
-                           for (base, compiler, _), d, r in zip(versions, depths, table_runtimes)]
-                res = [c.percent_re for c in all_pairs(records, "gateaware")
-                       if c.percent_re is not None]
-                if not res:
-                    raise ValueError(f"device {table.device!r}: no version pair has a defined %RE "
-                                     f"at w_s={w_s}")
-                median = summarize_distribution(res).median
-                table_points.append(SweepPoint(w_s, table.device, median))
+        block = grid[start:start + GRID_BLOCK]
+        width = len(block)
+        zeros, ones, ws = ((0.0, 1.0, block[0]) if width == 1 else
+                           (np.zeros(width), np.ones(width), np.array(block, dtype=float)))
+        depths = np.array([sweep(c, [zeros if g.kind in (BARRIER, DELAY) or g.name == "rz"
+                                     else ones if g.name in multiqubit else ws for g in c.gates],
+                                 width=width) for *_, c in versions]).reshape(len(versions), width)
+        for table, (i1, i2, delta_runtime), table_points in zip(tables, device_pairs, points):
+            d1, d2 = depths[i1], depths[i2]
+            defined = d2 != 0  # a zero metric base drops the pair from that column only
+            undefined = ~defined.any(axis=0)
+            if undefined.any():
+                w_s = block[int(np.argmax(undefined))]
+                raise ValueError(f"device {table.device!r}: no version pair has a defined %RE "
+                                 f"at w_s={w_s}")
+            with np.errstate(divide="ignore", invalid="ignore"):
+                percent_re = np.abs((d1 - d2) / d2 - delta_runtime) / np.abs(delta_runtime) * 100.0
+            # np.percentile takes the same pairs in every column: one call per set of defined pairs
+            patterns, column_pattern = np.unique(defined, axis=1, return_inverse=True)
+            medians = np.empty(width)
+            for k, rows in enumerate(patterns.T):
+                columns = column_pattern == k
+                medians[columns] = np.percentile(percent_re[rows][:, columns], 50.0, axis=0)
+            table_points.extend(SweepPoint(w_s, table.device, float(m))
+                                for w_s, m in zip(block, medians))
     # min keeps the first of equal medians: the smallest w_s of an ascending grid
     argmin = {table.device: min(ps, key=lambda p: p.median_percent_re).w_s
               for table, ps in zip(tables, points)}

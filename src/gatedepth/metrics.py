@@ -7,15 +7,18 @@ gate's operands to ``max(operand depths) + increment``. Traditional depth
 uses 1 per unitary or measure, multi-qubit depth 1 per multi-qubit unitary,
 and gate-aware depth the gate name's weight; barriers and delays add 0.
 The runtime estimate (:mod:`gatedepth.runtime`) is the same sweep over
-per-gate durations. Increments are rows, so one pass can sweep many columns.
+per-gate durations. An increment is a float, or a numpy array of one float
+per column, so one pass can sweep many columns.
 """
 from __future__ import annotations
 
 import json
 import math
 from dataclasses import dataclass
-from operator import add
+from functools import reduce
 from typing import Mapping, Sequence
+
+import numpy as np
 
 from .ir import BARRIER, DELAY, MEASURE, UNITARY, Circuit, is_multi_qubit
 
@@ -86,17 +89,21 @@ class MissingWeightError(KeyError):
         super().__init__(f"no weight for gate {gate_name!r} (gate position {position})")
 
 
-def sweep(circuit: Circuit, increments: Sequence[Sequence[float]],
-          barrier: str = BARRIER_SKIP, width: int = 1) -> list[float]:
-    """Run the critical-path sweep; ``increments[i]`` is gate ``i``'s row of
-    ``width`` contributions, and entry ``k`` of the result equals a sweep of
-    column ``k`` alone. Only touched qubits keep a depth. Barriers never
-    increment (their row is ignored); with ``barrier="sync"`` they propagate
-    the max depth across their operands, with the default ``"skip"`` they
-    are ignored entirely.
+def sweep(circuit: Circuit, increments: Sequence, barrier: str = BARRIER_SKIP,
+          width: int = 1) -> float | np.ndarray:
+    """Run the critical-path sweep; ``increments[i]`` is gate ``i``'s row.
+
+    With ``width`` 1 a row is a float and the result is the depth, a float.
+    Otherwise a row is a numpy array of ``width`` increments and the result
+    an array whose entry ``k`` equals a width-1 sweep of column ``k``: both
+    take the same ``+`` and max in the same order. Rows are never changed in
+    place, so one array may be shared. Only touched qubits keep a depth.
+    Barriers never increment (their row is ignored); with
+    ``barrier="sync"`` they propagate the max depth across their operands,
+    with the default ``"skip"`` they are ignored entirely.
     """
-    zero = (0.0,) * width
-    depths: dict[int, Sequence[float]] = {}
+    zero, maximum = (0.0, max) if width == 1 else (np.zeros(width), np.maximum)
+    depths: dict[int, float | np.ndarray] = {}
     get = depths.get
     for gate, row in zip(circuit.gates, increments):
         if gate.kind == BARRIER and barrier != BARRIER_SYNC:
@@ -104,12 +111,12 @@ def sweep(circuit: Circuit, increments: Sequence[Sequence[float]],
         qubits = gate.qubits
         top = get(qubits[0], zero)
         for q in qubits[1:]:
-            top = [*map(max, top, get(q, zero))]
+            top = maximum(top, get(q, zero))
         if gate.kind != BARRIER:
-            top = [*map(add, top, row)]
+            top = top + row
         for q in qubits:
             depths[q] = top
-    return [max(column) for column in zip(zero, *depths.values())]
+    return reduce(maximum, depths.values(), zero)
 
 
 def traditional_depth(circuit: Circuit, barrier: str = BARRIER_SKIP) -> int:
@@ -117,8 +124,8 @@ def traditional_depth(circuit: Circuit, barrier: str = BARRIER_SKIP) -> int:
 
     Unitaries and measurements count 1; barriers and delays count 0.
     """
-    increments = [(1.0,) if g.kind in (UNITARY, MEASURE) else (0.0,) for g in circuit.gates]
-    return int(round(sweep(circuit, increments, barrier)[0]))
+    increments = [1.0 if g.kind in (UNITARY, MEASURE) else 0.0 for g in circuit.gates]
+    return int(round(sweep(circuit, increments, barrier)))
 
 
 def multiqubit_depth(circuit: Circuit, barrier: str = BARRIER_SKIP) -> int:
@@ -126,8 +133,8 @@ def multiqubit_depth(circuit: Circuit, barrier: str = BARRIER_SKIP) -> int:
 
     Single-qubit gates still propagate the running max without incrementing.
     """
-    increments = [(1.0,) if is_multi_qubit(g) else (0.0,) for g in circuit.gates]
-    return int(round(sweep(circuit, increments, barrier)[0]))
+    increments = [1.0 if is_multi_qubit(g) else 0.0 for g in circuit.gates]
+    return int(round(sweep(circuit, increments, barrier)))
 
 
 def gate_aware_depth(circuit: Circuit, weight_map: WeightMap, barrier: str = BARRIER_SKIP) -> float:
@@ -136,13 +143,13 @@ def gate_aware_depth(circuit: Circuit, weight_map: WeightMap, barrier: str = BAR
     Every unitary and measure name must be present in the map; barriers and
     delays are exempt and contribute 0.
     """
-    rows = {name: (w,) for name, w in weight_map.weights.items()}
+    weights = weight_map.weights
     try:
-        increments = [(0.0,) if g.kind in (BARRIER, DELAY) else rows[g.name] for g in circuit.gates]
+        increments = [0.0 if g.kind in (BARRIER, DELAY) else weights[g.name] for g in circuit.gates]
     except KeyError as exc:
         # gates are mapped in order, so the first gate with this name is the culprit
         name = exc.args[0]
         pos = next(i for i, g in enumerate(circuit.gates)
                    if g.name == name and g.kind not in (BARRIER, DELAY))
         raise MissingWeightError(name, pos) from None
-    return sweep(circuit, increments, barrier)[0]
+    return sweep(circuit, increments, barrier)

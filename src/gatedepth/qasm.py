@@ -277,19 +277,17 @@ class _Parser:
         self.expect("]")
         self.expect(";")
         n = _int_literal(size.text)
-        quantum = keyword.text == "qreg"
-        regs = self.qregs if quantum else self.cregs
         if n is None:
             self.error(size, f"register size {size.text} is larger than {MAX_REGISTER_SIZE}")
         elif n < 1:
             self.error(size, f"register size must be positive, got {n}")
-        elif name.text in regs:
+        elif name.text in self.qregs or name.text in self.cregs:  # one namespace
             self.error(name, f"duplicate register name {name.text!r}")
-        elif quantum:
-            regs[name.text] = (self.num_qubits, n)
+        elif keyword.text == "qreg":
+            self.qregs[name.text] = (self.num_qubits, n)
             self.num_qubits += n
         else:
-            regs[name.text] = (0, n)
+            self.cregs[name.text] = (0, n)
             self.error(keyword, f"classical register {name.text!r} accepted and ignored", severity="warning")
 
     def parse_operand(self, classical: bool = False) -> range:

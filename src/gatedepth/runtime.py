@@ -53,5 +53,5 @@ def estimate_runtime(circuit: Circuit, table: DurationTable, barrier: str = BARR
             dur = table.lookup(gate.name, gate.qubits)
             if dur is None:
                 raise UnresolvedDurationError(gate.name, gate.qubits, pos)
-        durations.append((dur,))
-    return sweep(circuit, durations, barrier)[0]
+        durations.append(dur)
+    return sweep(circuit, durations, barrier)

@@ -462,6 +462,8 @@ DEMO_SHA256 = {
     "report.json": "125dfcf395b3138663510d7408c3e5cfe0929d5259d461947a490a8e50469b74",
     "summary.json": "63b1615a49e781130e70e63c97231e0c77d4e316dcdb239745ddb2244233d302",
     "sweep.csv": "e7a6275ad383d4d22a2491a32e260c4a79a55b352ead2d621a5b695d80f591d5",
+    # the benchmark's grid: 1001 points cross three GRID_BLOCK edges
+    "sweep1001.csv": "c6345cae3cd8f0a2a34351d06b1b3c43c90d2c7d84ad5c185abc6d029f92206e",
 }
 
 
@@ -473,6 +475,10 @@ def test_demo_outputs_byte_identical(tmp_path, monkeypatch, capsys):
     code, _, _ = run(capsys, "sweep", "manifest.json", "--durations", "durations_device0.json",
                      "durations_device1.json", "durations_device2.json",
                      "--grid", "0:1:0.01", "--out", str(tmp_path / "sweep.csv"))
+    assert code == 0
+    code, _, _ = run(capsys, "sweep", "manifest.json", "--durations", "durations_device0.json",
+                     "durations_device1.json", "durations_device2.json",
+                     "--grid", "0:1:0.001", "--out", str(tmp_path / "sweep1001.csv"))
     assert code == 0
     digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
                for name in DEMO_SHA256}

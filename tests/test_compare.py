@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 import random
 
@@ -14,7 +15,7 @@ from gatedepth.compare import (FLAG_ZERO_DELTA_RUNTIME, SweepPoint, SweepResult,
                                identify_optimal, percent_relative_error,
                                relative_difference, summarize_distribution,
                                sweep_single_qubit_weight)
-from gatedepth.ir import Circuit, Gate, is_multi_qubit
+from gatedepth.ir import BARRIER, DELAY, MEASURE, Circuit, Gate, is_multi_qubit
 from gatedepth.metrics import WeightMap, gate_aware_depth
 from gatedepth.runtime import estimate_runtime
 
@@ -318,3 +319,76 @@ def test_sweep_without_a_defined_percent_re_names_device_and_w_s():
     table = DurationTable("dev", "arch", {}, {"x": 1e-7})
     with pytest.raises(ValueError, match=r"device 'dev': .* at w_s=0.5"):
         sweep_single_qubit_weight(bases, [table], [0.5])
+
+
+def test_sweep_names_the_first_w_s_without_a_defined_percent_re():
+    """alpha, the base C2 of the only pair, has no cx: depth 0 at w_s = 0 only."""
+    bases = [("b0", [("alpha", Circuit(1, (Gate("x", (0,)),))),
+                     ("beta", Circuit(2, (Gate("cx", (0, 1)),)))])]
+    table = DurationTable("dev", "arch", {}, {"x": 1e-7, "cx": 3e-7})
+    with pytest.raises(ValueError, match=r"device 'dev': .* at w_s=0.0$"):
+        sweep_single_qubit_weight(bases, [table], [0.5, 0.25, 0.0, 1.0])
+
+
+# Small draws for the differential test below. Durations come from a
+# four-value set with 0 in it, so zero runtimes (every gate of a version
+# takes 0 s) and equal runtimes of two versions are common; a version
+# without cx has gate-aware depth 0 at w_s = 0 (or at every w_s, with only
+# rz and directives); a grid value may repeat and medians often tie across
+# distinct w_s.
+GATES = st.one_of(
+    st.tuples(st.sampled_from(("x", "sx")), st.integers(0, 2)).map(lambda t: Gate(t[0], (t[1],))),
+    st.integers(0, 2).map(lambda q: Gate("rz", (q,), (0.5,))),
+    st.integers(0, 2).map(lambda q: Gate("measure", (q,), (), MEASURE)),
+    st.integers(0, 2).map(lambda q: Gate("delay", (q,), (1e-7,), DELAY)),
+    st.permutations(range(3)).map(lambda p: Gate("cx", tuple(p[:2]))),
+    st.permutations(range(3)).map(lambda p: Gate("cx", tuple(p[:2]))),  # cx twice as likely
+    st.just(Gate("barrier", (0, 1, 2), (), BARRIER)),
+)
+# (base name, compiler id, circuit) triples, unique per (base name, compiler
+# id); consecutive triples with one base name form one manifest entry, so a
+# base name may be split across entries and a base may have one version
+VERSIONS = st.lists(
+    st.tuples(st.sampled_from(("b0", "b1")), st.sampled_from(("alpha", "beta", "gamma", "delta")),
+              st.lists(GATES, min_size=1, max_size=8).map(lambda gates: Circuit(3, tuple(gates)))),
+    min_size=3, max_size=8, unique_by=lambda t: t[:2],
+)
+DURATIONS = st.fixed_dictionaries(
+    {name: st.sampled_from((0.0, 1e-7, 2e-7, 3e-7)) for name in ("x", "sx", "rz", "measure", "cx")})
+
+
+@given(versions=VERSIONS, durations=st.lists(DURATIONS, min_size=1, max_size=2),
+       grid=st.lists(st.sampled_from((0.0, 0.125, 0.25, 0.5, 1.0, 2.0)), min_size=2,
+                     max_size=12).map(sorted),
+       block=st.integers(1, 3))
+@settings(max_examples=300)
+def test_array_sweep_equals_reference_sweep(versions, durations, grid, block):
+    """The block-wise numpy sweep gives exactly the reference's floats and
+    argmin, with blocks small enough that most grids cross a block edge,
+    and fails with ValueError wherever the reference has an empty %RE
+    distribution."""
+    bases = [(name, [(compiler, c) for _, compiler, c in group])
+             for name, group in itertools.groupby(versions, key=lambda t: t[0])]
+    tables = [DurationTable(f"dev{i}", "arch", {}, d) for i, d in enumerate(durations)]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(compare, "GRID_BLOCK", block)
+        try:
+            expected = reference_sweep(bases, tables, grid)
+        except ValueError:  # summarize_distribution: some point has no defined %RE
+            with pytest.raises(ValueError, match="no version pair has a defined %RE"):
+                sweep_single_qubit_weight(bases, tables, grid)
+            return
+        result = sweep_single_qubit_weight(bases, tables, grid)
+    assert result == expected
+    for table in tables:
+        medians = {p.w_s: p.median_percent_re for p in result.points if p.device == table.device}
+        lowest = min(medians.values())
+        assert result.argmin_w_s[table.device] == min(w for w, m in medians.items() if m == lowest)
+
+
+def test_array_sweep_rejects_a_duplicate_compiler_id_across_entries():
+    c = Circuit(2, (Gate("cx", (0, 1)),))
+    bases = [("b", [("alpha", c)]), ("b", [("alpha", c)])]
+    table = DurationTable("dev", "arch", {}, {"cx": 3e-7})
+    with pytest.raises(ValueError, match="duplicate compiler ids for base 'b'"):
+        sweep_single_qubit_weight(bases, [table], [0.0, 0.5])

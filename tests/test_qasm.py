@@ -118,6 +118,12 @@ def test_diagnostic_positions():
     ("OPENQASM 2.0;\nqreg q[1];\ncreg c[1];\n  creg c[2];\n",
      [(3, 1, "classical register 'c' accepted and ignored"),
       (4, 8, "duplicate register name 'c'")]),
+    # qreg and creg names share one namespace, in either declaration order
+    ("OPENQASM 2.0;\nqreg a[2];\ncreg a[1];\nmeasure a[1] -> a[0];\n",
+     [(3, 6, "duplicate register name 'a'"), (4, 17, "undeclared classical register 'a'")]),
+    ("OPENQASM 2.0;\nqreg q[1];\ncreg a[1];\n  qreg a[2];\n",
+     [(3, 1, "classical register 'a' accepted and ignored"),
+      (4, 8, "duplicate register name 'a'")]),
 ])
 def test_diagnostic_line_and_column(text, expected):
     result = parse_program(text)
