@@ -10,6 +10,12 @@ with a warning.
 Gate names are taken at face value: "cx" is never rewritten to "ecr" or
 vice versa, so weight maps and duration tables must be keyed by the names
 appearing in the file.
+
+Most statements of a transpiled file are a builtin gate, a measure or a
+barrier on indexed qubits. Each is read by one regex match at its offset
+and kept only if the token grammar would accept it as it stands; every
+other statement, and every diagnostic, comes from the grammar, which
+tokenizes only the statements it reads.
 """
 from __future__ import annotations
 
@@ -18,7 +24,7 @@ import math
 import operator
 import re
 from dataclasses import dataclass, field
-from typing import Callable, NamedTuple, NoReturn
+from typing import Callable, Iterator, NamedTuple, NoReturn
 
 from .ir import BARRIER, DELAY, MEASURE, UNITARY, Circuit, Gate
 
@@ -35,12 +41,15 @@ BUILTIN_GATES: dict[str, tuple[int, int]] = {
     "ccx": (3, 0), "ccz": (3, 0), "cswap": (3, 0),
 }
 
-# deepest parenthesis nesting accepted in a parameter expression; the
-# expression parser recurses once per level
+# deepest parenthesis nesting accepted in a parameter expression
 MAX_PAREN_DEPTH = 100
 # largest register a declaration may have, so register and operand lengths
 # stay within sys.maxsize
 MAX_REGISTER_SIZE = 2**31 - 1
+# most gates a program may expand to, checked before a whole-register
+# operand is expanded; a barrier counts once per qubit operand it lists,
+# since it holds them all
+MAX_GATES = 10**7
 
 _REJECTED_KEYWORDS = {
     "gate": "custom gate definitions unsupported",
@@ -51,11 +60,8 @@ _REJECTED_KEYWORDS = {
     "while": "loops unsupported",
 }
 
-# binary operators of parameter expressions, loosest first
-_BINARY_OPERATORS = (
-    {"+": operator.add, "-": operator.sub},
-    {"*": operator.mul, "/": operator.truediv},
-)
+# binary operators of parameter expressions: + and - bind looser than * and /
+_OPERATORS = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
 
 
 @dataclass(frozen=True)
@@ -95,7 +101,7 @@ class QasmParseError(ValueError):
 # Tokens carry their kind, text and character offset; line and column are
 # worked out from the offset only when a diagnostic needs them. A symbol's
 # kind is its own text ("->" included), so the parser tests ``kind == ";"``;
-# the other kinds are "real", "int", "id", "string" and "eof".
+# the other kinds are "real", "int", "id", "string", "bad" and "eof".
 _TOKEN_RE = re.compile(
     r"""
     (?P<skip>[ \t\r\n]+|//[^\n]*)
@@ -116,6 +122,35 @@ class _Token(NamedTuple):
     offset: int
 
 
+def _tokens(text: str, offset: int = 0) -> Iterator[_Token]:
+    """The tokens of ``text`` from ``offset``, whitespace and comments left out."""
+    for m in _TOKEN_RE.finditer(text, offset):
+        kind, lexeme = m.lastgroup, m.group()
+        if kind != "skip":
+            yield _Token(lexeme if kind == "symbol" else kind, lexeme, m.start())
+
+
+# The statement fast path. One match reads ``name[(params)] reg[i](, reg[j])*;``
+# with an optional ``-> creg[j]`` before the ';' (a measure), after what the
+# tokenizer skips. Identifiers end where the tokenizer's do; an index has at
+# most ten digits, enough for any below MAX_REGISTER_SIZE; the parameter text
+# is split at commas and each piece evaluated on its own. A comment runs to
+# the end of its line: the match may not give any of it back.
+_WS = r"[ \t\r\n]*"
+_ID = r"[A-Za-z_][A-Za-z0-9_]*(?![A-Za-z0-9_])"
+_OPERAND = rf"{_ID}{_WS}\[{_WS}[0-9]{{1,10}}{_WS}\]"
+_OPERAND_RE = re.compile(rf"({_ID}){_WS}\[{_WS}([0-9]{{1,10}}){_WS}\]")
+_STATEMENT_RE = re.compile(
+    rf"(?:[ \t\r\n]+|//[^\n]*(?![^\n]))*({_ID}){_WS}"
+    rf"(?:\(([^\[;\"{{}}]*)\){_WS})?"
+    rf"({_OPERAND}(?:{_WS},{_WS}{_OPERAND})*){_WS}"
+    rf"(?:->{_WS}({_OPERAND}){_WS})?;"
+)
+# a parameter that is one number, signed or not, which ``float`` reads
+_LITERAL_RE = re.compile(
+    r"[ \t\r\n]*[-+]?(?:(?:[0-9]+\.[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?|[0-9]+(?:[eE][+-]?[0-9]+)?)[ \t\r\n]*")
+
+
 def _int_literal(text: str) -> int | None:
     """The value of a decimal literal, or None if it is larger than
     MAX_REGISTER_SIZE; digits are counted first, since ``int`` refuses
@@ -127,69 +162,86 @@ def _int_literal(text: str) -> int | None:
 
 
 class _Skip(Exception):
-    """A statement failed; its diagnostic is recorded and the parser skips
-    to just past the next ';'."""
+    """A statement failed with the diagnostic ``(token, message)`` in its
+    args; ``recover`` records it and skips to just past the next ';'."""
 
 
 class _Parser:
     def __init__(self, text: str):
-        self.newlines = [m.start() for m in re.finditer("\n", text)]
-        self.diags: list[ParseDiagnostic] = []
-        self.tokens: list[_Token] = []
-        for m in _TOKEN_RE.finditer(text):
-            kind = m.lastgroup
-            if kind == "skip":
-                continue
-            tok = _Token(m.group() if kind == "symbol" else kind, m.group(), m.start())
-            if kind == "bad":
-                self.error(tok, f"unexpected character {tok.text!r}")
-            else:
-                self.tokens.append(tok)
-        self.tokens.append(_Token("eof", "", len(text)))
-        self.i = 0
+        self.text = text
+        # diagnostics as (offset, message, severity); the offsets of bad
+        # characters are kept apart, and come first
+        self.diags: list[tuple[int, str, str]] = []
+        self.bad: list[int] = []
+        self.tokenize_from(0)
         # name -> (offset, size); classical bits are not kept, so cregs' offsets are 0
         self.qregs: dict[str, tuple[int, int]] = {}
         self.cregs: dict[str, tuple[int, int]] = {}
         self.num_qubits = 0
         self.gates: list[Gate] = []
-        self.paren_depth = 0
+        # parameter text -> its value, or None where the grammar must read it
+        self.values: dict[str, float | None] = {}
 
     # --- token helpers -------------------------------------------------
+    def tokenize_from(self, offset: int):
+        """Drop the tokens read so far and read on from ``offset``."""
+        self.tokens: list[_Token] = []
+        self.i = 0
+        self.scanner = _tokens(self.text, offset)
+
+    def scan(self):
+        """Read tokens up to and including the next ';', or to the end."""
+        for tok in self.scanner:
+            if tok.kind == "bad":
+                # a statement's scan may read past where the next one starts
+                if not self.bad or tok.offset > self.bad[-1]:
+                    self.bad.append(tok.offset)
+                continue
+            self.tokens.append(tok)
+            if tok.kind == ";":
+                return
+        self.tokens.append(_Token("eof", "", len(self.text)))
+
+    def next_offset(self) -> int:
+        """Where the text after the tokens taken so far begins."""
+        if self.i < len(self.tokens):
+            return self.tokens[self.i].offset
+        last = self.tokens[-1]
+        return last.offset + len(last.text)
+
     def peek(self) -> _Token:
+        if self.i == len(self.tokens):
+            self.scan()
         return self.tokens[self.i]
 
     def advance(self) -> _Token:
-        tok = self.tokens[self.i]
+        tok = self.peek()
         if tok.kind != "eof":
             self.i += 1
         return tok
 
     def accept(self, kind: str) -> bool:
-        if self.tokens[self.i].kind == kind:
+        if self.peek().kind == kind:
             self.i += 1
             return True
         return False
 
     def error(self, tok: _Token, message: str, severity: str = "error"):
-        line = bisect.bisect_left(self.newlines, tok.offset)
-        line_start = self.newlines[line - 1] + 1 if line else 0
-        self.diags.append(ParseDiagnostic(line + 1, tok.offset - line_start + 1, message, severity))
+        self.diags.append((tok.offset, message, severity))
 
     def fail(self, tok: _Token, message: str) -> NoReturn:
-        """Record an error at ``tok`` and give up on the statement."""
-        self.error(tok, message)
-        raise _Skip
+        """Give up on the statement with an error at ``tok``."""
+        raise _Skip(tok, message)
 
-    def expected(self, what: str):
-        """Record that ``what`` was expected at the next token."""
+    def expected(self, what: str) -> tuple[_Token, str]:
+        """The next token, and the message that ``what`` was expected there."""
         tok = self.peek()
-        self.error(tok, f"expected {what}, found {tok.text!r}" if tok.text else f"expected {what}, found end of input")
+        return tok, f"expected {what}, found {tok.text!r}" if tok.text else f"expected {what}, found end of input"
 
     def expect(self, kind: str, what: str | None = None) -> _Token:
-        if self.tokens[self.i].kind == kind:
+        if self.peek().kind == kind:
             return self.advance()
-        self.expected(what or kind)
-        raise _Skip
+        self.fail(*self.expected(what or kind))
 
     def comma_list(self, item: Callable[[], object]) -> list:
         """Parse ``item (',' item)*``."""
@@ -199,31 +251,125 @@ class _Parser:
         return items
 
     def recover(self, parse_one: Callable[[], None]):
-        """Run ``parse_one``; if it fails, skip to just past the next ';'."""
+        """Run ``parse_one``; if it fails, record why and skip to just past
+        the next ';'."""
         try:
             parse_one()
-        except _Skip:
-            self.paren_depth = 0
+        except _Skip as skip:
+            self.error(*skip.args)
             while self.advance().kind not in ("eof", ";"):
                 pass
 
+    def diagnostics(self) -> list[ParseDiagnostic]:
+        """Every diagnostic with its line and column, bad characters first."""
+        found = [(offset, f"unexpected character {self.text[offset]!r}", "error") for offset in self.bad]
+        found += self.diags
+        newlines = [m.start() for m in re.finditer("\n", self.text)] if found else []
+        out = []
+        for offset, message, severity in found:
+            line = bisect.bisect_left(newlines, offset)
+            line_start = newlines[line - 1] + 1 if line else 0
+            out.append(ParseDiagnostic(line + 1, offset - line_start + 1, message, severity))
+        return out
+
+    # --- statement fast path ------------------------------------------
+    def take(self, m: re.Match) -> bool:
+        """Append the gate of the statement ``m`` matched and return True
+        if the grammar would accept the statement as it stands; otherwise
+        change nothing and return False."""
+        name, params, operands, bit = m.groups()
+        gates = self.gates
+        qubits = self.indices(self.qregs, operands)
+        if qubits is None or len(gates) + (len(qubits) if name == "barrier" else 1) > MAX_GATES:
+            return False
+        if name == "barrier":
+            if params is not None or bit is not None:
+                return False
+            gates.append(Gate(name, tuple(dict.fromkeys(qubits)), (), BARRIER))
+            return True
+        if name == "measure":
+            if params is not None or len(qubits) != 1 or bit is None or self.indices(self.cregs, bit) is None:
+                return False
+            gates.append(Gate(name, qubits, (), MEASURE))
+            return True
+        values = () if params is None else self.parameters(params)
+        if values is None or bit is not None:
+            return False
+        spec = (1, len(values)) if name == "delay" and len(values) <= 1 else BUILTIN_GATES.get(name)
+        if spec != (len(qubits), len(values)) or len(set(qubits)) != len(qubits):
+            return False
+        gates.append(Gate(name, qubits, values, DELAY if name == "delay" else UNITARY))
+        return True
+
+    def indices(self, regs: dict[str, tuple[int, int]], operands: str) -> tuple[int, ...] | None:
+        """The flat indices of ``name[i]`` operands, or None if one is not
+        in a register of ``regs`` or out of its range."""
+        out = []
+        for name, i in _OPERAND_RE.findall(operands):
+            reg = regs.get(name)
+            if reg is None or int(i) >= reg[1]:
+                return None
+            out.append(reg[0] + int(i))
+        return tuple(out)
+
+    def parameters(self, text: str) -> tuple[float, ...] | None:
+        """The values of a parameter list, or None if one is not simply an
+        expression the grammar accepts; a ``//`` starts a comment there."""
+        if not text.strip(" \t\r\n"):
+            return ()
+        if "//" in text:
+            return None
+        out = []
+        for piece in text.split(","):
+            try:
+                value = self.values[piece]
+            except KeyError:
+                value = self.values[piece] = self.evaluate(piece)
+            if value is None:
+                return None
+            out.append(value)
+        return tuple(out)
+
+    def evaluate(self, text: str) -> float | None:
+        """The value of one parameter expression by the grammar's own
+        evaluator, or None if it rejects the text; this replaces the token
+        list, so it runs only between statements."""
+        if _LITERAL_RE.fullmatch(text):
+            return float(text)
+        self.tokens = [*_tokens(text), _Token("eof", "", len(text))]
+        self.i = 0
+        try:
+            value = self.parse_expression()
+        except _Skip:
+            return None
+        return value if self.peek().kind == "eof" else None
+
     # --- grammar -------------------------------------------------------
     def parse_program(self):
+        match = _STATEMENT_RE.match
         self.recover(self.parse_header)
-        while self.peek().kind != "eof":
+        offset = self.next_offset()
+        while True:
+            m = match(self.text, offset)
+            if m is not None and self.take(m):
+                offset = m.end()
+                continue
+            self.tokenize_from(offset)
+            if self.peek().kind == "eof":
+                return
             self.recover(self.parse_statement)
+            offset = self.next_offset()
 
     def parse_header(self):
         if self.peek().text != "OPENQASM":
-            self.expected("OPENQASM")
-            raise _Skip
+            self.fail(*self.expected("OPENQASM"))
         self.advance()
         tok = self.peek()
         if tok.text != "2.0":
             self.fail(tok, f"unsupported OPENQASM version {tok.text!r}; only 2.0 is supported")
         self.advance()
         if not self.accept(";"):
-            self.expected(";")
+            self.error(*self.expected(";"))
 
     def parse_statement(self):
         tok = self.peek()
@@ -263,11 +409,11 @@ class _Parser:
         self.advance()
         tok = self.peek()
         if not self.accept("string"):
-            self.expected("include file name")
+            self.error(*self.expected("include file name"))
         elif tok.text != '"qelib1.inc"':
             self.error(tok, f"unknown include file {tok.text}; only \"qelib1.inc\" is supported")
         if not self.accept(";"):
-            self.expected(";")
+            self.error(*self.expected(";"))
 
     def parse_register(self):
         keyword = self.advance()
@@ -310,6 +456,14 @@ class _Parser:
                            f"for register {name.text!r} of size {size}")
         return range(offset + k, offset + k + 1)
 
+    def fits(self, tok: _Token, count: int) -> bool:
+        """Whether ``count`` more gates keep the program within MAX_GATES;
+        if not, record the error at the statement's first token ``tok``."""
+        if len(self.gates) + count <= MAX_GATES:
+            return True
+        self.error(tok, f"{tok.text!r} would expand the program past {MAX_GATES} gates")
+        return False
+
     def parse_measure(self):
         tok = self.advance()
         src = self.parse_operand()
@@ -319,13 +473,17 @@ class _Parser:
         if len(dst) != len(src):
             self.error(tok, f"measure operand lengths differ ({len(src)} vs {len(dst)})")
             return
+        if not self.fits(tok, len(src)):
+            return
         for q in src:
             self.gates.append(Gate("measure", (q,), (), MEASURE))
 
     def parse_barrier(self):
-        self.advance()
+        tok = self.advance()
         operands = self.comma_list(self.parse_operand)
         self.expect(";")
+        if not self.fits(tok, sum(map(len, operands))):
+            return
         # duplicate operands would be rejected by validate(); dedupe preserving order
         qubits = tuple(dict.fromkeys(q for op in operands for q in op))
         self.gates.append(Gate("barrier", qubits, (), BARRIER))
@@ -365,6 +523,8 @@ class _Parser:
             self.error(name, f"mismatched register lengths {sorted(lengths)} in broadcast")
             return
         width = lengths.pop() if lengths else 1
+        if not self.fits(name, width):
+            return
         kind = DELAY if gate_name == "delay" else UNITARY
         for k in range(width):
             qubits = tuple(op[k] if len(op) > 1 else op[0] for op in operands)
@@ -374,53 +534,64 @@ class _Parser:
             self.gates.append(Gate(gate_name, qubits, tuple(params), kind))
 
     # --- pi-expression evaluation (precedence: unary -, * /, + -) ------
-    def parse_expression(self, level: int = 0) -> float:
-        """Parse a left-associative chain of the operators of
-        ``_BINARY_OPERATORS[level]``; its operands are chains of the next
-        level, and unary terms after the last. Each parenthesis level costs
-        three stack frames: this method twice and ``parse_unary``."""
-        operators = _BINARY_OPERATORS[level]
-        inner = level + 1 < len(_BINARY_OPERATORS)
-        left = self.parse_expression(level + 1) if inner else self.parse_unary()
-        while self.peek().kind in operators:
-            op = self.advance().kind
-            right = self.parse_expression(level + 1) if inner else self.parse_unary()
-            if op == "/" and right == 0:
-                self.fail(self.peek(), "division by zero in parameter expression")
-            left = operators[op](left, right)
-        return left
-
-    def parse_unary(self) -> float:
-        negate = False
-        tok = self.peek()
-        while tok.kind in ("+", "-"):
-            negate ^= tok.kind == "-"
-            self.advance()
+    def parse_expression(self) -> float:
+        """Parse a parameter expression: a sum of products of unary terms,
+        each a signed number, ``pi`` or parenthesized expression, folded
+        left to right. Iterative: an open parenthesis pushes the enclosing
+        partial sum and product, so nesting takes no stack frames."""
+        stack = []  # (total, add, product, mul, negate) around each open '('
+        total = add = product = mul = None
+        while True:
+            negate = False
             tok = self.peek()
-        if tok.kind in ("real", "int"):
+            while tok.kind in ("+", "-"):
+                negate ^= tok.kind == "-"
+                self.advance()
+                tok = self.peek()
+            if tok.kind == "(":
+                if len(stack) == MAX_PAREN_DEPTH:
+                    self.fail(tok, f"parameter expression nests parentheses deeper than {MAX_PAREN_DEPTH}")
+                self.advance()
+                stack.append((total, add, product, mul, negate))
+                total = add = product = mul = None
+                continue
+            if tok.kind in ("real", "int"):
+                value = float(tok.text)
+            elif tok.kind == "id" and tok.text == "pi":
+                value = math.pi
+            else:
+                self.fail(tok, f"expected parameter expression, found {tok.text!r}")
             self.advance()
-            val = float(tok.text)
-        elif tok.kind == "id" and tok.text == "pi":
-            self.advance()
-            val = math.pi
-        elif tok.kind == "(":
-            if self.paren_depth == MAX_PAREN_DEPTH:
-                self.fail(tok, f"parameter expression nests parentheses deeper than {MAX_PAREN_DEPTH}")
-            self.advance()
-            self.paren_depth += 1
-            val = self.parse_expression()
-            self.paren_depth -= 1
-            self.expect(")")
-        else:
-            self.fail(tok, f"expected parameter expression, found {tok.text!r}")
-        return -val if negate else val
+            # fold the term into its product and sum; a ')' ends the
+            # parenthesized term, which is folded in turn
+            while True:
+                if negate:
+                    value = -value
+                if mul is None:
+                    product = value
+                elif mul == "/" and value == 0:
+                    self.fail(self.peek(), "division by zero in parameter expression")
+                else:
+                    product = _OPERATORS[mul](product, value)
+                if self.peek().kind in ("*", "/"):
+                    mul = self.advance().kind
+                    break
+                total = product if add is None else _OPERATORS[add](total, product)
+                if self.peek().kind in ("+", "-"):
+                    add, mul = self.advance().kind, None
+                    break
+                if not stack:
+                    return total
+                self.expect(")")
+                value = total
+                total, add, product, mul, negate = stack.pop()
 
 
 def parse_program(text: str) -> ParseResult:
     """Parse QASM text, returning the circuit (or None) plus all diagnostics."""
     parser = _Parser(text)
     parser.parse_program()
-    diags = parser.diags
+    diags = parser.diagnostics()
     if any(d.severity == "error" for d in diags):
         return ParseResult(None, diags)
     if parser.num_qubits == 0:

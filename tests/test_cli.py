@@ -134,6 +134,14 @@ def test_malformed_qasm_exits_2(body, tmp_path, capsys):
     assert err.count("\n") == 1 and "Traceback" not in err
 
 
+def test_broadcast_past_gate_limit_exits_2_at_the_gate_name(tmp_path, capsys):
+    qasm = tmp_path / "huge.qasm"
+    qasm.write_text("OPENQASM 2.0;\nqreg q[2147483647];\n  x q;\n")
+    code, out, err = run(capsys, "depth", "--metric", "traditional", str(qasm))
+    assert (code, out) == (2, "")
+    assert err == f"{qasm}:3:3: error: 'x' would expand the program past 10000000 gates\n"
+
+
 @pytest.fixture(scope="module")
 def fuzz_qasm(tmp_path_factory):
     return tmp_path_factory.mktemp("fuzz") / "input.qasm"

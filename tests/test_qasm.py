@@ -1,5 +1,6 @@
 import inspect
 import math
+import re
 import sys
 import tracemalloc
 
@@ -8,9 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import qasm_texts, random_circuit
-from gatedepth.ir import BARRIER, DELAY, MEASURE, Circuit, Gate
-from gatedepth.qasm import (MAX_PAREN_DEPTH, MAX_REGISTER_SIZE, ParseDiagnostic, QasmParseError,
-                            parse, parse_program, unparse)
+from gatedepth import qasm
+from gatedepth.ir import BARRIER, DELAY, MEASURE, Circuit, Gate, validate
+from gatedepth.qasm import (MAX_GATES, MAX_PAREN_DEPTH, MAX_REGISTER_SIZE, ParseDiagnostic,
+                            QasmParseError, parse, parse_program, unparse)
 
 import random
 
@@ -350,3 +352,152 @@ def test_roundtrip_with_measures_and_barriers():
 
 def test_deterministic():
     assert parse(REF_TEXT) == parse(REF_TEXT)
+
+
+def test_bad_characters_come_first_and_once():
+    """A statement's tokens are read up to its ';' and past it only in a
+    gate body; a character after a header without ';' is read twice."""
+    text = "OPENQASM 2.0\nqreg q[2] @;\nx q[0];\nfoo q[1]; $\ngate g a { x a; @ }\n"
+    assert [(d.line, d.column, d.message) for d in parse_program(text).diagnostics] == [
+        (2, 11, "unexpected character '@'"), (4, 11, "unexpected character '$'"),
+        (5, 17, "unexpected character '@'"), (2, 1, "expected ;, found 'qreg'"),
+        (4, 1, "unknown gate 'foo'"), (5, 1, "custom gate definitions unsupported")]
+
+
+@pytest.mark.parametrize("text, column", [
+    (f"OPENQASM 2.0; qreg q[{MAX_REGISTER_SIZE}]; x q;", 35),
+    (f"OPENQASM 2.0; qreg q[{MAX_REGISTER_SIZE}]; qreg r[1]; cx r[0],q;", 46),
+    (f"OPENQASM 2.0; qreg q[{MAX_REGISTER_SIZE}]; creg c[{MAX_REGISTER_SIZE}]; measure q -> c;", 55),
+    (f"OPENQASM 2.0; qreg q[{MAX_REGISTER_SIZE}]; barrier q[0],q;", 35),
+], ids=["gate", "two-qubit-gate", "measure", "barrier"])
+def test_expansion_past_gate_limit_rejected_without_allocating_it(text, column):
+    tracemalloc.start()
+    try:
+        result = parse_program(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    name = text[column - 1:].split()[0]
+    assert [(d.column, d.message) for d in result.errors()] == [
+        (column, f"{name!r} would expand the program past {MAX_GATES} gates")]
+    assert peak < 2**20
+
+
+@pytest.mark.parametrize("statements, ok", [
+    ("x q;", True), ("x q; x q[0];", False), ("x q[0]; x q[1]; x q[2]; x q[0];", True),
+    ("x q[0]; x q[1]; x q[2]; x q[0]; x q[1];", False), ("measure q -> c;", True),
+    ("x q[0]; measure q -> c;", False), ("barrier q;", True), ("barrier q,q[0];", False),
+    ("x q[0]; barrier q[0],q[1],q[2];", True), ("x q[0]; x q[1]; barrier q[0],q[1],q[2];", False),
+])
+def test_gate_limit_counts_every_gate_on_either_path(statements, ok, monkeypatch):
+    """With the limit at 4, a gate past it is an error at its statement,
+    whether the statement is read by the fast path or the grammar."""
+    monkeypatch.setattr(qasm, "MAX_GATES", 4)
+    fast, slow = parse_both_ways(f"OPENQASM 2.0; qreg q[4]; creg c[4]; {statements}")
+    assert fast == slow
+    assert fast.ok == ok
+    assert all("past 4 gates" in d.message for d in fast.errors())
+
+
+def parse_both_ways(text: str):
+    """The parse, and the parse in which the statement regex never
+    matches, so that the token grammar reads every statement."""
+    fast = parse_program(text)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(qasm, "_STATEMENT_RE", re.compile("(?!)"))
+        slow = parse_program(text)
+    return fast, slow
+
+
+HEADER = 'OPENQASM 2.0;\ninclude "qelib1.inc";\nqreg q[4];\ncreg c[4];\n'
+
+# One statement per check of the fast path that must leave it to the
+# grammar, or read it as the grammar does.
+FAST_PATH_HAZARDS = (
+    "// cx q[0];", "//sx q[1];", "rz(pi//4) q[0];", "cx q[1],q[1];", "x q[4];", "x r[0];",
+    "delay(1,2) q[0];", "rz(1 2) q[0];", "rz(pi pi) q[0];", "rz(.) q[0];", "rz(1/0) q[0];",
+    "measure q[0],q[1] -> c[0];", "measure q[0] -> r[0];", "measure(1) q[0] -> c[0];",
+    "barrier(1) q[0];", "x q[0] -> c[0];", "cxq[0],q[1];", "x(\xa0) q[0];", "u3(0,0,0,0) q[0];",
+    "x() q[0];", "rz(١) q[0];", "rz(1.) q[0];", "rz(-0) q[0];", 'rz("1") q[0];', "x q;",
+)
+
+
+@pytest.mark.parametrize("statement", FAST_PATH_HAZARDS)
+def test_fast_path_reads_a_hazard_as_the_grammar_does(statement):
+    fast, slow = parse_both_ways(HEADER + statement + "\nx q[0];\n")
+    assert fast == slow
+    assert repr(fast) == repr(slow)  # equal floats could still differ in sign
+
+
+# Corpus-style statements as transpilers emit them, and the forms the
+# statement fast path must leave to the grammar: a comment, newline or '"'
+# inside a statement, whole registers, deep parentheses, division by zero,
+# unknown registers and indices out of range.
+ANGLES = ("pi", "pi/4", "-pi/2", "3*pi/8", "-(3*pi/4)+0.6981", "0.523599", "-1.5e-3", "0", "+.5", "1.",
+          "2 *\n pi", "((-pi))", "١")
+ODD_ANGLES = ("pi//4", "pi/0", "pi/(1-1)", "(" * 101 + "1" + ")" * 101, "1e", "pi pi", "", " ", "\xa0", '"', "@")
+QUBITS = ("q[0]", "q[1]", "q[3]", "q [ 2 ]", "q[01]", "q", "q[4]", "r[0]", "c[0]", "q[0]//x\n", "q\n[1]")
+BITS = ("c[0]", "c[3]", "c", "q[0]", "c[9]")
+SEPARATORS = ("\n", " ", "", "\r\n", " // note\n", "\n\t", "\n//")  # the last comments a statement out
+JUNK = ("", "@", '"', "//", "\n", ";", "(", ")", "x", "->", ",")
+
+qubit_lists = st.lists(st.sampled_from(QUBITS), min_size=1, max_size=3).map(",".join)
+spaces = st.sampled_from((" ", "", "\n"))  # none: the name runs into the operand
+corpus_statements = st.one_of(
+    st.tuples(st.sampled_from(("u3", "u2", "rz", "delay", "x")),
+              st.lists(st.one_of(st.sampled_from(ANGLES), st.sampled_from(ODD_ANGLES)), max_size=4),
+              st.sampled_from(QUBITS))
+    .map(lambda t: f"{t[0]}({','.join(t[1])}) {t[2]};"),
+    st.tuples(st.sampled_from(("cx", "ecr", "ccx", "sx")), spaces, qubit_lists).map("".join).map(lambda s: s + ";"),
+    st.tuples(st.just("barrier"), spaces, qubit_lists).map("".join).map(lambda s: s + ";"),
+    st.tuples(qubit_lists, st.sampled_from(BITS)).map(lambda t: f"measure {t[0]} -> {t[1]};"),
+)
+
+
+def _corpus_text(parts) -> str:
+    statements, junk, at = parts
+    body = "".join(sep + s for sep, s in statements)
+    at %= len(body) + 1
+    return HEADER + body[:at] + junk + body[at:]
+
+
+corpus_texts = st.tuples(st.lists(st.tuples(st.sampled_from(SEPARATORS), corpus_statements), max_size=12),
+                         st.sampled_from(JUNK), st.integers(0, 10**6)).map(_corpus_text)
+
+
+@given(text=st.one_of(qasm_texts, corpus_texts))
+@settings(max_examples=1500)
+def test_fast_path_equals_the_grammar(text):
+    """Every statement read by one regex match parses as the token grammar
+    reads it: the whole result, circuit and ordered diagnostics, is equal
+    to the parse in which the statement regex never matches."""
+    fast, slow = parse_both_ways(text)
+    assert fast == slow
+    assert repr(fast) == repr(slow)
+
+
+CORPUS_SHAPED = (
+    'OPENQASM 2.0;\ninclude "qelib1.inc";\nqreg q[16];\ncreg c[16];\n'
+    "u3(pi/2,-(3*pi/4)+0.6981,0.523599) q[3];\ncx q[3],q[4];\ndelay(2e-07) q[5];\n"
+    "u3(pi,-pi/8,0) q[4];\nu3(3*pi/4,pi/2,-2.5) q[15];\ncx q[4],q[12];\nbarrier q[2],q[3],q[4],q[5];\n"
+    + "".join(f"measure q[{i}] -> c[{i}];\n" for i in range(16)))
+
+
+def test_fast_path_reads_every_corpus_statement(monkeypatch):
+    """Only the header and the declarations reach the grammar; a slide
+    back to the slow path would change no result, only this count."""
+    calls = []
+    statement = qasm._Parser.parse_statement
+    monkeypatch.setattr(qasm._Parser, "parse_statement", lambda self: calls.append(1) or statement(self))
+    circuit = parse(CORPUS_SHAPED)
+    assert len(calls) == 3  # include, qreg, creg
+    assert len(circuit.gates) == 23
+    assert circuit.gates[0].params == (math.pi / 2, -(3 * math.pi / 4) + 0.6981, 0.523599)
+
+
+@given(text=st.one_of(qasm_texts, corpus_texts))
+@settings(max_examples=500)
+def test_every_accepted_circuit_is_valid(text):
+    result = parse_program(text)
+    if result.ok:
+        assert validate(result.circuit) == []
