@@ -49,7 +49,7 @@ MAX_REGISTER_SIZE = 2**31 - 1
 # most gates a program may expand to, checked before a whole-register
 # operand is expanded; a barrier counts once per qubit operand it lists,
 # since it holds them all
-MAX_GATES = 10**7
+MAX_GATES = 10**6
 
 _REJECTED_KEYWORDS = {
     "gate": "custom gate definitions unsupported",
@@ -60,8 +60,11 @@ _REJECTED_KEYWORDS = {
     "while": "loops unsupported",
 }
 
-# binary operators of parameter expressions: + and - bind looser than * and /
-_OPERATORS = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
+# binary operators of parameter expressions, loosest first
+_BINARY_OPERATORS = (
+    {"+": operator.add, "-": operator.sub},
+    {"*": operator.mul, "/": operator.truediv},
+)
 
 
 @dataclass(frozen=True)
@@ -135,20 +138,21 @@ def _tokens(text: str, offset: int = 0) -> Iterator[_Token]:
 # tokenizer skips. Identifiers end where the tokenizer's do; an index has at
 # most ten digits, enough for any below MAX_REGISTER_SIZE; the parameter text
 # is split at commas and each piece evaluated on its own. A comment runs to
-# the end of its line: the match may not give any of it back.
+# the end of its line: the match may not give any of it back. Each repeat of
+# the leading skip reads one character or one whole comment, so a failed
+# match gives a run of whitespace back in time linear in its length.
 _WS = r"[ \t\r\n]*"
 _ID = r"[A-Za-z_][A-Za-z0-9_]*(?![A-Za-z0-9_])"
 _OPERAND = rf"{_ID}{_WS}\[{_WS}[0-9]{{1,10}}{_WS}\]"
-_OPERAND_RE = re.compile(rf"({_ID}){_WS}\[{_WS}([0-9]{{1,10}}){_WS}\]")
 _STATEMENT_RE = re.compile(
-    rf"(?:[ \t\r\n]+|//[^\n]*(?![^\n]))*({_ID}){_WS}"
+    rf"(?:[ \t\r\n]|//[^\n]*(?![^\n]))*({_ID}){_WS}"
     rf"(?:\(([^\[;\"{{}}]*)\){_WS})?"
     rf"({_OPERAND}(?:{_WS},{_WS}{_OPERAND})*){_WS}"
     rf"(?:->{_WS}({_OPERAND}){_WS})?;"
 )
-# a parameter that is one number, signed or not, which ``float`` reads
-_LITERAL_RE = re.compile(
-    r"[ \t\r\n]*[-+]?(?:(?:[0-9]+\.[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?|[0-9]+(?:[eE][+-]?[0-9]+)?)[ \t\r\n]*")
+# the characters of a parameter that may be one number, signed or not:
+# ``float`` reads such a text as the grammar does, or refuses it
+_NUMBER_CHARS = frozenset("0123456789.eE+- \t\r\n")
 
 
 def _int_literal(text: str) -> int | None:
@@ -181,6 +185,7 @@ class _Parser:
         self.gates: list[Gate] = []
         # parameter text -> its value, or None where the grammar must read it
         self.values: dict[str, float | None] = {}
+        self.paren_depth = 0
 
     # --- token helpers -------------------------------------------------
     def tokenize_from(self, offset: int):
@@ -257,6 +262,7 @@ class _Parser:
             parse_one()
         except _Skip as skip:
             self.error(*skip.args)
+            self.paren_depth = 0
             while self.advance().kind not in ("eof", ";"):
                 pass
 
@@ -305,11 +311,13 @@ class _Parser:
         """The flat indices of ``name[i]`` operands, or None if one is not
         in a register of ``regs`` or out of its range."""
         out = []
-        for name, i in _OPERAND_RE.findall(operands):
-            reg = regs.get(name)
-            if reg is None or int(i) >= reg[1]:
+        for operand in operands.split(","):
+            name, _, index = operand.partition("[")
+            reg = regs.get(name.strip())
+            i = int(index.rstrip("] \t\r\n"))
+            if reg is None or i >= reg[1]:
                 return None
-            out.append(reg[0] + int(i))
+            out.append(reg[0] + i)
         return tuple(out)
 
     def parameters(self, text: str) -> tuple[float, ...] | None:
@@ -331,16 +339,21 @@ class _Parser:
         return tuple(out)
 
     def evaluate(self, text: str) -> float | None:
-        """The value of one parameter expression by the grammar's own
-        evaluator, or None if it rejects the text; this replaces the token
-        list, so it runs only between statements."""
-        if _LITERAL_RE.fullmatch(text):
-            return float(text)
+        """The value of one parameter expression, or None if the grammar
+        rejects the text: ``float`` reads a plain number, the grammar's own
+        evaluator anything else. This replaces the token list, so it runs
+        only between statements."""
+        if _NUMBER_CHARS.issuperset(text):
+            try:
+                return float(text)
+            except ValueError:
+                pass
         self.tokens = [*_tokens(text), _Token("eof", "", len(text))]
         self.i = 0
         try:
             value = self.parse_expression()
         except _Skip:
+            self.paren_depth = 0
             return None
         return value if self.peek().kind == "eof" else None
 
@@ -534,57 +547,46 @@ class _Parser:
             self.gates.append(Gate(gate_name, qubits, tuple(params), kind))
 
     # --- pi-expression evaluation (precedence: unary -, * /, + -) ------
-    def parse_expression(self) -> float:
-        """Parse a parameter expression: a sum of products of unary terms,
-        each a signed number, ``pi`` or parenthesized expression, folded
-        left to right. Iterative: an open parenthesis pushes the enclosing
-        partial sum and product, so nesting takes no stack frames."""
-        stack = []  # (total, add, product, mul, negate) around each open '('
-        total = add = product = mul = None
-        while True:
-            negate = False
-            tok = self.peek()
-            while tok.kind in ("+", "-"):
-                negate ^= tok.kind == "-"
-                self.advance()
-                tok = self.peek()
-            if tok.kind == "(":
-                if len(stack) == MAX_PAREN_DEPTH:
-                    self.fail(tok, f"parameter expression nests parentheses deeper than {MAX_PAREN_DEPTH}")
-                self.advance()
-                stack.append((total, add, product, mul, negate))
-                total = add = product = mul = None
-                continue
-            if tok.kind in ("real", "int"):
-                value = float(tok.text)
-            elif tok.kind == "id" and tok.text == "pi":
-                value = math.pi
-            else:
-                self.fail(tok, f"expected parameter expression, found {tok.text!r}")
+    def parse_expression(self, level: int = 0) -> float:
+        """Parse a left-associative chain of the operators of
+        ``_BINARY_OPERATORS[level]``; its operands are chains of the next
+        level, and unary terms after the last. Each parenthesis level costs
+        three stack frames: this method twice and ``parse_unary``."""
+        operators = _BINARY_OPERATORS[level]
+        inner = level + 1 < len(_BINARY_OPERATORS)
+        left = self.parse_expression(level + 1) if inner else self.parse_unary()
+        while self.peek().kind in operators:
+            op = self.advance().kind
+            right = self.parse_expression(level + 1) if inner else self.parse_unary()
+            if op == "/" and right == 0:
+                self.fail(self.peek(), "division by zero in parameter expression")
+            left = operators[op](left, right)
+        return left
+
+    def parse_unary(self) -> float:
+        negate = False
+        tok = self.peek()
+        while tok.kind in ("+", "-"):
+            negate ^= tok.kind == "-"
             self.advance()
-            # fold the term into its product and sum; a ')' ends the
-            # parenthesized term, which is folded in turn
-            while True:
-                if negate:
-                    value = -value
-                if mul is None:
-                    product = value
-                elif mul == "/" and value == 0:
-                    self.fail(self.peek(), "division by zero in parameter expression")
-                else:
-                    product = _OPERATORS[mul](product, value)
-                if self.peek().kind in ("*", "/"):
-                    mul = self.advance().kind
-                    break
-                total = product if add is None else _OPERATORS[add](total, product)
-                if self.peek().kind in ("+", "-"):
-                    add, mul = self.advance().kind, None
-                    break
-                if not stack:
-                    return total
-                self.expect(")")
-                value = total
-                total, add, product, mul, negate = stack.pop()
+            tok = self.peek()
+        if tok.kind in ("real", "int"):
+            self.advance()
+            val = float(tok.text)
+        elif tok.kind == "id" and tok.text == "pi":
+            self.advance()
+            val = math.pi
+        elif tok.kind == "(":
+            if self.paren_depth == MAX_PAREN_DEPTH:
+                self.fail(tok, f"parameter expression nests parentheses deeper than {MAX_PAREN_DEPTH}")
+            self.advance()
+            self.paren_depth += 1
+            val = self.parse_expression()
+            self.paren_depth -= 1
+            self.expect(")")
+        else:
+            self.fail(tok, f"expected parameter expression, found {tok.text!r}")
+        return -val if negate else val
 
 
 def parse_program(text: str) -> ParseResult:

@@ -139,7 +139,7 @@ def test_broadcast_past_gate_limit_exits_2_at_the_gate_name(tmp_path, capsys):
     qasm.write_text("OPENQASM 2.0;\nqreg q[2147483647];\n  x q;\n")
     code, out, err = run(capsys, "depth", "--metric", "traditional", str(qasm))
     assert (code, out) == (2, "")
-    assert err == f"{qasm}:3:3: error: 'x' would expand the program past 10000000 gates\n"
+    assert err == f"{qasm}:3:3: error: 'x' would expand the program past 1000000 gates\n"
 
 
 @pytest.fixture(scope="module")

@@ -1,6 +1,7 @@
 import inspect
 import math
 import re
+import signal
 import sys
 import tracemalloc
 
@@ -383,6 +384,25 @@ def test_expansion_past_gate_limit_rejected_without_allocating_it(text, column):
     assert peak < 2**20
 
 
+@pytest.mark.parametrize("declarations, statement", [
+    ("qreg q[{n}];", "u3(1,2,3) q;"),
+    ("qreg a[{n}]; qreg b[{n}]; qreg c[{n}];", "ccx a,b,c;"),
+], ids=["u3", "ccx"])
+def test_broadcast_at_gate_limit_fits_parse_budget(declarations, statement):
+    """A one-line broadcast of MAX_GATES gates, its parse's traced peak
+    scaled from one of 10,000 gates, stays under 512 MiB."""
+    n = 10_000
+    text = f"OPENQASM 2.0; {declarations.format(n=n)} {statement}"
+    tracemalloc.start()
+    try:
+        circuit = parse(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(circuit.gates) == n
+    assert MAX_GATES * peak / n < 2**29
+
+
 @pytest.mark.parametrize("statements, ok", [
     ("x q;", True), ("x q; x q[0];", False), ("x q[0]; x q[1]; x q[2]; x q[0];", True),
     ("x q[0]; x q[1]; x q[2]; x q[0]; x q[1];", False), ("measure q -> c;", True),
@@ -419,6 +439,7 @@ FAST_PATH_HAZARDS = (
     "measure q[0],q[1] -> c[0];", "measure q[0] -> r[0];", "measure(1) q[0] -> c[0];",
     "barrier(1) q[0];", "x q[0] -> c[0];", "cxq[0],q[1];", "x(\xa0) q[0];", "u3(0,0,0,0) q[0];",
     "x() q[0];", "rz(١) q[0];", "rz(1.) q[0];", "rz(-0) q[0];", 'rz("1") q[0];', "x q;",
+    "rz(inf) q[0];", "rz(1_0) q[0];", "rz(+-1) q[0];", "rz(1 ) q[0];", "cx q[0] ,\tq [ 1 ] ;",
 )
 
 
@@ -427,6 +448,34 @@ def test_fast_path_reads_a_hazard_as_the_grammar_does(statement):
     fast, slow = parse_both_ways(HEADER + statement + "\nx q[0];\n")
     assert fast == slow
     assert repr(fast) == repr(slow)  # equal floats could still differ in sign
+
+
+LONG_RUNS = (
+    "OPENQASM 2.0; qreg q[2]; x q[0];" + "\n" * 200,
+    "OPENQASM 2.0;" + " \n" * 200 + 'include "qelib1.inc"; qreg q[2]; creg c[2];'
+    + "\t\r\n" * 200 + "x q; measure q -> c;" + " " * 200,
+    "OPENQASM 2.0; qreg q[2];" + "// c\n" * 200 + "x q;" + "\n" * 200 + "// end",
+)
+
+
+@pytest.mark.skipif(not hasattr(signal, "setitimer"), reason="needs an interval timer")
+@pytest.mark.parametrize("text", LONG_RUNS, ids=["trailing", "before-fallbacks", "comments"])
+def test_long_whitespace_runs_parse_in_linear_time(text):
+    """A run of whitespace and comments before a statement the regex does
+    not read, or before the end, costs time linear in its length: a regex
+    that could split the run many ways would take about 2**200 steps."""
+    def too_slow(signum, frame):
+        raise TimeoutError("parse took over 5 s")
+
+    handler = signal.signal(signal.SIGALRM, too_slow)
+    signal.setitimer(signal.ITIMER_REAL, 5)
+    try:
+        fast, slow = parse_both_ways(text)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, handler)
+    assert fast == slow
+    assert fast.ok
 
 
 # Corpus-style statements as transpilers emit them, and the forms the
