@@ -19,16 +19,20 @@ import math
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from . import __version__
 from .calibration import (DurationTableError, configure_weights,
                           load_duration_table)
 from .compare import (VersionRecord, all_pairs, identification_accuracy,
                       summarize_distribution, sweep_single_qubit_weight)
-from .ir import validate
-from .metrics import (WeightMap, MissingWeightError, gate_aware_depth,
-                      multiqubit_depth, traditional_depth)
+from .metrics import MissingWeightError, WeightMap, increments, sweep
 from .qasm import QasmParseError, parse_file
-from .runtime import UnresolvedDurationError, estimate_runtime
+from .runtime import UnresolvedDurationError, durations
+# not called here: bench/tracing.py wraps these names in this module
+from .ir import validate  # noqa: F401
+from .metrics import gate_aware_depth, multiqubit_depth, traditional_depth  # noqa: F401
+from .runtime import estimate_runtime  # noqa: F401
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -61,17 +65,12 @@ def _unreadable(code: int, path: str, exc: OSError | UnicodeDecodeError) -> CliE
 
 def _load_circuit(path: str):
     try:
-        circuit = parse_file(path)
+        return parse_file(path)
     except (OSError, UnicodeDecodeError) as exc:
         raise _unreadable(EXIT_PARSE, path, exc)
     except QasmParseError as exc:
         lines = "\n".join(f"{path}:{d}" for d in exc.diagnostics)
         raise CliError(EXIT_PARSE, lines)
-    violations = validate(circuit)
-    if violations:
-        lines = "\n".join(f"{path}: gate {v.gate_index}: {v.message}" for v in violations)
-        raise CliError(EXIT_PARSE, lines)
-    return circuit
 
 
 def _load_weight_map(path: str) -> WeightMap:
@@ -92,43 +91,38 @@ def _load_table(path: str):
         raise CliError(EXIT_CONFIG, str(exc))
 
 
-def _weights_for(metrics: tuple[str, ...], path: str | None) -> WeightMap | None:
-    """The weight map the gate-aware metric needs, if it is requested."""
+def _weights_for(metrics: tuple[str, ...], path: str | None) -> dict | None:
+    """The weights the gate-aware metric needs, if it is requested."""
     if "gateaware" not in metrics:
         return None
     if path is None:
         raise CliError(EXIT_RESOLUTION, "metric gateaware requires --weights")
-    return _load_weight_map(path)
+    return _load_weight_map(path).weights
 
 
-def _metric_values(path: str, circuit, metrics: tuple[str, ...], wmap, barrier: str) -> dict:
-    """Each requested metric of one circuit; a missing weight exits 3.
-
-    The metric functions are looked up in this module at each call, so a
-    wrapper installed on these names sees every call.
-    """
-    values = {}
-    for metric in metrics:
-        if metric == "traditional":
-            values[metric] = traditional_depth(circuit, barrier)
-        elif metric == "multiqubit":
-            values[metric] = multiqubit_depth(circuit, barrier)
-        else:
-            try:
-                values[metric] = gate_aware_depth(circuit, wmap, barrier)
-            except MissingWeightError as exc:
-                raise CliError(EXIT_RESOLUTION, f"{path}: {exc.args[0]}")
-    return values
+def _sweep_values(path: str, circuit, metrics: tuple, weights, table, barrier: str) -> list:
+    """One sweep of a column per requested metric, in order, then the runtime
+    if ``table`` is given; a missing weight exits 3 before a missing duration."""
+    try:
+        columns = [increments(circuit, m, weights) for m in metrics]
+        if table is not None:
+            columns.append(durations(circuit, table))
+    except (MissingWeightError, UnresolvedDurationError) as exc:
+        raise CliError(EXIT_RESOLUTION, f"{path}: {exc.args[0]}")
+    if len(columns) == 1:
+        return [sweep(circuit, columns[0], barrier)]
+    return sweep(circuit, np.column_stack(columns), barrier, len(columns)).tolist()
 
 
 # ---------------------------------------------------------------- depth ---
 
 def cmd_depth(args) -> int:
     metrics = METRIC_NAMES if args.metric == "all" else (args.metric,)
-    wmap = _weights_for(metrics, args.weights)
+    weights = _weights_for(metrics, args.weights)
     for path in args.files:
-        values = _metric_values(path, _load_circuit(path), metrics, wmap, args.barrier)
-        record = {"file": path, **{DEPTH_KEYS[m]: v for m, v in values.items()}}
+        values = _sweep_values(path, _load_circuit(path), metrics, weights, None, args.barrier)
+        record = {"file": path, **{DEPTH_KEYS[m]: v if m == "gateaware" else int(round(v))
+                                   for m, v in zip(metrics, values)}}
         print(json.dumps(record))
     return EXIT_OK
 
@@ -154,11 +148,7 @@ def cmd_weights(args) -> int:
 def cmd_estimate(args) -> int:
     table = _load_table(args.durations)
     for path in args.files:
-        circuit = _load_circuit(path)
-        try:
-            runtime = estimate_runtime(circuit, table, args.barrier)
-        except UnresolvedDurationError as exc:
-            raise CliError(EXIT_RESOLUTION, f"{path}: {exc.args[0]}")
+        [runtime] = _sweep_values(path, _load_circuit(path), (), None, table, args.barrier)
         print(json.dumps({"file": path, "runtime_s": runtime}))
     return EXIT_OK
 
@@ -205,18 +195,14 @@ def _load_manifest(path: str) -> list[dict]:
 
 
 def _build_records(manifest: list[dict], metrics: tuple[str, ...],
-                   table, wmap, barrier: str) -> list[VersionRecord]:
+                   table, weights, barrier: str) -> list[VersionRecord]:
     records = []
     for base in manifest:
         for ver in base["versions"]:
-            circuit = _load_circuit(ver["file"])
-            values = _metric_values(ver["file"], circuit, metrics, wmap, barrier)
-            try:
-                runtime = estimate_runtime(circuit, table, barrier)
-            except UnresolvedDurationError as exc:
-                raise CliError(EXIT_RESOLUTION, f"{ver['file']}: {exc.args[0]}")
+            *values, runtime = _sweep_values(ver["file"], _load_circuit(ver["file"]),
+                                             metrics, weights, table, barrier)
             records.append(VersionRecord(base["name"], ver["compiler"],
-                                         {m: float(v) for m, v in values.items()}, runtime))
+                                         dict(zip(metrics, values)), runtime))
     return records
 
 
@@ -231,9 +217,9 @@ def cmd_compare(args) -> int:
             raise CliError(EXIT_CONFIG, f"metric {metric!r} repeated in --metrics")
     manifest = _load_manifest(args.manifest)
     table = _load_table(args.durations)
-    wmap = _weights_for(metrics, args.weights)
+    weights = _weights_for(metrics, args.weights)
 
-    records = _build_records(manifest, metrics, table, wmap, args.barrier)
+    records = _build_records(manifest, metrics, table, weights, args.barrier)
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -8,17 +8,18 @@ single-qubit weight of a parameterized weight map over a grid.
 """
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
 
 from .calibration import DurationTable
-from .ir import BARRIER, DELAY, Circuit, is_multi_qubit
-# gate_aware_depth is not called here; the benchmark's tracer looks the name
-# up in this module (bench/tracing.py)
-from .metrics import gate_aware_depth, nonnegative_number, sweep
+from .ir import Circuit, is_multi_qubit
+from .metrics import increments, nonnegative_number, sweep
 from .runtime import estimate_runtime
+# not called here: bench/tracing.py wraps this name in this module
+from .metrics import gate_aware_depth  # noqa: F401
 
 # argmin tie tolerances: depths are exact sums of a few doubles, runtimes
 # can differ by float noise around 1e-16 s
@@ -274,9 +275,9 @@ def sweep_single_qubit_weight(
         width = len(block)
         zeros, ones, ws = ((0.0, 1.0, block[0]) if width == 1 else
                            (np.zeros(width), np.ones(width), np.array(block, dtype=float)))
-        depths = np.array([sweep(c, [zeros if g.kind in (BARRIER, DELAY) or g.name == "rz"
-                                     else ones if g.name in multiqubit else ws for g in c.gates],
-                                 width=width) for *_, c in versions]).reshape(len(versions), width)
+        weights = defaultdict(lambda: ws, dict.fromkeys(multiqubit, ones), rz=zeros)
+        depths = np.array([sweep(c, increments(c, "gateaware", weights), width=width)
+                           for *_, c in versions]).reshape(len(versions), width)
         for table, (i1, i2, delta_runtime), table_points in zip(tables, device_pairs, points):
             d1, d2 = depths[i1], depths[i2]
             defined = d2 != 0  # a zero metric base drops the pair from that column only

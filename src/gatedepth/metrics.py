@@ -1,14 +1,13 @@
 """Depth metrics computed by a single weighted critical-path sweep.
 
-Every metric is the same sweep over a different increments vector. A metric
-first maps each gate of the circuit to its increment, in gate order; the
-sweep then walks the gates with a running depth per qubit and sets each
-gate's operands to ``max(operand depths) + increment``. Traditional depth
-uses 1 per unitary or measure, multi-qubit depth 1 per multi-qubit unitary,
-and gate-aware depth the gate name's weight; barriers and delays add 0.
-The runtime estimate (:mod:`gatedepth.runtime`) is the same sweep over
-per-gate durations. An increment is a float, or a numpy array of one float
-per column, so one pass can sweep many columns.
+Every metric is the same sweep over a different increments column.
+:func:`increments` maps each gate to its increment, in gate order:
+traditional depth uses 1 per unitary or measure, multi-qubit depth 1 per
+multi-qubit unitary, gate-aware depth the gate name's weight; barriers and
+delays add 0. The runtime (:mod:`gatedepth.runtime`) is one more column, of
+durations. The sweep sets each gate's operands to ``max(operand depths) +
+increment``. An increment may be a numpy array of one float per column, so
+one sweep of a circuit yields every metric and its runtime, bit for bit.
 """
 from __future__ import annotations
 
@@ -20,7 +19,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .ir import BARRIER, DELAY, MEASURE, UNITARY, Circuit, is_multi_qubit
+from .ir import BARRIER, DELAY, Circuit, is_multi_qubit
 
 BARRIER_SKIP = "skip"
 BARRIER_SYNC = "sync"
@@ -119,13 +118,32 @@ def sweep(circuit: Circuit, increments: Sequence, barrier: str = BARRIER_SKIP,
     return reduce(maximum, depths.values(), zero)
 
 
+def increments(circuit: Circuit, metric: str, weights: Mapping | None = None) -> list:
+    """Each gate's increment under ``metric``, in gate order; ``gateaware``
+    takes ``weights[name]``, a float or a numpy column, and raises
+    :class:`MissingWeightError` at the first gate whose name has none."""
+    gates = circuit.gates
+    if metric == "traditional":
+        return [0.0 if g.kind in (BARRIER, DELAY) else 1.0 for g in gates]
+    if metric == "multiqubit":
+        return [1.0 if is_multi_qubit(g) else 0.0 for g in gates]
+    if metric != "gateaware":
+        raise ValueError(f"unknown metric {metric!r}")
+    try:
+        return [0.0 if g.kind in (BARRIER, DELAY) else weights[g.name] for g in gates]
+    except KeyError as exc:
+        # gates are mapped in order, so the first gate with this name is the culprit
+        name = exc.args[0]
+        pos = next(i for i, g in enumerate(gates) if g.name == name and g.kind not in (BARRIER, DELAY))
+        raise MissingWeightError(name, pos) from None
+
+
 def traditional_depth(circuit: Circuit, barrier: str = BARRIER_SKIP) -> int:
     """Length of the longest chain of logically dependent gates.
 
     Unitaries and measurements count 1; barriers and delays count 0.
     """
-    increments = [1.0 if g.kind in (UNITARY, MEASURE) else 0.0 for g in circuit.gates]
-    return int(round(sweep(circuit, increments, barrier)))
+    return int(round(sweep(circuit, increments(circuit, "traditional"), barrier)))
 
 
 def multiqubit_depth(circuit: Circuit, barrier: str = BARRIER_SKIP) -> int:
@@ -133,8 +151,7 @@ def multiqubit_depth(circuit: Circuit, barrier: str = BARRIER_SKIP) -> int:
 
     Single-qubit gates still propagate the running max without incrementing.
     """
-    increments = [1.0 if is_multi_qubit(g) else 0.0 for g in circuit.gates]
-    return int(round(sweep(circuit, increments, barrier)))
+    return int(round(sweep(circuit, increments(circuit, "multiqubit"), barrier)))
 
 
 def gate_aware_depth(circuit: Circuit, weight_map: WeightMap, barrier: str = BARRIER_SKIP) -> float:
@@ -143,13 +160,4 @@ def gate_aware_depth(circuit: Circuit, weight_map: WeightMap, barrier: str = BAR
     Every unitary and measure name must be present in the map; barriers and
     delays are exempt and contribute 0.
     """
-    weights = weight_map.weights
-    try:
-        increments = [0.0 if g.kind in (BARRIER, DELAY) else weights[g.name] for g in circuit.gates]
-    except KeyError as exc:
-        # gates are mapped in order, so the first gate with this name is the culprit
-        name = exc.args[0]
-        pos = next(i for i, g in enumerate(circuit.gates)
-                   if g.name == name and g.kind not in (BARRIER, DELAY))
-        raise MissingWeightError(name, pos) from None
-    return sweep(circuit, increments, barrier)
+    return sweep(circuit, increments(circuit, "gateaware", weight_map.weights), barrier)

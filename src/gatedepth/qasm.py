@@ -115,7 +115,7 @@ _TOKEN_RE = re.compile(
   | (?P<symbol>->|[;,()\[\]{}*/+\-])
   | (?P<bad>.)
     """,
-    re.VERBOSE,
+    re.VERBOSE | re.ASCII,  # OpenQASM 2.0 digits are ASCII: any other is a bad character
 )
 
 

@@ -1,9 +1,9 @@
 """Exact circuit runtime from per-location gate durations.
 
-Runs the same critical-path sweep as the depth metrics, but each gate
-contributes its device duration in seconds instead of a dimensionless
-weight. With per-gate exact times this reproduces an ASAP schedule's total
-duration.
+:func:`durations` gives each gate its device duration in seconds: one more
+increments column for the critical-path sweep of :mod:`gatedepth.metrics`,
+swept with the depth metrics' columns. With per-gate exact times the sweep
+reproduces an ASAP schedule's total duration.
 """
 from __future__ import annotations
 
@@ -26,25 +26,24 @@ class UnresolvedDurationError(LookupError):
         )
 
 
-def estimate_runtime(circuit: Circuit, table: DurationTable, barrier: str = BARRIER_SKIP) -> float:
-    """Total runtime in seconds of the ASAP schedule implied by the table.
+def durations(circuit: Circuit, table: DurationTable) -> list[float]:
+    """Each gate's duration in seconds, in gate order.
 
     Lookup precedence per gate: exact (name, qubit tuple) entry, then the
-    per-gate default, then error. The qubit tuple is direction-sensitive; a
-    reversed two-qubit gate with no reversed entry and no default is an
-    error, never a silent reuse of the forward duration. Delays contribute
-    their explicit duration parameter (seconds), which must be a finite
-    number >= 0; barriers need no entry.
+    per-gate default, then :class:`UnresolvedDurationError`. The qubit
+    tuple is direction-sensitive; a reversed two-qubit gate with no
+    reversed entry and no default is an error, never a silent reuse of the
+    forward duration. Delays contribute their explicit duration parameter
+    (seconds), which must be a finite number >= 0; barriers need no entry.
     """
-    durations = []
+    column = []
     for pos, gate in enumerate(circuit.gates):
         if gate.kind == BARRIER:
             dur = 0.0
         elif gate.kind == DELAY:
             if not gate.params:
-                raise UnresolvedDurationError(
-                    gate.name, gate.qubits, pos, "delay without a duration parameter"
-                )
+                raise UnresolvedDurationError(gate.name, gate.qubits, pos,
+                                              "delay without a duration parameter")
             try:
                 dur = nonnegative_number(gate.params[0], "delay duration")
             except ValueError as exc:
@@ -53,5 +52,10 @@ def estimate_runtime(circuit: Circuit, table: DurationTable, barrier: str = BARR
             dur = table.lookup(gate.name, gate.qubits)
             if dur is None:
                 raise UnresolvedDurationError(gate.name, gate.qubits, pos)
-        durations.append(dur)
-    return sweep(circuit, durations, barrier)
+        column.append(dur)
+    return column
+
+
+def estimate_runtime(circuit: Circuit, table: DurationTable, barrier: str = BARRIER_SKIP) -> float:
+    """Total runtime in seconds of the ASAP schedule implied by the table."""
+    return sweep(circuit, durations(circuit, table), barrier)

@@ -1,16 +1,27 @@
 import contextlib
 import csv
 import hashlib
+import importlib
+import importlib.util
 import io
 import json
+import random
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import qasm_texts
-from gatedepth.cli import MAX_GRID_POINTS, CliError, _parse_grid, main
+import gatedepth.calibration
+import gatedepth.cli
+import gatedepth.compare
+import gatedepth.metrics
+import gatedepth.runtime
+from conftest import ONE_QUBIT, THREE_QUBIT, TWO_QUBIT, qasm_texts, random_circuit
+from gatedepth.calibration import DurationTable
+from gatedepth.cli import METRIC_NAMES, MAX_GRID_POINTS, CliError, _parse_grid, _sweep_values, main
+from gatedepth.metrics import WeightMap, gate_aware_depth, multiqubit_depth, traditional_depth
+from gatedepth.runtime import estimate_runtime
 
 REF_TEXT = (
     "OPENQASM 2.0;\n"
@@ -75,6 +86,8 @@ def test_depth_all_metrics(ref_qasm, weights_json, capsys):
     code, out, _ = run(capsys, "depth", "--weights", weights_json, ref_qasm)
     record = json.loads(out)
     assert (record["traditional_depth"], record["multiqubit_depth"]) == (4, 2)
+    # JSON integers: "4.0" would load as a float
+    assert (type(record["traditional_depth"]), type(record["multiqubit_depth"])) == (int, int)
     assert record["gate_aware_depth"] == pytest.approx(2.1)
 
 
@@ -391,6 +404,28 @@ def test_compare_repeated_metric_exits_4(compare_setup, tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+def test_compare_missing_weight_exits_3_before_the_missing_duration(compare_setup, tmp_path, capsys):
+    manifest, table, weights = compare_setup
+    (tmp_path / "b1_tk.qasm").write_text("OPENQASM 2.0;\nqreg q[2];\nx q[0];\nsx q[1];\n")
+    code, out, err = run(capsys, "compare", str(manifest), "--durations", str(table),
+                         "--weights", str(weights), "--out", str(tmp_path / "out"))
+    assert (code, out) == (3, "")
+    assert err == f"{tmp_path / 'b1_tk.qasm'}: no weight for gate 'sx' (gate position 1)\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_compare_missing_duration_exits_3(compare_setup, tmp_path, capsys):
+    manifest, table, weights = compare_setup
+    (tmp_path / "b1_tk.qasm").write_text("OPENQASM 2.0;\nqreg q[2];\nx q[0];\nsx q[1];\n")
+    weights.write_text(json.dumps({"architecture": "a",
+                                   "weights": {"cz": 1.0, "x": 1.0, "sx": 0.5}}))
+    code, out, err = run(capsys, "compare", str(manifest), "--durations", str(table),
+                         "--weights", str(weights), "--out", str(tmp_path / "out"))
+    assert (code, out) == (3, "")
+    assert err == (f"{tmp_path / 'b1_tk.qasm'}: no duration for gate 'sx' at qubits [1] "
+                   f"(gate position 1)\n")
+
+
 @pytest.mark.parametrize("command", ["compare", "sweep"])
 def test_duplicate_compiler_id_exits_5(command, compare_setup, tmp_path, capsys):
     manifest, table, _ = compare_setup
@@ -458,6 +493,81 @@ def test_grid_not_finite_or_too_many_points_exits_4(spec):
 
 def test_grid_at_point_limit_accepted():
     assert len(_parse_grid("0:0.999999:1e-6")) == MAX_GRID_POINTS
+
+
+# --- one sweep per circuit ---------------------------------------------
+
+@pytest.fixture
+def swept(monkeypatch):
+    """The circuit of every metrics.sweep call, under whichever module's
+    name the call is made."""
+    sweep, circuits = gatedepth.metrics.sweep, []
+
+    def counted(circuit, *args, **kwargs):
+        circuits.append(circuit)
+        return sweep(circuit, *args, **kwargs)
+
+    for module in (gatedepth.cli, gatedepth.compare, gatedepth.metrics, gatedepth.runtime):
+        if getattr(module, "sweep", None) is sweep:
+            monkeypatch.setattr(module, "sweep", counted)
+    return circuits
+
+
+@pytest.mark.parametrize("command", ["depth", "estimate"])
+def test_depth_and_estimate_sweep_each_circuit_once(command, ref_qasm, weights_json, durations_json,
+                                                    tmp_path, swept, capsys):
+    other = tmp_path / "other.qasm"
+    other.write_text("OPENQASM 2.0;\nqreg q[3];\ncz q[1],q[2];\nx q[0];\n")
+    options = (["--metric", "all", "--weights", weights_json] if command == "depth"
+               else ["--durations", durations_json])
+    code, out, _ = run(capsys, command, *options, ref_qasm, str(other))
+    assert code == 0 and out.count("\n") == 2
+    assert len(swept) == len({id(c) for c in swept}) == 2
+
+
+def test_compare_sweeps_each_circuit_once(compare_setup, tmp_path, swept, capsys):
+    manifest, table, weights = compare_setup
+    code, _, _ = run(capsys, "compare", str(manifest), "--durations", str(table),
+                     "--weights", str(weights), "--out", str(tmp_path / "out"))
+    assert code == 0
+    assert len(swept) == len({id(c) for c in swept}) == 4
+
+
+NAMES = ONE_QUBIT + TWO_QUBIT + THREE_QUBIT + ("measure",)
+
+
+@given(seed=st.integers(0, 10_000), barrier=st.sampled_from(("skip", "sync")),
+       metrics=st.lists(st.sampled_from(METRIC_NAMES), unique=True), timed=st.booleans())
+@settings(max_examples=200)
+def test_one_sweep_equals_each_metric_and_runtime_alone(seed, barrier, metrics, timed):
+    """Every value of a circuit's one sweep, in any order and at any width,
+    is exactly what its own public function gives."""
+    assume(metrics or timed)
+    rng = random.Random(seed)
+    c = random_circuit(rng, directives=True)
+    wmap = WeightMap({name: rng.uniform(0, 2) for name in NAMES})
+    table = DurationTable("dev", "arch", {}, {name: rng.uniform(0, 1e-6) for name in NAMES})
+    alone = {"traditional": traditional_depth(c, barrier), "multiqubit": multiqubit_depth(c, barrier),
+             "gateaware": gate_aware_depth(c, wmap, barrier)}
+    expected = [alone[m] for m in metrics] + ([estimate_runtime(c, table, barrier)] if timed else [])
+    got = _sweep_values("c.qasm", c, tuple(metrics), wmap.weights, table if timed else None, barrier)
+    assert got == expected
+    assert all(type(v) is float for v in got)
+
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+
+
+def test_every_name_the_bench_tracer_wraps_exists():
+    """The tracer rebinds module attributes by name; a name the program no
+    longer calls must stay importable until the tracer drops it."""
+    spec = importlib.util.spec_from_file_location("bench_tracing", BENCH / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    missing = [(module, attr) for module, attr, *_ in tracing.TARGETS
+               if not callable(getattr(importlib.import_module(module), attr, None))]
+    assert missing == []
+    assert callable(gatedepth.calibration.DurationTable.lookup)
 
 
 # --- byte identity on the bundled demo ------------------------------------

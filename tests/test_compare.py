@@ -306,6 +306,24 @@ def test_sweep_equals_one_weight_map_per_point(monkeypatch):
     assert sweep_single_qubit_weight(bases, tables, grid) == reference_sweep(bases, tables, grid)
 
 
+def test_sweep_builds_one_gateaware_column_per_version_per_block(monkeypatch):
+    """Each version's increments come from metrics.increments, once per
+    block of GRID_BLOCK grid values; runtimes are swept once per device."""
+    monkeypatch.setattr(compare, "GRID_BLOCK", 40)
+    calls = []
+    increments = compare.increments
+
+    def counted(c, metric, weights):
+        calls.append((id(c), metric))
+        return increments(c, metric, weights)
+
+    monkeypatch.setattr(compare, "increments", counted)
+    bases, table = make_ratio_dataset(0.3, seed=1, n_bases=2)
+    compare.sweep_single_qubit_weight(bases, [table], [round(0.01 * i, 2) for i in range(101)])
+    versions = [id(c) for _, vs in bases for _, c in vs]
+    assert sorted(calls) == sorted((v, "gateaware") for v in versions * 3)
+
+
 @pytest.mark.parametrize("w_s", [-0.5, math.inf, math.nan, "0.5", True])
 def test_sweep_rejects_a_bad_grid_value(w_s):
     bases, table = make_ratio_dataset(0.3, seed=1, n_bases=2)

@@ -309,6 +309,22 @@ def test_integer_literal_of_any_length_gives_a_diagnostic():
         (text.rindex(digits) + 1, f"index {digits} out of range for register 'r' of size 2")]
 
 
+@pytest.mark.parametrize("text, column, digit", [
+    ("OPENQASM 2.0; qreg q[\u0663]; x q[0];", 22, "\u0663"),
+    ("OPENQASM 2.0; qreg q[3]; x q[\u0662];", 30, "\u0662"),
+    ("OPENQASM 2.0; qreg q[3]; rz(\u0661) q[2];", 29, "\u0661"),
+    ("OPENQASM 2.0; qreg q[3]; rz(1.5e\u0663) q[2];", 33, "\u0663"),
+    ("OPENQASM 2.0; qreg q[3]; rz(1\uff15) q[2];", 30, "\uff15"),
+], ids=["register-size", "index", "parameter", "exponent", "fullwidth"])
+def test_non_ascii_digit_is_an_unexpected_character(text, column, digit):
+    """OpenQASM 2.0 digits are ASCII; another script's decimal digit is
+    neither read as a number nor skipped."""
+    result = parse_program(text)
+    assert not result.ok
+    assert (result.errors()[0].column, result.errors()[0].message) == (
+        column, f"unexpected character {digit!r}")
+
+
 def test_undeclared_register():
     result = parse_program("OPENQASM 2.0; qreg q[2]; x r[0];")
     assert any("undeclared" in d.message for d in result.errors())
