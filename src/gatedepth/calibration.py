@@ -102,7 +102,7 @@ def load_duration_table(path) -> DurationTable:
         try:
             data = json.load(fh)
         except json.JSONDecodeError as exc:
-            raise DurationTableError(f"{path}: invalid JSON: {exc}") from exc
+            raise DurationTableError(f"invalid JSON: {exc}") from exc
     return duration_table_from_dict(data)
 
 

@@ -8,7 +8,7 @@ Subcommands:
     sweep     sweep the single-qubit weight w_s over a grid
 
 Exit codes: 0 ok, 2 parse error, 3 unresolved weight/duration,
-4 configuration error, 5 manifest error.
+4 configuration error or unwritable output, 5 manifest error.
 """
 from __future__ import annotations
 
@@ -16,15 +16,16 @@ import argparse
 import csv
 import json
 import math
+import os
 import sys
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .calibration import (DurationTableError, configure_weights,
-                          load_duration_table)
-from .compare import (VersionRecord, all_pairs, identification_accuracy,
+from .calibration import configure_weights, load_duration_table
+from .compare import (PairComparison, VersionRecord, all_pairs, identification_accuracy,
                       summarize_distribution, sweep_single_qubit_weight)
 from .metrics import MissingWeightError, WeightMap, increments, sweep
 from .qasm import QasmParseError, parse_file
@@ -54,41 +55,45 @@ class CliError(Exception):
         super().__init__(message)
 
 
-def _unreadable(code: int, path: str, exc: OSError | UnicodeDecodeError) -> CliError:
-    """The one-line error for an input file that cannot be read as UTF-8 text."""
-    if isinstance(exc, FileNotFoundError):
-        return CliError(code, f"{path}: file not found")
-    if isinstance(exc, UnicodeDecodeError):
-        return CliError(code, f"{path}: not UTF-8 text: byte {exc.start}: {exc.reason}")
-    return CliError(code, f"{path}: {exc.strerror or exc}")
-
-
-def _load_circuit(path: str):
+def _read(path: str, code: int, load, what: str = ""):
+    """``load(path)``; a file that cannot be read, or that ``load`` rejects
+    with a ``ValueError``, exits ``code`` with one line per error, each
+    starting with the path (``what`` leads a ``ValueError``'s message)."""
     try:
-        return parse_file(path)
-    except (OSError, UnicodeDecodeError) as exc:
-        raise _unreadable(EXIT_PARSE, path, exc)
+        return load(path)
+    except FileNotFoundError:
+        reason = "file not found"
+    except UnicodeDecodeError as exc:  # a ValueError: caught before ValueError
+        reason = f"not UTF-8 text: byte {exc.start}: {exc.reason}"
+    except OSError as exc:
+        reason = exc.strerror or exc
     except QasmParseError as exc:
-        lines = "\n".join(f"{path}:{d}" for d in exc.diagnostics)
-        raise CliError(EXIT_PARSE, lines)
-
-
-def _load_weight_map(path: str) -> WeightMap:
-    try:
-        return WeightMap.load(path)
-    except (OSError, UnicodeDecodeError) as exc:
-        raise _unreadable(EXIT_CONFIG, path, exc)
+        raise CliError(code, "\n".join(f"{path}:{d}" for d in exc.diagnostics))
     except ValueError as exc:
-        raise CliError(EXIT_CONFIG, f"{path}: invalid weight map: {exc}")
+        reason = f"{what}{exc}"
+    raise CliError(code, f"{path}: {reason}")
 
 
-def _load_table(path: str):
+def _write(path, write, *args, **kwargs) -> None:
+    """``write(path, *args, **kwargs)``; a path that cannot be written exits 4."""
     try:
-        return load_duration_table(path)
-    except (OSError, UnicodeDecodeError) as exc:
-        raise _unreadable(EXIT_CONFIG, path, exc)
-    except DurationTableError as exc:
-        raise CliError(EXIT_CONFIG, str(exc))
+        write(path, *args, **kwargs)
+    except OSError as exc:
+        raise CliError(EXIT_CONFIG, f"{path}: {exc.strerror or exc}")
+
+
+def _save_json(path, document) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(document, fh, indent=2)
+        fh.write("\n")
+
+
+def _save_csv(path, header, rows) -> None:
+    """``None`` is written as an empty field."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def _weights_for(metrics: tuple[str, ...], path: str | None) -> dict | None:
@@ -97,7 +102,7 @@ def _weights_for(metrics: tuple[str, ...], path: str | None) -> dict | None:
         return None
     if path is None:
         raise CliError(EXIT_RESOLUTION, "metric gateaware requires --weights")
-    return _load_weight_map(path).weights
+    return _read(path, EXIT_CONFIG, WeightMap.load, "invalid weight map: ").weights
 
 
 def _sweep_values(path: str, circuit, metrics: tuple, weights, table, barrier: str) -> list:
@@ -120,7 +125,8 @@ def cmd_depth(args) -> int:
     metrics = METRIC_NAMES if args.metric == "all" else (args.metric,)
     weights = _weights_for(metrics, args.weights)
     for path in args.files:
-        values = _sweep_values(path, _load_circuit(path), metrics, weights, None, args.barrier)
+        values = _sweep_values(path, _read(path, EXIT_PARSE, parse_file), metrics, weights, None,
+                               args.barrier)
         record = {"file": path, **{DEPTH_KEYS[m]: v if m == "gateaware" else int(round(v))
                                    for m, v in zip(metrics, values)}}
         print(json.dumps(record))
@@ -130,13 +136,13 @@ def cmd_depth(args) -> int:
 # -------------------------------------------------------------- weights ---
 
 def cmd_weights(args) -> int:
-    tables = [_load_table(path) for path in args.tables]
+    tables = [_read(path, EXIT_CONFIG, load_duration_table) for path in args.tables]
     try:
         wmap = configure_weights(tables, pooled=args.pooled)
     except ValueError as exc:  # includes ArchitectureMismatchError
         raise CliError(EXIT_CONFIG, str(exc))
     if args.out:
-        wmap.save(args.out)
+        _write(args.out, wmap.save)
     print(f"architecture: {wmap.architecture}")
     for name in sorted(wmap.weights):
         print(f"  {name:>10s}  {wmap.weights[name]:.6g}")
@@ -146,64 +152,47 @@ def cmd_weights(args) -> int:
 # ------------------------------------------------------------- estimate ---
 
 def cmd_estimate(args) -> int:
-    table = _load_table(args.durations)
+    table = _read(args.durations, EXIT_CONFIG, load_duration_table)
     for path in args.files:
-        [runtime] = _sweep_values(path, _load_circuit(path), (), None, table, args.barrier)
+        [runtime] = _sweep_values(path, _read(path, EXIT_PARSE, parse_file), (), None, table,
+                                  args.barrier)
         print(json.dumps({"file": path, "runtime_s": runtime}))
     return EXIT_OK
 
 
 # ------------------------------------------------------------- manifest ---
 
-def _load_manifest(path: str) -> list[dict]:
-    try:
-        with open(path, encoding="utf-8") as fh:
+def _load_manifest(path: str) -> list[tuple[str, str, str]]:
+    """The (base name, compiler id, file path) of every version, in manifest
+    order; a relative file path is taken from the manifest's directory."""
+    with open(path, encoding="utf-8") as fh:
+        try:
             data = json.load(fh)
-    except (OSError, UnicodeDecodeError) as exc:
-        raise _unreadable(EXIT_MANIFEST, path, exc)
-    except json.JSONDecodeError as exc:
-        raise CliError(EXIT_MANIFEST, f"{path}: invalid JSON: {exc}")
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"invalid JSON: {exc}") from None
     bases = data.get("bases") if isinstance(data, dict) else None
     if not isinstance(bases, list) or not bases:
-        raise CliError(EXIT_MANIFEST, f"{path}: /bases: required non-empty array")
+        raise ValueError("/bases: required non-empty array")
     root = Path(path).parent
-    out = []
-    compilers: dict[str, set[str]] = {}  # base name -> compiler ids seen so far
+    out: list[tuple[str, str, str]] = []
+    seen: set[tuple[str, str]] = set()  # (base name, compiler id)
     for i, base in enumerate(bases):
         if not isinstance(base, dict) or not isinstance(base.get("name"), str):
-            raise CliError(EXIT_MANIFEST, f"{path}: /bases/{i}/name: required string")
+            raise ValueError(f"/bases/{i}/name: required string")
         versions = base.get("versions")
-        if not isinstance(versions, list) or len(versions) < 1:
-            raise CliError(EXIT_MANIFEST, f"{path}: /bases/{i}/versions: required non-empty array")
-        seen = compilers.setdefault(base["name"], set())
-        resolved = []
+        if not isinstance(versions, list) or not versions:
+            raise ValueError(f"/bases/{i}/versions: required non-empty array")
         for j, ver in enumerate(versions):
             if (not isinstance(ver, dict) or not isinstance(ver.get("compiler"), str)
                     or not isinstance(ver.get("file"), str)):
-                raise CliError(EXIT_MANIFEST,
-                            f"{path}: /bases/{i}/versions/{j}: requires compiler and file strings")
-            if ver["compiler"] in seen:
-                raise CliError(EXIT_MANIFEST, f"{path}: /bases/{i}/versions/{j}/compiler: "
-                                              f"duplicate compiler id {ver['compiler']!r}")
-            seen.add(ver["compiler"])
-            file_path = Path(ver["file"])
-            if not file_path.is_absolute():
-                file_path = root / file_path
-            resolved.append({"compiler": ver["compiler"], "file": str(file_path)})
-        out.append({"name": base["name"], "versions": resolved})
+                raise ValueError(f"/bases/{i}/versions/{j}: requires compiler and file strings")
+            key = (base["name"], ver["compiler"])
+            if key in seen:
+                raise ValueError(f"/bases/{i}/versions/{j}/compiler: "
+                                 f"duplicate compiler id {ver['compiler']!r}")
+            seen.add(key)
+            out.append((*key, str(root / ver["file"])))  # an absolute file stays as it is
     return out
-
-
-def _build_records(manifest: list[dict], metrics: tuple[str, ...],
-                   table, weights, barrier: str) -> list[VersionRecord]:
-    records = []
-    for base in manifest:
-        for ver in base["versions"]:
-            *values, runtime = _sweep_values(ver["file"], _load_circuit(ver["file"]),
-                                             metrics, weights, table, barrier)
-            records.append(VersionRecord(base["name"], ver["compiler"],
-                                         dict(zip(metrics, values)), runtime))
-    return records
 
 
 # -------------------------------------------------------------- compare ---
@@ -215,26 +204,22 @@ def cmd_compare(args) -> int:
             raise CliError(EXIT_CONFIG, f"unknown metric {metric!r}; choose from {METRIC_NAMES}")
         if metric in metrics[:i]:
             raise CliError(EXIT_CONFIG, f"metric {metric!r} repeated in --metrics")
-    manifest = _load_manifest(args.manifest)
-    table = _load_table(args.durations)
+    manifest = _read(args.manifest, EXIT_MANIFEST, _load_manifest)
+    table = _read(args.durations, EXIT_CONFIG, load_duration_table)
     weights = _weights_for(metrics, args.weights)
 
-    records = _build_records(manifest, metrics, table, weights, args.barrier)
+    records = []
+    for base, compiler, path in manifest:
+        *values, runtime = _sweep_values(path, _read(path, EXIT_PARSE, parse_file), metrics,
+                                         weights, table, args.barrier)
+        records.append(VersionRecord(base, compiler, dict(zip(metrics, values)), runtime))
 
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-
-    pair_rows = []
+    pairs: list[dict] = []  # the rows of pairs.csv, and the pairs of report.json
     summary: dict = {
         "quartile_method": "linear",
         "orientation": "lexicographically smaller compiler id is the denominator C2",
         "metrics": {},
     }
-    report: dict = {"records": [
-        {"base": r.base, "compiler": r.compiler, "metrics": r.metrics, "runtime_s": r.runtime_s}
-        for r in records
-    ], "pairs": []}
-
     for metric in metrics:
         comparisons = all_pairs(records, metric)
         res = [c.percent_re for c in comparisons if c.percent_re is not None]
@@ -242,41 +227,23 @@ def cmd_compare(args) -> int:
             accuracy, idents = identification_accuracy(records, metric)
         except ValueError as exc:
             raise CliError(EXIT_MANIFEST, str(exc))
-        for c in comparisons:
-            row = {
-                "base": c.base, "compiler_a": c.compiler_a, "compiler_b": c.compiler_b,
-                "metric": metric, "delta_metric": c.delta_metric,
-                "delta_runtime": c.delta_runtime, "percent_re": c.percent_re,
-                "flags": ";".join(c.flags),
-            }
-            pair_rows.append(row)
-            report["pairs"].append(row)
+        pairs += ({**asdict(c), "flags": ";".join(c.flags)} for c in comparisons)
         summary["metrics"][metric] = {
             "pair_count": len(comparisons),
             "excluded_pairs": len(comparisons) - len(res),
-            "percent_re": summarize_distribution(res).to_dict() if res else None,
+            "percent_re": asdict(summarize_distribution(res)) if res else None,
             "identification_accuracy_percent": accuracy,
-            "identifications": [
-                {"base": r.base, "correct": r.correct,
-                 "metric_argmin": list(r.metric_argmin),
-                 "runtime_argmin": list(r.runtime_argmin)}
-                for r in idents
-            ],
+            "identifications": [{k: v for k, v in asdict(r).items() if k != "metric"}
+                                for r in idents],
         }
 
-    with open(out_dir / "pairs.csv", "w", newline="", encoding="utf-8") as fh:
-        writer = csv.DictWriter(fh, fieldnames=[
-            "base", "compiler_a", "compiler_b", "metric",
-            "delta_metric", "delta_runtime", "percent_re", "flags"])
-        writer.writeheader()
-        for row in pair_rows:
-            writer.writerow({k: ("" if v is None else v) for k, v in row.items()})
-    with open(out_dir / "report.json", "w", encoding="utf-8") as fh:
-        json.dump(report, fh, indent=2)
-        fh.write("\n")
-    with open(out_dir / "summary.json", "w", encoding="utf-8") as fh:
-        json.dump(summary, fh, indent=2)
-        fh.write("\n")
+    out_dir = Path(args.out)
+    _write(args.out, os.makedirs, exist_ok=True)
+    _write(out_dir / "pairs.csv", _save_csv, [f.name for f in fields(PairComparison)],
+           [row.values() for row in pairs])
+    _write(out_dir / "report.json", _save_json,
+           {"records": [asdict(r) for r in records], "pairs": pairs})
+    _write(out_dir / "summary.json", _save_json, summary)
 
     for metric in metrics:
         m = summary["metrics"][metric]
@@ -308,15 +275,12 @@ def _parse_grid(spec: str) -> list[float]:
 
 
 def cmd_sweep(args) -> int:
-    manifest = _load_manifest(args.manifest)
-    tables = [_load_table(path) for path in args.durations]
+    manifest = _read(args.manifest, EXIT_MANIFEST, _load_manifest)
+    tables = [_read(path, EXIT_CONFIG, load_duration_table) for path in args.durations]
     grid = _parse_grid(args.grid)
-    bases = []
-    for base in manifest:
-        versions = []
-        for ver in base["versions"]:
-            versions.append((ver["compiler"], _load_circuit(ver["file"])))
-        bases.append((base["name"], versions))
+    # one entry per version: the sweep pairs the versions of a base name across entries
+    bases = [(base, [(compiler, _read(path, EXIT_PARSE, parse_file))])
+             for base, compiler, path in manifest]
     try:
         result = sweep_single_qubit_weight(bases, tables, grid)
     except UnresolvedDurationError as exc:
@@ -324,16 +288,14 @@ def cmd_sweep(args) -> int:
     except ValueError as exc:  # the grid is valid, so a point has no defined %RE
         raise CliError(EXIT_MANIFEST, str(exc))
 
+    header = ("w_s", "device", "median_percent_re")
     rows = [(p.w_s, p.device, p.median_percent_re) for p in result.points]
     if args.out:
-        with open(args.out, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["w_s", "device", "median_percent_re"])
-            writer.writerows(rows)
+        _write(args.out, _save_csv, header, rows)
     else:
-        print("w_s,device,median_percent_re")
-        for row in rows:
-            print(f"{row[0]},{row[1]},{row[2]}")
+        print(",".join(header))
+        for w_s, device, median in rows:
+            print(f"{w_s},{device},{median}")
     print(json.dumps({"argmin_w_s": dict(result.argmin_w_s)}, sort_keys=True))
     return EXIT_OK
 

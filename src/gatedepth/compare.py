@@ -17,9 +17,10 @@ import numpy as np
 from .calibration import DurationTable
 from .ir import Circuit, is_multi_qubit
 from .metrics import increments, nonnegative_number, sweep
-from .runtime import estimate_runtime
-# not called here: bench/tracing.py wraps this name in this module
+from .runtime import UnresolvedDurationError, durations
+# not called here: bench/tracing.py wraps these names in this module
 from .metrics import gate_aware_depth  # noqa: F401
+from .runtime import estimate_runtime  # noqa: F401
 
 # argmin tie tolerances: depths are exact sums of a few doubles, runtimes
 # can differ by float noise around 1e-16 s
@@ -198,12 +199,6 @@ class DistributionSummary:
     iqr: float
     outliers: tuple[float, ...]
 
-    def to_dict(self) -> dict:
-        return {
-            "n": self.n, "median": self.median, "q1": self.q1, "q3": self.q3,
-            "iqr": self.iqr, "outliers": list(self.outliers),
-        }
-
 
 def summarize_distribution(values: Sequence[float]) -> DistributionSummary:
     """Median/quartiles via linear interpolation between order statistics;
@@ -249,16 +244,27 @@ def sweep_single_qubit_weight(
     version is swept once per block, one numpy column per w_s (depths do
     not depend on the device), and each device's %RE is one pairs x block
     array with its column medians. The version pairs, and each device's
-    relative runtime differences, are formed once. Memory is per block.
-    Ties in the argmin go to the smallest w_s. A grid value that is not a
-    finite number >= 0, or a point where no pair has a defined %RE, raises
-    ``ValueError``.
+    relative runtime differences, are formed once; each version's runtimes
+    on all devices are one sweep of its stacked duration columns. Memory is
+    per block. Ties in the argmin go to the smallest w_s. A grid value that
+    is not a finite number >= 0, or a point where no pair has a defined
+    %RE, raises ``ValueError``; a gate without a duration raises
+    :class:`UnresolvedDurationError` naming the base and compiler id.
     """
     for w_s in grid:
         nonnegative_number(w_s, "w_s")
     multiqubit = {g.name for _, vs in bases for _, c in vs for g in c.gates if is_multi_qubit(g)}
     versions = [(base, compiler, c) for base, vs in bases for compiler, c in vs]
-    runtimes = [np.array([estimate_runtime(c, table) for *_, c in versions]) for table in tables]
+    runtimes = []  # per version, its runtime on each device: one sweep of the stacked durations
+    for base, compiler, c in versions:
+        try:
+            columns = [durations(c, table) for table in tables]
+        except UnresolvedDurationError as exc:
+            exc.args = (f"base {base!r}, compiler {compiler!r}: {exc.args[0]}",)
+            raise
+        runtimes.append(sweep(c, columns[0] if len(tables) == 1 else np.array(columns).T,
+                              width=len(tables)))
+    runtimes = np.array(runtimes).reshape(len(versions), len(tables)).T  # one row per device
     c1, c2 = np.array(_oriented_pairs([(base, compiler) for base, compiler, _ in versions]),
                       dtype=np.intp).reshape(-1, 2).T
     # per device, the pairs with a defined relative runtime difference, and that difference

@@ -171,20 +171,24 @@ def test_depth_on_any_bytes_exits_0_or_2(data, fuzz_qasm):
     assert "Traceback" not in err.getvalue()
 
 
-@pytest.mark.parametrize("unreadable", ["directory", "not-utf8"])
+@pytest.mark.parametrize("unreadable", ["missing", "directory", "not-utf8", "not-json", "schema"])
 @pytest.mark.parametrize("loader, expected", [
-    ("qasm", 2), ("durations", 4), ("weights", 4), ("manifest", 5),
+    ("qasm", 2), ("durations", 4), ("second-table", 4), ("weights", 4), ("manifest", 5),
 ])
 def test_unreadable_input_exits_with_its_loader_code(loader, expected, unreadable, ref_qasm,
                                                      durations_json, tmp_path, capsys):
+    """One line that names the file once, first; a QASM file's syntax error
+    gives its line and column after the name."""
     bad = tmp_path / "input"
     if unreadable == "directory":
         bad.mkdir()
-    else:
-        bad.write_bytes(b'OPENQASM 2.0; {"\xff": 1}\n')
+    elif unreadable != "missing":
+        bad.write_bytes({"not-utf8": b'OPENQASM 2.0; {"\xff": 1}\n', "not-json": b'{"device"\n',
+                         "schema": b"[1, 2]\n"}[unreadable])
     argv = {
         "qasm": ["depth", "--metric", "traditional", str(bad)],
         "durations": ["estimate", "--durations", str(bad), ref_qasm],
+        "second-table": ["weights", durations_json, str(bad)],
         "weights": ["depth", "--weights", str(bad), ref_qasm],
         "manifest": ["compare", str(bad), "--durations", durations_json,
                      "--out", str(tmp_path / "out")],
@@ -192,7 +196,9 @@ def test_unreadable_input_exits_with_its_loader_code(loader, expected, unreadabl
     code, out, err = run(capsys, *argv)
     assert code == expected
     assert out == ""
-    assert err.startswith(f"{bad}: ") and err.count("\n") == 1
+    located = loader == "qasm" and unreadable in ("not-json", "schema")
+    assert err.startswith(f"{bad}:1:1: error: " if located else f"{bad}: ")
+    assert err.count(str(bad)) == 1 and err.count("\n") == 1
 
 
 def test_depth_deterministic_output(ref_qasm, weights_json, capsys):
@@ -438,6 +444,22 @@ def test_duplicate_compiler_id_exits_5(command, compare_setup, tmp_path, capsys)
     assert err == f"{manifest}: /bases/1/versions/1/compiler: duplicate compiler id 'qk'\n"
 
 
+@pytest.mark.parametrize("command", ["weights", "compare", "sweep"])
+def test_unwritable_output_exits_4(command, compare_setup, tmp_path, capsys):
+    manifest, table, weights = compare_setup
+    existing = tmp_path / "a-file"
+    existing.write_text("")
+    out, argv = {
+        "weights": (tmp_path / "missing" / "w.json", ["weights", str(table)]),
+        "compare": (existing, ["compare", str(manifest), "--durations", str(table),
+                               "--weights", str(weights)]),
+        "sweep": (tmp_path / "missing" / "s.csv", ["sweep", str(manifest), "--durations", str(table)]),
+    }[command]
+    code, stdout, err = run(capsys, *argv, "--out", str(out))
+    assert (code, stdout) == (4, "")
+    assert err.startswith(f"{out}: ") and err.count("\n") == 1 and "Traceback" not in err
+
+
 # --- sweep --------------------------------------------------------------
 
 def test_sweep_grid_rows(compare_setup, tmp_path, capsys):
@@ -472,6 +494,16 @@ def test_sweep_without_a_defined_percent_re_exits_5(compare_setup, tmp_path, cap
     assert code == 5
     assert out == ""
     assert err == "device 'dev': no version pair has a defined %RE at w_s=0.0\n"
+
+
+def test_sweep_missing_duration_exits_3_naming_the_version(compare_setup, tmp_path, capsys):
+    manifest, table, _ = compare_setup
+    (tmp_path / "b1_tk.qasm").write_text("OPENQASM 2.0;\nqreg q[2];\nx q[0];\nsx q[1];\n")
+    code, out, err = run(capsys, "sweep", str(manifest), "--durations", str(table), str(table),
+                         "--grid", "0:1:0.5")
+    assert (code, out) == (3, "")
+    assert err == ("base 'b1', compiler 'tk': no duration for gate 'sx' at qubits [1] "
+                   "(gate position 1)\n")
 
 
 def test_sweep_negative_grid_start_exits_4(compare_setup, capsys):
@@ -556,23 +588,53 @@ def test_one_sweep_equals_each_metric_and_runtime_alone(seed, barrier, metrics, 
 
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
+DEMO = Path(__file__).resolve().parent.parent / "demo"
+
+
+def bench_tracer_targets() -> list[tuple]:
+    spec = importlib.util.spec_from_file_location("bench_tracing", BENCH / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    return tracing.TARGETS
 
 
 def test_every_name_the_bench_tracer_wraps_exists():
     """The tracer rebinds module attributes by name; a name the program no
     longer calls must stay importable until the tracer drops it."""
-    spec = importlib.util.spec_from_file_location("bench_tracing", BENCH / "tracing.py")
-    tracing = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracing)
-    missing = [(module, attr) for module, attr, *_ in tracing.TARGETS
+    missing = [(module, attr) for module, attr, *_ in bench_tracer_targets()
                if not callable(getattr(importlib.import_module(module), attr, None))]
     assert missing == []
     assert callable(gatedepth.calibration.DurationTable.lookup)
 
 
-# --- byte identity on the bundled demo ------------------------------------
+# the names of gatedepth.cli that the tracer wraps and the CLI calls
+CALLED_BY_THE_CLI = ("parse_file", "load_duration_table", "configure_weights", "all_pairs",
+                     "identification_accuracy", "summarize_distribution",
+                     "sweep_single_qubit_weight")
 
-DEMO = Path(__file__).resolve().parent.parent / "demo"
+
+def test_the_cli_looks_up_each_traced_name_when_it_calls_it(monkeypatch, tmp_path, capsys):
+    """A name bound at import time (say, in a table of loaders) escapes the
+    tracer's rebinding, and that layer's traced time would read 0."""
+    traced = {attr for module, attr, *_ in bench_tracer_targets() if module == "gatedepth.cli"}
+    assert set(CALLED_BY_THE_CLI) <= traced
+    calls = dict.fromkeys(CALLED_BY_THE_CLI, 0)
+    for name in CALLED_BY_THE_CLI:
+        def counted(*args, _name=name, _fn=getattr(gatedepth.cli, name), **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(gatedepth.cli, name, counted)
+    monkeypatch.chdir(DEMO)
+    tables = ["durations_device0.json", "durations_device1.json", "durations_device2.json"]
+    for argv in (["weights", *tables],
+                 ["compare", "manifest.json", "--durations", tables[0], "--weights", "weights.json",
+                  "--out", str(tmp_path)],
+                 ["sweep", "manifest.json", "--durations", *tables, "--grid", "0:1:0.5"]):
+        assert run(capsys, *argv)[0] == 0
+    assert [name for name, n in calls.items() if n == 0] == []
+
+
+# --- byte identity on the bundled demo ------------------------------------
 
 # sha256 of the demo outputs; a change to any of them changes a reported number
 DEMO_SHA256 = {

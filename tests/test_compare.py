@@ -308,20 +308,28 @@ def test_sweep_equals_one_weight_map_per_point(monkeypatch):
 
 def test_sweep_builds_one_gateaware_column_per_version_per_block(monkeypatch):
     """Each version's increments come from metrics.increments, once per
-    block of GRID_BLOCK grid values; runtimes are swept once per device."""
+    block of GRID_BLOCK grid values, and each is swept once per block;
+    its runtimes on all devices are one more sweep, one column per device."""
     monkeypatch.setattr(compare, "GRID_BLOCK", 40)
-    calls = []
-    increments = compare.increments
+    calls, sweeps = [], []
+    increments, sweep = compare.increments, compare.sweep
 
     def counted(c, metric, weights):
         calls.append((id(c), metric))
         return increments(c, metric, weights)
 
+    def counted_sweep(c, rows, barrier="skip", width=1):
+        sweeps.append((id(c), width))
+        return sweep(c, rows, barrier, width)
+
     monkeypatch.setattr(compare, "increments", counted)
+    monkeypatch.setattr(compare, "sweep", counted_sweep)
     bases, table = make_ratio_dataset(0.3, seed=1, n_bases=2)
-    compare.sweep_single_qubit_weight(bases, [table], [round(0.01 * i, 2) for i in range(101)])
+    tables = [table, dataclasses.replace(table, device="other")]
+    compare.sweep_single_qubit_weight(bases, tables, [round(0.01 * i, 2) for i in range(101)])
     versions = [id(c) for _, vs in bases for _, c in vs]
     assert sorted(calls) == sorted((v, "gateaware") for v in versions * 3)
+    assert sorted(sweeps) == sorted((v, width) for v in versions for width in (40, 40, 21, 2))
 
 
 @pytest.mark.parametrize("w_s", [-0.5, math.inf, math.nan, "0.5", True])
