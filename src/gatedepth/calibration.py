@@ -116,22 +116,27 @@ class GateStats:
     max: float
 
 
+def _durations_by_gate(table: DurationTable) -> dict[str, list[float]]:
+    """Each gate's durations in ``table``: its location entries, or its
+    default alone when it has none; gates with entries first."""
+    durations: dict[str, list[float]] = {}
+    for (name, _), dur in table.entries.items():
+        durations.setdefault(name, []).append(dur)
+    for name, dur in table.defaults.items():
+        durations.setdefault(name, [dur])
+    return durations
+
+
 def summarize(table: DurationTable) -> dict[str, GateStats]:
     """Arithmetic mean/min/max per gate over its location entries.
 
     Defaults only contribute when a gate has no location entries at all, in
     which case the default stands in as the single data point (count 0).
     """
-    samples: dict[str, list[float]] = {}
-    for (name, _), dur in table.entries.items():
-        samples.setdefault(name, []).append(dur)
-    stats: dict[str, GateStats] = {}
-    for name, durs in samples.items():
-        stats[name] = GateStats(sum(durs) / len(durs), len(durs), min(durs), max(durs))
-    for name, dur in table.defaults.items():
-        if name not in stats:
-            stats[name] = GateStats(dur, 0, dur, dur)
-    return stats
+    located = {name for name, _ in table.entries}
+    return {name: GateStats(sum(durs) / len(durs), len(durs) if name in located else 0,
+                            min(durs), max(durs))
+            for name, durs in _durations_by_gate(table).items()}
 
 
 class ArchitectureMismatchError(ValueError):
@@ -144,7 +149,8 @@ def configure_weights(tables: Sequence[DurationTable], pooled: bool = False) -> 
     Per gate, each device's mean gate time is computed first and the
     cross-device value is the unweighted mean of those device means, so a
     device with more qubits cannot dominate (``pooled=True`` averages over
-    all location entries of all devices instead). Every cross-device mean is
+    the durations of all devices instead: each gate's location entries, or
+    its default where it has none). Every cross-device mean is
     then divided by the largest one, anchoring the slowest gate at 1.0.
     """
     if not tables:
@@ -156,25 +162,11 @@ def configure_weights(tables: Sequence[DurationTable], pooled: bool = False) -> 
         )
     architecture = tables[0].architecture
 
-    cross_means: dict[str, float] = {}
-    if pooled:
-        pools: dict[str, list[float]] = {}
-        for table in tables:
-            per_gate: dict[str, list[float]] = {}
-            for (name, _), dur in table.entries.items():
-                per_gate.setdefault(name, []).append(dur)
-            for name, dur in table.defaults.items():
-                per_gate.setdefault(name, [dur])
-            for name, durs in per_gate.items():
-                pools.setdefault(name, []).extend(durs)
-        cross_means = {name: sum(durs) / len(durs) for name, durs in pools.items()}
-    else:
-        device_means: dict[str, list[float]] = {}
-        for table in tables:
-            for name, stat in summarize(table).items():
-                device_means.setdefault(name, []).append(stat.mean)
-        cross_means = {name: sum(means) / len(means) for name, means in device_means.items()}
-
+    samples: dict[str, list[float]] = {}  # per gate, each device's durations or their mean
+    for table in tables:
+        for name, durs in _durations_by_gate(table).items():
+            samples.setdefault(name, []).extend(durs if pooled else [sum(durs) / len(durs)])
+    cross_means = {name: sum(values) / len(values) for name, values in samples.items()}
     if not cross_means:
         raise ValueError("duration tables contain no gates")
     anchor = max(cross_means.values())

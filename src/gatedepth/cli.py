@@ -18,7 +18,8 @@ import json
 import math
 import os
 import sys
-from dataclasses import asdict, fields
+from contextlib import nullcontext
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -89,9 +90,9 @@ def _save_json(path, document) -> None:
 
 
 def _save_csv(path, header, rows) -> None:
-    """``None`` is written as an empty field."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
+    """``None`` is written as an empty field; a ``None`` path is stdout."""
+    with open(path, "w", newline="", encoding="utf-8") if path else nullcontext(sys.stdout) as fh:
+        writer = csv.writer(fh, lineterminator="\r\n" if path else "\n")
         writer.writerow(header)
         writer.writerows(rows)
 
@@ -227,13 +228,13 @@ def cmd_compare(args) -> int:
             accuracy, idents = identification_accuracy(records, metric)
         except ValueError as exc:
             raise CliError(EXIT_MANIFEST, str(exc))
-        pairs += ({**asdict(c), "flags": ";".join(c.flags)} for c in comparisons)
+        pairs += ({**vars(c), "flags": ";".join(c.flags)} for c in comparisons)
         summary["metrics"][metric] = {
             "pair_count": len(comparisons),
             "excluded_pairs": len(comparisons) - len(res),
-            "percent_re": asdict(summarize_distribution(res)) if res else None,
+            "percent_re": vars(summarize_distribution(res)) if res else None,
             "identification_accuracy_percent": accuracy,
-            "identifications": [{k: v for k, v in asdict(r).items() if k != "metric"}
+            "identifications": [{k: v for k, v in vars(r).items() if k != "metric"}
                                 for r in idents],
         }
 
@@ -242,7 +243,7 @@ def cmd_compare(args) -> int:
     _write(out_dir / "pairs.csv", _save_csv, [f.name for f in fields(PairComparison)],
            [row.values() for row in pairs])
     _write(out_dir / "report.json", _save_json,
-           {"records": [asdict(r) for r in records], "pairs": pairs})
+           {"records": [vars(r) for r in records], "pairs": pairs})
     _write(out_dir / "summary.json", _save_json, summary)
 
     for metric in metrics:
@@ -277,12 +278,14 @@ def _parse_grid(spec: str) -> list[float]:
 def cmd_sweep(args) -> int:
     manifest = _read(args.manifest, EXIT_MANIFEST, _load_manifest)
     tables = [_read(path, EXIT_CONFIG, load_duration_table) for path in args.durations]
+    for i, (path, table) in enumerate(zip(args.durations, tables)):
+        if table.device in (t.device for t in tables[:i]):
+            raise CliError(EXIT_CONFIG, f"{path}: device {table.device!r} is in an earlier table")
     grid = _parse_grid(args.grid)
-    # one entry per version: the sweep pairs the versions of a base name across entries
-    bases = [(base, [(compiler, _read(path, EXIT_PARSE, parse_file))])
-             for base, compiler, path in manifest]
+    versions = [(base, compiler, _read(path, EXIT_PARSE, parse_file))
+                for base, compiler, path in manifest]
     try:
-        result = sweep_single_qubit_weight(bases, tables, grid)
+        result = sweep_single_qubit_weight(versions, tables, grid)
     except UnresolvedDurationError as exc:
         raise CliError(EXIT_RESOLUTION, exc.args[0])
     except ValueError as exc:  # the grid is valid, so a point has no defined %RE
@@ -293,9 +296,7 @@ def cmd_sweep(args) -> int:
     if args.out:
         _write(args.out, _save_csv, header, rows)
     else:
-        print(",".join(header))
-        for w_s, device, median in rows:
-            print(f"{w_s},{device},{median}")
+        _save_csv(None, header, rows)
     print(json.dumps({"argmin_w_s": dict(result.argmin_w_s)}, sort_keys=True))
     return EXIT_OK
 

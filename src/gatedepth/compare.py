@@ -76,25 +76,24 @@ class PairComparison:
     flags: tuple[str, ...] = ()
 
 
-def _group_by_base(records: Sequence[VersionRecord]) -> dict[str, list[VersionRecord]]:
-    groups: dict[str, list[VersionRecord]] = {}
-    for rec in records:
-        groups.setdefault(rec.base, []).append(rec)
-    return groups
-
-
-def _oriented_pairs(keys: Sequence[tuple[str, str]]) -> list[tuple[int, int]]:
-    """Index pairs (C1, C2) into ``keys``, one (base, compiler) per version:
-    one per unordered compiler pair of each base name, bases in order of
-    first appearance, the lexicographically smaller compiler id as C2."""
+def _versions_by_base(keys: Sequence[tuple[str, str]]) -> dict[str, dict[str, int]]:
+    """Per base name, in order of first appearance, each compiler id's index
+    into ``keys``; a compiler id repeated within a base raises ``ValueError``."""
     groups: dict[str, list[tuple[str, int]]] = {}
     for i, (base, compiler) in enumerate(keys):
         groups.setdefault(base, []).append((compiler, i))
-    pairs = []
     for base, group in groups.items():
-        by_compiler = dict(group)
-        if len(by_compiler) != len(group):
+        if len(dict(group)) != len(group):
             raise ValueError(f"duplicate compiler ids for base {base!r}")
+    return {base: dict(group) for base, group in groups.items()}
+
+
+def _oriented_pairs(keys: Sequence[tuple[str, str]]) -> list[tuple[int, int]]:
+    """Index pairs (C1, C2) into ``keys``: one per unordered compiler pair of
+    each base name, bases in order of first appearance, the
+    lexicographically smaller compiler id as C2."""
+    pairs = []
+    for by_compiler in _versions_by_base(keys).values():
         compilers = sorted(by_compiler)
         for i, c2 in enumerate(compilers):
             pairs.extend((by_compiler[c1], by_compiler[c2]) for c1 in compilers[i + 1:])
@@ -159,15 +158,16 @@ def identify_optimal(records: Sequence[VersionRecord], metric: str) -> Identific
     """
     if len(records) < 2:
         raise ValueError("identification needs at least two versions")
-    bases = {rec.base for rec in records}
-    if len(bases) != 1:
-        raise ValueError(f"records span multiple base circuits: {sorted(bases)}")
-    metric_values = {rec.compiler: rec.metrics[metric] for rec in records}
-    runtimes = {rec.compiler: rec.runtime_s for rec in records}
+    groups = _versions_by_base([(rec.base, rec.compiler) for rec in records])
+    if len(groups) != 1:
+        raise ValueError(f"records span multiple base circuits: {sorted(groups)}")
+    [(base, by_compiler)] = groups.items()
+    metric_values = {c: records[i].metrics[metric] for c, i in by_compiler.items()}
+    runtimes = {c: records[i].runtime_s for c, i in by_compiler.items()}
     metric_argmin = _argmin_set(metric_values, METRIC_REL_TOL, 0.0)
     runtime_argmin = _argmin_set(runtimes, 0.0, RUNTIME_ABS_TOL)
     return IdentificationResult(
-        base=next(iter(bases)),
+        base=base,
         metric=metric,
         correct=metric_argmin == runtime_argmin,
         metric_argmin=metric_argmin,
@@ -177,11 +177,9 @@ def identify_optimal(records: Sequence[VersionRecord], metric: str) -> Identific
 
 def identification_accuracy(records: Sequence[VersionRecord], metric: str) -> tuple[float, list[IdentificationResult]]:
     """Percentage of base circuits whose runtime-optimal set is identified."""
-    results = [
-        identify_optimal(group, metric)
-        for group in _group_by_base(records).values()
-        if len(group) >= 2
-    ]
+    groups = _versions_by_base([(rec.base, rec.compiler) for rec in records])
+    results = [identify_optimal([records[i] for i in by_compiler.values()], metric)
+               for by_compiler in groups.values() if len(by_compiler) >= 2]
     if not results:
         raise ValueError("no base circuit has two or more versions")
     accuracy = 100.0 * sum(r.correct for r in results) / len(results)
@@ -230,11 +228,12 @@ class SweepResult:
 
 
 def sweep_single_qubit_weight(
-    bases: Sequence[tuple[str, Sequence[tuple[str, Circuit]]]],
+    versions: Sequence[tuple[str, str, Circuit]],
     tables: Sequence[DurationTable],
     grid: Sequence[float],
 ) -> SweepResult:
-    """Evaluate gate-aware depth accuracy for each single-qubit weight w_s.
+    """Evaluate gate-aware depth accuracy for each single-qubit weight w_s,
+    over one (base name, compiler id, circuit) per compiled version.
 
     A gate weighs 0.0 if it is an rz, barrier or delay, 1.0 if some version
     applies its name to two or more qubits, and w_s otherwise (measure
@@ -253,8 +252,7 @@ def sweep_single_qubit_weight(
     """
     for w_s in grid:
         nonnegative_number(w_s, "w_s")
-    multiqubit = {g.name for _, vs in bases for _, c in vs for g in c.gates if is_multi_qubit(g)}
-    versions = [(base, compiler, c) for base, vs in bases for compiler, c in vs]
+    multiqubit = {g.name for *_, c in versions for g in c.gates if is_multi_qubit(g)}
     runtimes = []  # per version, its runtime on each device: one sweep of the stacked durations
     for base, compiler, c in versions:
         try:

@@ -185,7 +185,6 @@ class _Parser:
         self.gates: list[Gate] = []
         # parameter text -> its value, or None where the grammar must read it
         self.values: dict[str, float | None] = {}
-        self.paren_depth = 0
 
     # --- token helpers -------------------------------------------------
     def tokenize_from(self, offset: int):
@@ -262,7 +261,6 @@ class _Parser:
             parse_one()
         except _Skip as skip:
             self.error(*skip.args)
-            self.paren_depth = 0
             while self.advance().kind not in ("eof", ";"):
                 pass
 
@@ -353,7 +351,6 @@ class _Parser:
         try:
             value = self.parse_expression()
         except _Skip:
-            self.paren_depth = 0
             return None
         return value if self.peek().kind == "eof" else None
 
@@ -547,23 +544,23 @@ class _Parser:
             self.gates.append(Gate(gate_name, qubits, tuple(params), kind))
 
     # --- pi-expression evaluation (precedence: unary -, * /, + -) ------
-    def parse_expression(self, level: int = 0) -> float:
-        """Parse a left-associative chain of the operators of
-        ``_BINARY_OPERATORS[level]``; its operands are chains of the next
+    def parse_expression(self, level: int = 0, depth: int = 0) -> float:
+        """Parse a left-associative chain of ``_BINARY_OPERATORS[level]``
+        inside ``depth`` parentheses; its operands are chains of the next
         level, and unary terms after the last. Each parenthesis level costs
         three stack frames: this method twice and ``parse_unary``."""
         operators = _BINARY_OPERATORS[level]
         inner = level + 1 < len(_BINARY_OPERATORS)
-        left = self.parse_expression(level + 1) if inner else self.parse_unary()
+        left = self.parse_expression(level + 1, depth) if inner else self.parse_unary(depth)
         while self.peek().kind in operators:
             op = self.advance().kind
-            right = self.parse_expression(level + 1) if inner else self.parse_unary()
+            right = self.parse_expression(level + 1, depth) if inner else self.parse_unary(depth)
             if op == "/" and right == 0:
                 self.fail(self.peek(), "division by zero in parameter expression")
             left = operators[op](left, right)
         return left
 
-    def parse_unary(self) -> float:
+    def parse_unary(self, depth: int) -> float:
         negate = False
         tok = self.peek()
         while tok.kind in ("+", "-"):
@@ -577,12 +574,10 @@ class _Parser:
             self.advance()
             val = math.pi
         elif tok.kind == "(":
-            if self.paren_depth == MAX_PAREN_DEPTH:
+            if depth == MAX_PAREN_DEPTH:
                 self.fail(tok, f"parameter expression nests parentheses deeper than {MAX_PAREN_DEPTH}")
             self.advance()
-            self.paren_depth += 1
-            val = self.parse_expression()
-            self.paren_depth -= 1
+            val = self.parse_expression(0, depth + 1)
             self.expect(")")
         else:
             self.fail(tok, f"expected parameter expression, found {tok.text!r}")

@@ -174,8 +174,8 @@ def test_criterion_9_weight_sweep_recovery():
     grid = [round(0.01 * i, 2) for i in range(101)]
     recovered = {}
     for ratio in (0.1, 0.3, 0.5):
-        bases, table = make_ratio_dataset(ratio, seed=int(ratio * 100))
-        result = sweep_single_qubit_weight(bases, [table], grid)
+        versions, table = make_ratio_dataset(ratio, seed=int(ratio * 100))
+        result = sweep_single_qubit_weight(versions, [table], grid)
         argmin = result.argmin_w_s["synth"]
         assert abs(argmin - ratio) <= 0.02, f"ratio {ratio}: argmin {argmin}"
         recovered[ratio] = argmin

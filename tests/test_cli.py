@@ -499,11 +499,44 @@ def test_sweep_without_a_defined_percent_re_exits_5(compare_setup, tmp_path, cap
 def test_sweep_missing_duration_exits_3_naming_the_version(compare_setup, tmp_path, capsys):
     manifest, table, _ = compare_setup
     (tmp_path / "b1_tk.qasm").write_text("OPENQASM 2.0;\nqreg q[2];\nx q[0];\nsx q[1];\n")
-    code, out, err = run(capsys, "sweep", str(manifest), "--durations", str(table), str(table),
+    other = tmp_path / "other.json"
+    other.write_text(json.dumps({**json.loads(table.read_text()), "device": "other"}))
+    code, out, err = run(capsys, "sweep", str(manifest), "--durations", str(table), str(other),
                          "--grid", "0:1:0.5")
     assert (code, out) == (3, "")
     assert err == ("base 'b1', compiler 'tk': no duration for gate 'sx' at qubits [1] "
                    "(gate position 1)\n")
+
+
+def test_sweep_rejects_two_tables_of_one_device_before_parsing_a_circuit(compare_setup, tmp_path,
+                                                                         capsys):
+    manifest, table, _ = compare_setup
+    (tmp_path / "b1_tk.qasm").write_text("not qasm")  # parsed, this would exit 2
+    copy = tmp_path / "copy.json"
+    copy.write_text(table.read_text())
+    for second in (table, copy):
+        code, out, err = run(capsys, "sweep", str(manifest), "--durations", str(table), str(second))
+        assert (code, out) == (4, "")
+        assert err == f"{second}: device 'dev' is in an earlier table\n"
+
+
+def test_sweep_stdout_quotes_a_device_name_as_the_file_does(compare_setup, tmp_path, capsys):
+    manifest, table, _ = compare_setup
+    table.write_text(json.dumps({**json.loads(table.read_text()), "device": "dev,0"}))
+    code, out, _ = run(capsys, "sweep", str(manifest), "--durations", str(table),
+                       "--grid", "0:1:0.5")
+    assert code == 0
+    *lines, argmin = out.splitlines()
+    rows = list(csv.reader(lines))
+    assert rows[0] == ["w_s", "device", "median_percent_re"]
+    assert [len(row) for row in rows] == [3] * 4
+    assert {row[1] for row in rows[1:]} == {"dev,0"}
+    assert list(json.loads(argmin)["argmin_w_s"]) == ["dev,0"]
+    out_csv = tmp_path / "sweep.csv"
+    assert run(capsys, "sweep", str(manifest), "--durations", str(table), "--grid", "0:1:0.5",
+               "--out", str(out_csv))[0] == 0
+    with open(out_csv, newline="") as fh:
+        assert list(csv.reader(fh)) == rows
 
 
 def test_sweep_negative_grid_start_exits_4(compare_setup, capsys):
@@ -644,6 +677,7 @@ DEMO_SHA256 = {
     "sweep.csv": "e7a6275ad383d4d22a2491a32e260c4a79a55b352ead2d621a5b695d80f591d5",
     # the benchmark's grid: 1001 points cross three GRID_BLOCK edges
     "sweep1001.csv": "c6345cae3cd8f0a2a34351d06b1b3c43c90d2c7d84ad5c185abc6d029f92206e",
+    "weights_pooled.json": "cd7dedac6d3a5f2b1247d4d94e5f78c1074bc81287f7b929b19311fc46226489",
 }
 
 
@@ -660,6 +694,24 @@ def test_demo_outputs_byte_identical(tmp_path, monkeypatch, capsys):
                      "durations_device1.json", "durations_device2.json",
                      "--grid", "0:1:0.001", "--out", str(tmp_path / "sweep1001.csv"))
     assert code == 0
+    code, _, _ = run(capsys, "weights", "--pooled", "--out", str(tmp_path / "weights_pooled.json"),
+                     "durations_device0.json", "durations_device1.json", "durations_device2.json")
+    assert code == 0
     digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
                for name in DEMO_SHA256}
     assert digests == DEMO_SHA256
+
+
+def test_the_demo_generator_rewrites_the_bundled_demo(tmp_path, monkeypatch):
+    """The demo's circuits, tables and weight map are what generate_demo.py
+    writes: its unparse, table and weight-map writers and configure_weights."""
+    spec = importlib.util.spec_from_file_location("generate_demo", DEMO / "generate_demo.py")
+    generator = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(generator)
+    monkeypatch.setattr(generator, "ROOT", tmp_path)
+    generator.main()
+    written = sorted(p.relative_to(tmp_path) for p in tmp_path.rglob("*") if p.is_file())
+    bundled = sorted(p.relative_to(DEMO) for p in DEMO.rglob("*")
+                     if p.is_file() and p.suffix != ".py" and "__pycache__" not in p.parts)
+    assert written == bundled
+    assert [p for p in written if (tmp_path / p).read_bytes() != (DEMO / p).read_bytes()] == []

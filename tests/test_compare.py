@@ -1,5 +1,4 @@
 import dataclasses
-import itertools
 import math
 import random
 
@@ -129,6 +128,15 @@ def test_duplicate_compiler_rejected():
         all_pairs(records, "m")
 
 
+def test_a_repeated_compiler_id_is_rejected_by_every_analysis():
+    """Keeping either 'a' would analyse a version set the input does not
+    have: identification would report z the optimum of {a, z}."""
+    records = [rec("b", "a", 10, 1e-4), rec("b", "a", 12, 3e-4), rec("b", "z", 11, 2e-4)]
+    for analysis in (all_pairs, identify_optimal, identification_accuracy):
+        with pytest.raises(ValueError, match="duplicate compiler ids for base 'b'"):
+            analysis(records, "m")
+
+
 def test_perfect_metric_fixpoint():
     # metric exactly proportional to runtime: every %RE is 0, every id correct
     rng = random.Random(3)
@@ -230,53 +238,50 @@ def make_ratio_dataset(ratio: float, seed: int = 0, n_bases: int = 6):
     single/two-qubit time ratio; the sweep optimum is the ratio itself."""
     rng = random.Random(seed)
     two_q = 5e-7
-    bases = []
+    versions = []
     entries = {}
     for b in range(n_bases):
-        versions = []
         for compiler in ("alpha", "beta", "gamma"):
             c = random_circuit(rng, max_qubits=5, max_gates=25)
             while len(c.gates) < 4 or c.num_qubits < 2:
                 c = random_circuit(rng, max_qubits=5, max_gates=25)
-            versions.append((compiler, c))
+            versions.append((f"base{b}", compiler, c))
             for g in c.gates:
                 dur = two_q if len(g.qubits) >= 2 else (0.0 if g.name == "rz" else ratio * two_q)
                 entries[(g.name, g.qubits)] = dur
-        bases.append((f"base{b}", versions))
     table = DurationTable("synth", "synth-arch", entries)
-    return bases, table
+    return versions, table
 
 
 @pytest.mark.parametrize("ratio", [0.1, 0.3, 0.5])
 def test_sweep_recovers_duration_ratio(ratio):
-    bases, table = make_ratio_dataset(ratio, seed=int(ratio * 10))
+    versions, table = make_ratio_dataset(ratio, seed=int(ratio * 10))
     grid = [round(0.01 * i, 2) for i in range(101)]
-    result = sweep_single_qubit_weight(bases, [table], grid)
+    result = sweep_single_qubit_weight(versions, [table], grid)
     assert abs(result.argmin_w_s["synth"] - ratio) <= 0.02
 
 
 def test_sweep_grid_size():
-    bases, table = make_ratio_dataset(0.3, seed=1, n_bases=2)
+    versions, table = make_ratio_dataset(0.3, seed=1, n_bases=2)
     grid = [round(0.01 * i, 2) for i in range(101)]
-    result = sweep_single_qubit_weight(bases, [table], grid)
+    result = sweep_single_qubit_weight(versions, [table], grid)
     assert len(result.points) == 101
 
 
 def test_sweep_single_point():
-    bases, table = make_ratio_dataset(0.0, seed=2, n_bases=2)
-    result = sweep_single_qubit_weight(bases, [table], [0.0])
+    versions, table = make_ratio_dataset(0.0, seed=2, n_bases=2)
+    result = sweep_single_qubit_weight(versions, [table], [0.0])
     assert len(result.points) == 1
     assert result.argmin_w_s["synth"] == 0.0
     # all single-qubit durations zero: w_s = 0 predicts perfectly
     assert result.points[0].median_percent_re == pytest.approx(0.0, abs=1e-9)
 
 
-def reference_sweep(bases, tables, grid) -> SweepResult:
+def reference_sweep(versions, tables, grid) -> SweepResult:
     """The weight sweep done the direct way: one weight map and one
     gate-aware depth per version for every (device, w_s)."""
-    names = {g.name for _, versions in bases for _, c in versions for g in c.gates}
-    multiqubit = {g.name for _, versions in bases for _, c in versions for g in c.gates
-                  if is_multi_qubit(g)}
+    names = {g.name for *_, c in versions for g in c.gates}
+    multiqubit = {g.name for *_, c in versions for g in c.gates if is_multi_qubit(g)}
     points, argmin = [], {}
     for table in tables:
         best = None
@@ -285,7 +290,7 @@ def reference_sweep(bases, tables, grid) -> SweepResult:
                               for name in names})
             records = [VersionRecord(base, compiler, {"gateaware": gate_aware_depth(c, wmap)},
                                      estimate_runtime(c, table))
-                       for base, versions in bases for compiler, c in versions]
+                       for base, compiler, c in versions]
             res = [p.percent_re for p in all_pairs(records, "gateaware") if p.percent_re is not None]
             median = summarize_distribution(res).median
             points.append(SweepPoint(w_s, table.device, median))
@@ -299,11 +304,12 @@ def test_sweep_equals_one_weight_map_per_point(monkeypatch):
     """Blocked sweeping changes no float: 101 points in blocks of 7 cross
     fifteen block edges, over two devices."""
     monkeypatch.setattr(compare, "GRID_BLOCK", 7)
-    bases, fast = make_ratio_dataset(0.2, seed=3, n_bases=4)
+    versions, fast = make_ratio_dataset(0.2, seed=3, n_bases=4)
     _, slow = make_ratio_dataset(0.6, seed=3, n_bases=4)
     tables = [fast, dataclasses.replace(slow, device="synth-slow")]
     grid = [round(0.01 * i, 2) for i in range(101)]
-    assert sweep_single_qubit_weight(bases, tables, grid) == reference_sweep(bases, tables, grid)
+    assert (sweep_single_qubit_weight(versions, tables, grid)
+            == reference_sweep(versions, tables, grid))
 
 
 def test_sweep_builds_one_gateaware_column_per_version_per_block(monkeypatch):
@@ -324,36 +330,36 @@ def test_sweep_builds_one_gateaware_column_per_version_per_block(monkeypatch):
 
     monkeypatch.setattr(compare, "increments", counted)
     monkeypatch.setattr(compare, "sweep", counted_sweep)
-    bases, table = make_ratio_dataset(0.3, seed=1, n_bases=2)
+    versions, table = make_ratio_dataset(0.3, seed=1, n_bases=2)
     tables = [table, dataclasses.replace(table, device="other")]
-    compare.sweep_single_qubit_weight(bases, tables, [round(0.01 * i, 2) for i in range(101)])
-    versions = [id(c) for _, vs in bases for _, c in vs]
-    assert sorted(calls) == sorted((v, "gateaware") for v in versions * 3)
-    assert sorted(sweeps) == sorted((v, width) for v in versions for width in (40, 40, 21, 2))
+    compare.sweep_single_qubit_weight(versions, tables, [round(0.01 * i, 2) for i in range(101)])
+    ids = [id(c) for *_, c in versions]
+    assert sorted(calls) == sorted((v, "gateaware") for v in ids * 3)
+    assert sorted(sweeps) == sorted((v, width) for v in ids for width in (40, 40, 21, 2))
 
 
 @pytest.mark.parametrize("w_s", [-0.5, math.inf, math.nan, "0.5", True])
 def test_sweep_rejects_a_bad_grid_value(w_s):
-    bases, table = make_ratio_dataset(0.3, seed=1, n_bases=2)
+    versions, table = make_ratio_dataset(0.3, seed=1, n_bases=2)
     with pytest.raises(ValueError, match="w_s must be"):
-        sweep_single_qubit_weight(bases, [table], [0.0, w_s])
+        sweep_single_qubit_weight(versions, [table], [0.0, w_s])
 
 
 def test_sweep_without_a_defined_percent_re_names_device_and_w_s():
     c = Circuit(1, (Gate("x", (0,)),))
-    bases = [("b0", [("alpha", c), ("beta", c)])]  # equal runtimes: dR = 0
+    versions = [("b0", "alpha", c), ("b0", "beta", c)]  # equal runtimes: dR = 0
     table = DurationTable("dev", "arch", {}, {"x": 1e-7})
     with pytest.raises(ValueError, match=r"device 'dev': .* at w_s=0.5"):
-        sweep_single_qubit_weight(bases, [table], [0.5])
+        sweep_single_qubit_weight(versions, [table], [0.5])
 
 
 def test_sweep_names_the_first_w_s_without_a_defined_percent_re():
     """alpha, the base C2 of the only pair, has no cx: depth 0 at w_s = 0 only."""
-    bases = [("b0", [("alpha", Circuit(1, (Gate("x", (0,)),))),
-                     ("beta", Circuit(2, (Gate("cx", (0, 1)),)))])]
+    versions = [("b0", "alpha", Circuit(1, (Gate("x", (0,)),))),
+                ("b0", "beta", Circuit(2, (Gate("cx", (0, 1)),)))]
     table = DurationTable("dev", "arch", {}, {"x": 1e-7, "cx": 3e-7})
     with pytest.raises(ValueError, match=r"device 'dev': .* at w_s=0.0$"):
-        sweep_single_qubit_weight(bases, [table], [0.5, 0.25, 0.0, 1.0])
+        sweep_single_qubit_weight(versions, [table], [0.5, 0.25, 0.0, 1.0])
 
 
 # Small draws for the differential test below. Durations come from a
@@ -372,8 +378,8 @@ GATES = st.one_of(
     st.just(Gate("barrier", (0, 1, 2), (), BARRIER)),
 )
 # (base name, compiler id, circuit) triples, unique per (base name, compiler
-# id); consecutive triples with one base name form one manifest entry, so a
-# base name may be split across entries and a base may have one version
+# id); a base name's versions need not be adjacent, and a base may have one
+# version
 VERSIONS = st.lists(
     st.tuples(st.sampled_from(("b0", "b1")), st.sampled_from(("alpha", "beta", "gamma", "delta")),
               st.lists(GATES, min_size=1, max_size=8).map(lambda gates: Circuit(3, tuple(gates)))),
@@ -393,18 +399,16 @@ def test_array_sweep_equals_reference_sweep(versions, durations, grid, block):
     argmin, with blocks small enough that most grids cross a block edge,
     and fails with ValueError wherever the reference has an empty %RE
     distribution."""
-    bases = [(name, [(compiler, c) for _, compiler, c in group])
-             for name, group in itertools.groupby(versions, key=lambda t: t[0])]
     tables = [DurationTable(f"dev{i}", "arch", {}, d) for i, d in enumerate(durations)]
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(compare, "GRID_BLOCK", block)
         try:
-            expected = reference_sweep(bases, tables, grid)
+            expected = reference_sweep(versions, tables, grid)
         except ValueError:  # summarize_distribution: some point has no defined %RE
             with pytest.raises(ValueError, match="no version pair has a defined %RE"):
-                sweep_single_qubit_weight(bases, tables, grid)
+                sweep_single_qubit_weight(versions, tables, grid)
             return
-        result = sweep_single_qubit_weight(bases, tables, grid)
+        result = sweep_single_qubit_weight(versions, tables, grid)
     assert result == expected
     for table in tables:
         medians = {p.w_s: p.median_percent_re for p in result.points if p.device == table.device}
@@ -414,7 +418,7 @@ def test_array_sweep_equals_reference_sweep(versions, durations, grid, block):
 
 def test_array_sweep_rejects_a_duplicate_compiler_id_across_entries():
     c = Circuit(2, (Gate("cx", (0, 1)),))
-    bases = [("b", [("alpha", c)]), ("b", [("alpha", c)])]
+    versions = [("b", "alpha", c), ("b", "alpha", c)]
     table = DurationTable("dev", "arch", {}, {"cx": 3e-7})
     with pytest.raises(ValueError, match="duplicate compiler ids for base 'b'"):
-        sweep_single_qubit_weight(bases, [table], [0.0, 0.5])
+        sweep_single_qubit_weight(versions, [table], [0.0, 0.5])
