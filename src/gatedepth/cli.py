@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .calibration import configure_weights, load_duration_table
+from .calibration import DurationTable, configure_weights, load_duration_table
 from .compare import (PairComparison, VersionRecord, all_pairs, identification_accuracy,
                       summarize_distribution, sweep_single_qubit_weight)
 from .metrics import MissingWeightError, WeightMap, increments, sweep
@@ -97,6 +97,16 @@ def _save_csv(path, header, rows) -> None:
         writer.writerows(rows)
 
 
+def _read_device_tables(paths: list[str]) -> list[DurationTable]:
+    """The duration table of each path, one device each: a table that names
+    the device of an earlier one exits 4, naming its file and the device."""
+    tables = [_read(path, EXIT_CONFIG, load_duration_table) for path in paths]
+    for i, (path, table) in enumerate(zip(paths, tables)):
+        if table.device in (t.device for t in tables[:i]):
+            raise CliError(EXIT_CONFIG, f"{path}: device {table.device!r} is in an earlier table")
+    return tables
+
+
 def _weights_for(metrics: tuple[str, ...], path: str | None) -> dict | None:
     """The weights the gate-aware metric needs, if it is requested."""
     if "gateaware" not in metrics:
@@ -137,7 +147,7 @@ def cmd_depth(args) -> int:
 # -------------------------------------------------------------- weights ---
 
 def cmd_weights(args) -> int:
-    tables = [_read(path, EXIT_CONFIG, load_duration_table) for path in args.tables]
+    tables = _read_device_tables(args.tables)
     try:
         wmap = configure_weights(tables, pooled=args.pooled)
     except ValueError as exc:  # includes ArchitectureMismatchError
@@ -277,10 +287,7 @@ def _parse_grid(spec: str) -> list[float]:
 
 def cmd_sweep(args) -> int:
     manifest = _read(args.manifest, EXIT_MANIFEST, _load_manifest)
-    tables = [_read(path, EXIT_CONFIG, load_duration_table) for path in args.durations]
-    for i, (path, table) in enumerate(zip(args.durations, tables)):
-        if table.device in (t.device for t in tables[:i]):
-            raise CliError(EXIT_CONFIG, f"{path}: device {table.device!r} is in an earlier table")
+    tables = _read_device_tables(args.durations)
     grid = _parse_grid(args.grid)
     versions = [(base, compiler, _read(path, EXIT_PARSE, parse_file))
                 for base, compiler, path in manifest]

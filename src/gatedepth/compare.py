@@ -15,7 +15,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .calibration import DurationTable
-from .ir import Circuit, is_multi_qubit
+from .ir import Circuit, multi_qubit_mask
 from .metrics import increments, nonnegative_number, sweep
 from .runtime import UnresolvedDurationError, durations
 # not called here: bench/tracing.py wraps these names in this module
@@ -252,7 +252,8 @@ def sweep_single_qubit_weight(
     """
     for w_s in grid:
         nonnegative_number(w_s, "w_s")
-    multiqubit = {g.name for *_, c in versions for g in c.gates if is_multi_qubit(g)}
+    multiqubit = {name for *_, c in versions
+                  for name, multi in zip(c.names, multi_qubit_mask(c)) if multi}
     runtimes = []  # per version, its runtime on each device: one sweep of the stacked durations
     for base, compiler, c in versions:
         try:

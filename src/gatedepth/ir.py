@@ -2,11 +2,13 @@
 
 The IR is deliberately minimal: a circuit is an ordered gate list whose list
 order is the execution order per qubit, so it is always a valid topological
-order of the logical-dependency DAG.
+order of the logical-dependency DAG. It is stored as columns, one entry per
+gate, which the parser appends to without building an object per gate.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import FrozenInstanceError, dataclass
+from typing import Iterable, Sequence
 
 UNITARY = "unitary"
 MEASURE = "measure"
@@ -46,15 +48,73 @@ def is_multi_qubit(gate: Gate) -> bool:
     return gate.kind == UNITARY and len(gate.qubits) >= 2
 
 
-@dataclass(frozen=True)
+def multi_qubit_mask(circuit: "Circuit") -> list[bool]:
+    """Per gate of ``circuit``, in order, whether :func:`is_multi_qubit` holds."""
+    return [kind == UNITARY and len(qubits) >= 2 for kind, qubits in zip(circuit.kinds, circuit.qubits)]
+
+
+def _view_gate(name: str, qubits: tuple[int, ...], params: tuple[float, ...], kind: str) -> Gate:
+    """A Gate of fields already in their stored form, without re-checking them."""
+    gate = object.__new__(Gate)
+    gate.__dict__.update(name=name, qubits=qubits, params=params, kind=kind)
+    return gate
+
+
 class Circuit:
-    """An ordered gate list over ``num_qubits`` qubits."""
+    """An ordered gate list over ``num_qubits`` qubits, stored as columns.
 
-    num_qubits: int
-    gates: tuple[Gate, ...] = field(default_factory=tuple)
+    Gate ``i`` is named ``names[i]``, of kind ``kinds[i]``, on the qubit
+    tuple ``qubits[i]``, with the float tuple ``params[i]``. ``Circuit(n,
+    gates)`` builds a circuit from :class:`Gate` objects and keeps them;
+    :meth:`from_columns` builds one from its columns, as the parser does.
+    ``gates`` is a read-only tuple of Gates: those given, or, for a circuit
+    built from columns, Gates built once on first access. Equality, hash and
+    repr are those of ``(num_qubits, gates)``.
+    """
 
-    def __post_init__(self):
-        object.__setattr__(self, "gates", tuple(self.gates))
+    def __init__(self, num_qubits: int, gates: Iterable[Gate] = ()):
+        gates = tuple(gates)
+        self.__dict__.update(
+            num_qubits=num_qubits, names=tuple(g.name for g in gates),
+            kinds=tuple(g.kind for g in gates), qubits=tuple(g.qubits for g in gates),
+            params=tuple(g.params for g in gates), _gates=gates)
+
+    @classmethod
+    def from_columns(cls, num_qubits: int, names: Sequence[str], kinds: Sequence[str],
+                     qubits: Sequence[tuple[int, ...]], params: Sequence[tuple[float, ...]]) -> "Circuit":
+        """The circuit of the given columns, one entry per gate each: names,
+        kinds, qubit tuples and float parameter tuples, taken as they are."""
+        if not len(names) == len(kinds) == len(qubits) == len(params):
+            raise ValueError("circuit columns differ in length")
+        circuit = object.__new__(cls)
+        circuit.__dict__.update(num_qubits=num_qubits, names=tuple(names), kinds=tuple(kinds),
+                                qubits=tuple(qubits), params=tuple(params), _gates=None)
+        return circuit
+
+    @property
+    def gates(self) -> tuple[Gate, ...]:
+        if self._gates is None:
+            self.__dict__["_gates"] = tuple(map(_view_gate, self.names, self.qubits, self.params,
+                                                self.kinds))
+        return self._gates
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.num_qubits, self.names, self.kinds, self.qubits, self.params)
+                == (other.num_qubits, other.names, other.kinds, other.qubits, other.params))
+
+    def __hash__(self):
+        return hash((self.num_qubits, self.gates))
+
+    def __repr__(self):
+        return f"{self.__class__.__qualname__}(num_qubits={self.num_qubits!r}, gates={self.gates!r})"
 
 
 @dataclass(frozen=True)

@@ -19,7 +19,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .ir import BARRIER, DELAY, Circuit, is_multi_qubit
+from .ir import BARRIER, DELAY, Circuit, multi_qubit_mask
 
 BARRIER_SKIP = "skip"
 BARRIER_SYNC = "sync"
@@ -104,14 +104,13 @@ def sweep(circuit: Circuit, increments: Sequence, barrier: str = BARRIER_SKIP,
     zero, maximum = (0.0, max) if width == 1 else (np.zeros(width), np.maximum)
     depths: dict[int, float | np.ndarray] = {}
     get = depths.get
-    for gate, row in zip(circuit.gates, increments):
-        if gate.kind == BARRIER and barrier != BARRIER_SYNC:
+    for kind, qubits, row in zip(circuit.kinds, circuit.qubits, increments):
+        if kind == BARRIER and barrier != BARRIER_SYNC:
             continue
-        qubits = gate.qubits
         top = get(qubits[0], zero)
         for q in qubits[1:]:
             top = maximum(top, get(q, zero))
-        if gate.kind != BARRIER:
+        if kind != BARRIER:
             top = top + row
         for q in qubits:
             depths[q] = top
@@ -122,20 +121,22 @@ def increments(circuit: Circuit, metric: str, weights: Mapping | None = None) ->
     """Each gate's increment under ``metric``, in gate order; ``gateaware``
     takes ``weights[name]``, a float or a numpy column, and raises
     :class:`MissingWeightError` at the first gate whose name has none."""
-    gates = circuit.gates
+    kinds = circuit.kinds
     if metric == "traditional":
-        return [0.0 if g.kind in (BARRIER, DELAY) else 1.0 for g in gates]
+        return [0.0 if kind in (BARRIER, DELAY) else 1.0 for kind in kinds]
     if metric == "multiqubit":
-        return [1.0 if is_multi_qubit(g) else 0.0 for g in gates]
+        return [1.0 if multi else 0.0 for multi in multi_qubit_mask(circuit)]
     if metric != "gateaware":
         raise ValueError(f"unknown metric {metric!r}")
+    names = circuit.names
     try:
-        return [0.0 if g.kind in (BARRIER, DELAY) else weights[g.name] for g in gates]
+        return [0.0 if kind in (BARRIER, DELAY) else weights[name] for name, kind in zip(names, kinds)]
     except KeyError as exc:
         # gates are mapped in order, so the first gate with this name is the culprit
-        name = exc.args[0]
-        pos = next(i for i, g in enumerate(gates) if g.name == name and g.kind not in (BARRIER, DELAY))
-        raise MissingWeightError(name, pos) from None
+        missing = exc.args[0]
+        pos = next(i for i, (name, kind) in enumerate(zip(names, kinds))
+                   if name == missing and kind not in (BARRIER, DELAY))
+        raise MissingWeightError(missing, pos) from None
 
 
 def traditional_depth(circuit: Circuit, barrier: str = BARRIER_SKIP) -> int:

@@ -21,12 +21,12 @@ from __future__ import annotations
 
 import bisect
 import math
-import operator
 import re
+import sys
 from dataclasses import dataclass, field
 from typing import Callable, Iterator, NamedTuple, NoReturn
 
-from .ir import BARRIER, DELAY, MEASURE, UNITARY, Circuit, Gate
+from .ir import BARRIER, DELAY, MEASURE, UNITARY, Circuit
 
 # name -> (qubit arity, parameter count). Delay allows 0 or 1 params.
 BUILTIN_GATES: dict[str, tuple[int, int]] = {
@@ -59,12 +59,6 @@ _REJECTED_KEYWORDS = {
     "for": "loops unsupported",
     "while": "loops unsupported",
 }
-
-# binary operators of parameter expressions, loosest first
-_BINARY_OPERATORS = (
-    {"+": operator.add, "-": operator.sub},
-    {"*": operator.mul, "/": operator.truediv},
-)
 
 
 @dataclass(frozen=True)
@@ -108,7 +102,7 @@ class QasmParseError(ValueError):
 _TOKEN_RE = re.compile(
     r"""
     (?P<skip>[ \t\r\n]+|//[^\n]*)
-  | (?P<real>(\d+\.\d*|\.\d+)([eE][+-]?\d+)?|\d+[eE][+-]?\d+)
+  | (?P<real>(?:\d+\.\d*|\.\d+)(?:[eE][+-]?\d+)?|\d+[eE][+-]?\d+)
   | (?P<int>\d+)
   | (?P<id>[A-Za-z_][A-Za-z0-9_]*)
   | (?P<string>"[^"\n]*")
@@ -127,10 +121,12 @@ class _Token(NamedTuple):
 
 def _tokens(text: str, offset: int = 0) -> Iterator[_Token]:
     """The tokens of ``text`` from ``offset``, whitespace and comments left out."""
+    new = tuple.__new__  # _Token(...) would run a Python-level __new__ per token
     for m in _TOKEN_RE.finditer(text, offset):
-        kind, lexeme = m.lastgroup, m.group()
+        kind = m.lastgroup
         if kind != "skip":
-            yield _Token(lexeme if kind == "symbol" else kind, lexeme, m.start())
+            lexeme = m.group()
+            yield new(_Token, (lexeme if kind == "symbol" else kind, lexeme, m.start()))
 
 
 # The statement fast path. One match reads ``name[(params)] reg[i](, reg[j])*;``
@@ -150,6 +146,9 @@ _STATEMENT_RE = re.compile(
     rf"({_OPERAND}(?:{_WS},{_WS}{_OPERAND})*){_WS}"
     rf"(?:->{_WS}({_OPERAND}){_WS})?;"
 )
+_NEWLINE_RE = re.compile("\n")
+# what the parameter memo gives for a text not read yet
+_UNREAD = object()
 # the characters of a parameter that may be one number, signed or not:
 # ``float`` reads such a text as the grammar does, or refuses it
 _NUMBER_CHARS = frozenset("0123456789.eE+- \t\r\n")
@@ -182,7 +181,13 @@ class _Parser:
         self.qregs: dict[str, tuple[int, int]] = {}
         self.cregs: dict[str, tuple[int, int]] = {}
         self.num_qubits = 0
-        self.gates: list[Gate] = []
+        # the circuit's columns, one entry per gate
+        self.names: list[str] = []
+        self.kinds: list[str] = []
+        self.qubits: list[tuple[int, ...]] = []
+        self.params: list[tuple[float, ...]] = []
+        # operand text of the fast path -> its qubit indices
+        self.operands: dict[str, tuple[int, ...]] = {}
         # parameter text -> its value, or None where the grammar must read it
         self.values: dict[str, float | None] = {}
 
@@ -268,7 +273,8 @@ class _Parser:
         """Every diagnostic with its line and column, bad characters first."""
         found = [(offset, f"unexpected character {self.text[offset]!r}", "error") for offset in self.bad]
         found += self.diags
-        newlines = [m.start() for m in re.finditer("\n", self.text)] if found else []
+        end = max((offset for offset, *_ in found), default=0)
+        newlines = [m.start() for m in _NEWLINE_RE.finditer(self.text, 0, end)]
         out = []
         for offset, message, severity in found:
             line = bisect.bisect_left(newlines, offset)
@@ -276,33 +282,46 @@ class _Parser:
             out.append(ParseDiagnostic(line + 1, offset - line_start + 1, message, severity))
         return out
 
+    def append(self, name: str, kind: str, qubits: tuple[int, ...], params: tuple[float, ...]):
+        """Append one gate to the circuit's columns."""
+        self.names.append(name)
+        self.kinds.append(kind)
+        self.qubits.append(qubits)
+        self.params.append(params)
+
     # --- statement fast path ------------------------------------------
     def take(self, m: re.Match) -> bool:
         """Append the gate of the statement ``m`` matched and return True
         if the grammar would accept the statement as it stands; otherwise
         change nothing and return False."""
         name, params, operands, bit = m.groups()
-        gates = self.gates
-        qubits = self.indices(self.qregs, operands)
-        if qubits is None or len(gates) + (len(qubits) if name == "barrier" else 1) > MAX_GATES:
+        qubits = self.operands.get(operands)
+        if qubits is None:
+            # registers are never redeclared, so an operand text once read stays valid
+            qubits = self.indices(self.qregs, operands)
+            if qubits is None:
+                return False
+            self.operands[operands] = qubits
+        if len(self.names) + (len(qubits) if name == "barrier" else 1) > MAX_GATES:
             return False
         if name == "barrier":
             if params is not None or bit is not None:
                 return False
-            gates.append(Gate(name, tuple(dict.fromkeys(qubits)), (), BARRIER))
+            self.append("barrier", BARRIER, tuple(dict.fromkeys(qubits)), ())
             return True
         if name == "measure":
             if params is not None or len(qubits) != 1 or bit is None or self.indices(self.cregs, bit) is None:
                 return False
-            gates.append(Gate(name, qubits, (), MEASURE))
+            self.append("measure", MEASURE, qubits, ())
             return True
         values = () if params is None else self.parameters(params)
         if values is None or bit is not None:
             return False
         spec = (1, len(values)) if name == "delay" and len(values) <= 1 else BUILTIN_GATES.get(name)
-        if spec != (len(qubits), len(values)) or len(set(qubits)) != len(qubits):
+        if spec != (len(qubits), len(values)) or len(qubits) > 1 and len(set(qubits)) != len(qubits):
             return False
-        gates.append(Gate(name, qubits, values, DELAY if name == "delay" else UNITARY))
+        # interned: the gates of one name share one string
+        self.append(sys.intern(name), DELAY if name == "delay" else UNITARY, qubits, values)
         return True
 
     def indices(self, regs: dict[str, tuple[int, int]], operands: str) -> tuple[int, ...] | None:
@@ -325,12 +344,12 @@ class _Parser:
             return ()
         if "//" in text:
             return None
+        values = self.values
         out = []
         for piece in text.split(","):
-            try:
-                value = self.values[piece]
-            except KeyError:
-                value = self.values[piece] = self.evaluate(piece)
+            value = values.get(piece, _UNREAD)
+            if value is _UNREAD:
+                value = values[piece] = self.evaluate(piece)
             if value is None:
                 return None
             out.append(value)
@@ -352,7 +371,7 @@ class _Parser:
             value = self.parse_expression()
         except _Skip:
             return None
-        return value if self.peek().kind == "eof" else None
+        return value if self.tokens[self.i].kind == "eof" else None
 
     # --- grammar -------------------------------------------------------
     def parse_program(self):
@@ -469,7 +488,7 @@ class _Parser:
     def fits(self, tok: _Token, count: int) -> bool:
         """Whether ``count`` more gates keep the program within MAX_GATES;
         if not, record the error at the statement's first token ``tok``."""
-        if len(self.gates) + count <= MAX_GATES:
+        if len(self.names) + count <= MAX_GATES:
             return True
         self.error(tok, f"{tok.text!r} would expand the program past {MAX_GATES} gates")
         return False
@@ -486,7 +505,7 @@ class _Parser:
         if not self.fits(tok, len(src)):
             return
         for q in src:
-            self.gates.append(Gate("measure", (q,), (), MEASURE))
+            self.append("measure", MEASURE, (q,), ())
 
     def parse_barrier(self):
         tok = self.advance()
@@ -496,7 +515,7 @@ class _Parser:
             return
         # duplicate operands would be rejected by validate(); dedupe preserving order
         qubits = tuple(dict.fromkeys(q for op in operands for q in op))
-        self.gates.append(Gate("barrier", qubits, (), BARRIER))
+        self.append("barrier", BARRIER, qubits, ())
 
     def parse_gate_application(self):
         name = self.advance()
@@ -536,52 +555,70 @@ class _Parser:
         if not self.fits(name, width):
             return
         kind = DELAY if gate_name == "delay" else UNITARY
+        params = tuple(params)
         for k in range(width):
             qubits = tuple(op[k] if len(op) > 1 else op[0] for op in operands)
             if len(set(qubits)) != len(qubits):
                 self.error(name, f"gate {gate_name!r} applied to duplicate qubits {list(qubits)}")
                 return
-            self.gates.append(Gate(gate_name, qubits, tuple(params), kind))
+            self.append(gate_name, kind, qubits, params)
 
     # --- pi-expression evaluation (precedence: unary -, * /, + -) ------
-    def parse_expression(self, level: int = 0, depth: int = 0) -> float:
-        """Parse a left-associative chain of ``_BINARY_OPERATORS[level]``
-        inside ``depth`` parentheses; its operands are chains of the next
-        level, and unary terms after the last. Each parenthesis level costs
-        three stack frames: this method twice and ``parse_unary``."""
-        operators = _BINARY_OPERATORS[level]
-        inner = level + 1 < len(_BINARY_OPERATORS)
-        left = self.parse_expression(level + 1, depth) if inner else self.parse_unary(depth)
-        while self.peek().kind in operators:
-            op = self.advance().kind
-            right = self.parse_expression(level + 1, depth) if inner else self.parse_unary(depth)
-            if op == "/" and right == 0:
-                self.fail(self.peek(), "division by zero in parameter expression")
-            left = operators[op](left, right)
-        return left
-
-    def parse_unary(self, depth: int) -> float:
-        negate = False
-        tok = self.peek()
-        while tok.kind in ("+", "-"):
-            negate ^= tok.kind == "-"
-            self.advance()
-            tok = self.peek()
-        if tok.kind in ("real", "int"):
-            self.advance()
-            val = float(tok.text)
-        elif tok.kind == "id" and tok.text == "pi":
-            self.advance()
-            val = math.pi
-        elif tok.kind == "(":
-            if depth == MAX_PAREN_DEPTH:
+    def parse_expression(self, depth: int = 0) -> float:
+        """The value of terms joined by '+' and '-' inside ``depth``
+        parentheses; a term is factors joined by '*' and '/', and a factor
+        signs before a number, ``pi`` or a parenthesized expression. Tokens
+        are read by index: a statement's tokens end in a ';' or the end of
+        input, which no expression takes. Only a parenthesis recurses. After
+        a failure ``self.i`` may lag, but ``recover`` skips to the same ';'."""
+        tokens = self.tokens
+        i = self.i
+        total = term = 0.0
+        add = mul = None  # the operators before the current term and factor
+        while True:
+            tok = tokens[i]
+            negate = False
+            while tok.kind in ("+", "-"):
+                negate ^= tok.kind == "-"
+                i += 1
+                tok = tokens[i]
+            i += 1
+            if tok.kind in ("real", "int"):
+                value = float(tok.text)
+            elif tok.kind == "id" and tok.text == "pi":
+                value = math.pi
+            elif tok.kind == "(" and depth < MAX_PAREN_DEPTH:
+                self.i = i
+                value = self.parse_expression(depth + 1)
+                i = self.i
+                if tokens[i].kind != ")":
+                    self.fail(*self.expected(")"))
+                i += 1
+            elif tok.kind == "(":
                 self.fail(tok, f"parameter expression nests parentheses deeper than {MAX_PAREN_DEPTH}")
-            self.advance()
-            val = self.parse_expression(0, depth + 1)
-            self.expect(")")
-        else:
-            self.fail(tok, f"expected parameter expression, found {tok.text!r}")
-        return -val if negate else val
+            else:
+                self.fail(tok, f"expected parameter expression, found {tok.text!r}")
+            if negate:
+                value = -value
+            if mul is None:
+                term = value
+            elif mul == "*":
+                term *= value
+            elif value == 0:
+                self.fail(tokens[i], "division by zero in parameter expression")
+            else:
+                term /= value
+            op = tokens[i].kind
+            if op in ("*", "/"):
+                mul = op
+                i += 1
+                continue
+            total = term if add is None else total + term if add == "+" else total - term
+            if op not in ("+", "-"):
+                self.i = i
+                return total
+            add, mul = op, None
+            i += 1
 
 
 def parse_program(text: str) -> ParseResult:
@@ -594,7 +631,9 @@ def parse_program(text: str) -> ParseResult:
     if parser.num_qubits == 0:
         diags.append(ParseDiagnostic(1, 1, "program declares no quantum register"))
         return ParseResult(None, diags)
-    return ParseResult(Circuit(parser.num_qubits, tuple(parser.gates)), diags)
+    circuit = Circuit.from_columns(parser.num_qubits, parser.names, parser.kinds, parser.qubits,
+                                   parser.params)
+    return ParseResult(circuit, diags)
 
 
 def parse(text: str) -> Circuit:

@@ -35,23 +35,28 @@ def durations(circuit: Circuit, table: DurationTable) -> list[float]:
     reversed entry and no default is an error, never a silent reuse of the
     forward duration. Delays contribute their explicit duration parameter
     (seconds), which must be a finite number >= 0; barriers need no entry.
+    Each distinct (name, qubit tuple) is looked up once per call.
     """
     column = []
-    for pos, gate in enumerate(circuit.gates):
-        if gate.kind == BARRIER:
+    resolved: dict[tuple[str, tuple[int, ...]], float] = {}
+    columns = zip(circuit.names, circuit.kinds, circuit.qubits, circuit.params)
+    for pos, (name, kind, qubits, params) in enumerate(columns):
+        if kind == BARRIER:
             dur = 0.0
-        elif gate.kind == DELAY:
-            if not gate.params:
-                raise UnresolvedDurationError(gate.name, gate.qubits, pos,
-                                              "delay without a duration parameter")
+        elif kind == DELAY:
+            if not params:
+                raise UnresolvedDurationError(name, qubits, pos, "delay without a duration parameter")
             try:
-                dur = nonnegative_number(gate.params[0], "delay duration")
+                dur = nonnegative_number(params[0], "delay duration")
             except ValueError as exc:
-                raise UnresolvedDurationError(gate.name, gate.qubits, pos, str(exc)) from None
+                raise UnresolvedDurationError(name, qubits, pos, str(exc)) from None
         else:
-            dur = table.lookup(gate.name, gate.qubits)
+            dur = resolved.get((name, qubits))
             if dur is None:
-                raise UnresolvedDurationError(gate.name, gate.qubits, pos)
+                dur = table.lookup(name, qubits)
+                if dur is None:
+                    raise UnresolvedDurationError(name, qubits, pos)
+                resolved[name, qubits] = dur
         column.append(dur)
     return column
 

@@ -14,6 +14,7 @@ from hypothesis import settings
 from hypothesis import strategies as st
 
 from gatedepth.ir import BARRIER, DELAY, MEASURE, Circuit, Gate
+from gatedepth.qasm import parse
 
 # every property test draws the same examples on every run, with no time limit
 settings.register_profile("tier1", deadline=None, derandomize=True)
@@ -86,6 +87,20 @@ def random_directive(rng: random.Random, n: int) -> Gate:
     if kind == DELAY:
         return Gate("delay", qubit, (rng.uniform(0.0, 1e-6),), DELAY)
     return Gate("measure", qubit, (), MEASURE)
+
+
+# a gate name and a (name, qubits) pair that repeat after their first
+# gate, a barrier before them, and a reversed ecr after the forward one
+REPEATS_TEXT = ("OPENQASM 2.0;\nqreg q[2];\nx q[0];\nbarrier q;\necr q[0],q[1];\nsx q[1];\n"
+                "ecr q[1],q[0];\nsx q[1];\necr q[1],q[0];\n")
+
+
+def parsed_and_built(text: str) -> list[Circuit]:
+    """The circuit of ``text`` as the parser builds it, from columns, and
+    as code builds it, from new Gate objects."""
+    viewed = parse(text)
+    built = Circuit(viewed.num_qubits, [Gate(g.name, g.qubits, g.params, g.kind) for g in viewed.gates])
+    return [parse(text), built]  # a parse whose Gate view is not built yet
 
 
 def dependency_predecessors(circuit: Circuit, counted) -> list[list[int]]:

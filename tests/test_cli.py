@@ -250,6 +250,21 @@ def test_weights_mixed_architectures_exit_4(tmp_path, capsys):
     assert "architecture" in err
 
 
+def test_weights_rejects_two_tables_of_one_device(tmp_path, capsys):
+    """A device's table given twice would count its means twice in the
+    cross-device mean; it exits 4 as in sweep, and writes nothing."""
+    tables = [_write_table(tmp_path / f"t{i}.json", f"dev{i}", "eagle", {"ecr": 5e-7, "sx": 5e-8 * (i + 1)})
+              for i in range(2)]
+    copy = tmp_path / "copy.json"
+    copy.write_text(Path(tables[0]).read_text())
+    out_path = tmp_path / "wmap.json"
+    for second in (tables[0], str(copy)):
+        code, out, err = run(capsys, "weights", tables[0], second, tables[1], "--out", str(out_path))
+        assert (code, out) == (4, "")
+        assert err == f"{second}: device 'dev0' is in an earlier table\n"
+    assert not out_path.exists()
+
+
 # --- estimate -----------------------------------------------------------
 
 def test_estimate_empty_circuit(tmp_path, durations_json, capsys):

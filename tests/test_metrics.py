@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import ONE_QUBIT, TWO_QUBIT, THREE_QUBIT, longest_path_oracle, random_circuit
+from conftest import (ONE_QUBIT, REPEATS_TEXT, TWO_QUBIT, THREE_QUBIT, longest_path_oracle,
+                      parsed_and_built, random_circuit)
 from gatedepth.calibration import DurationTable
 from gatedepth.ir import BARRIER, DELAY, MEASURE, Circuit, Gate, is_multi_qubit
 from gatedepth.metrics import (BARRIER_SKIP, BARRIER_SYNC, MissingWeightError, WeightMap,
@@ -110,6 +111,13 @@ def test_missing_weight_names_first_missing_gate():
         gate_aware_depth(c, WeightMap({"x": 0.1}))
     assert exc.value.gate_name == "cz"
     assert exc.value.position == 1
+
+
+@pytest.mark.parametrize("circuit", parsed_and_built(REPEATS_TEXT), ids=["parsed", "built"])
+def test_missing_weight_names_the_first_gate_of_a_repeated_name(circuit):
+    with pytest.raises(MissingWeightError) as exc:
+        gate_aware_depth(circuit, WeightMap({"x": 0.1, "ecr": 1.0}))
+    assert (exc.value.gate_name, exc.value.position) == ("sx", 3)
 
 
 def test_negative_weight_rejected():

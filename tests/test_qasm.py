@@ -1,5 +1,6 @@
 import inspect
 import math
+import operator
 import re
 import signal
 import sys
@@ -566,3 +567,139 @@ def test_every_accepted_circuit_is_valid(text):
     result = parse_program(text)
     if result.ok:
         assert validate(result.circuit) == []
+
+
+class ReferenceEvaluator:
+    """The parameter-expression evaluator the parser had before its lean
+    one: a left-associative chain per precedence level, with one method
+    call per token looked at. It reads one piece and gives its value, or
+    None where the grammar rejects it."""
+
+    OPERATORS = ({"+": operator.add, "-": operator.sub}, {"*": operator.mul, "/": operator.truediv})
+
+    def __init__(self, text: str):
+        self.tokens = [*qasm._tokens(text), qasm._Token("eof", "", len(text))]
+        self.i = 0
+
+    def value(self) -> float | None:
+        try:
+            value = self.expression()
+        except ValueError:
+            return None
+        return value if self.peek().kind == "eof" else None
+
+    def peek(self):
+        return self.tokens[self.i]
+
+    def advance(self):
+        tok = self.peek()
+        if tok.kind != "eof":
+            self.i += 1
+        return tok
+
+    def expression(self, level: int = 0, depth: int = 0) -> float:
+        operators = self.OPERATORS[level]
+        inner = level + 1 < len(self.OPERATORS)
+        left = self.expression(level + 1, depth) if inner else self.unary(depth)
+        while self.peek().kind in operators:
+            op = self.advance().kind
+            right = self.expression(level + 1, depth) if inner else self.unary(depth)
+            if op == "/" and right == 0:
+                raise ValueError("division by zero")
+            left = operators[op](left, right)
+        return left
+
+    def unary(self, depth: int) -> float:
+        negate = False
+        tok = self.peek()
+        while tok.kind in ("+", "-"):
+            negate ^= tok.kind == "-"
+            self.advance()
+            tok = self.peek()
+        if tok.kind in ("real", "int"):
+            self.advance()
+            val = float(tok.text)
+        elif tok.kind == "id" and tok.text == "pi":
+            self.advance()
+            val = math.pi
+        elif tok.kind == "(":
+            if depth == MAX_PAREN_DEPTH:
+                raise ValueError("too deep")
+            self.advance()
+            val = self.expression(0, depth + 1)
+            if self.advance().kind != ")":
+                raise ValueError("expected )")
+        else:
+            raise ValueError("expected parameter expression")
+        return -val if negate else val
+
+
+def assert_read_as_the_reference_reads_it(piece: str):
+    """``rz(piece)`` parses, on both paths, to the reference's value of
+    the piece, to the bit, and fails where the reference rejects it."""
+    want = ReferenceEvaluator(piece).value()
+    for result in parse_both_ways(f"OPENQASM 2.0; qreg q[1]; rz({piece}) q[0];"):
+        if want is None:
+            assert not result.ok
+        else:
+            assert result.ok, result.diagnostics
+            assert [float.hex(p) for p in result.circuit.params[0]] == [float.hex(want)]
+
+
+EVALUATOR_HAZARDS = (
+    "1/0", "1/(pi-pi)", "1/-0.0", "1e308*10", "1e308*10-1e308*10", " -( 3 *\tpi/4 )\n+ 0.6981 ",
+    "2*-3", "--pi", "+-1", "-0", "1/3*3", "1-2-3", "8/4/2", "2*3/4*5", "1.5e3", ".5", "1.", "e", ".",
+    "(" * MAX_PAREN_DEPTH + "1" + ")" * MAX_PAREN_DEPTH,
+    "(" * (MAX_PAREN_DEPTH + 1) + "1" + ")" * (MAX_PAREN_DEPTH + 1),
+    "-(" * MAX_PAREN_DEPTH + "pi" + ")/2" * MAX_PAREN_DEPTH,
+)
+
+
+@pytest.mark.parametrize("piece", EVALUATOR_HAZARDS)
+def test_evaluator_reads_a_hazard_as_the_reference_does(piece):
+    assert_read_as_the_reference_reads_it(piece)
+
+
+# pieces as the corpus writes them, and token soup that is often no
+# expression at all; no ',', ';', '//' or name but pi, so a rejected piece
+# can not make the statement some other valid one, nor a comment eat its end
+corpus_pieces = st.one_of(
+    st.tuples(st.integers(1, 7), st.sampled_from((2, 4, 8)), st.integers(0, 9999))
+    .map(lambda t: f"-({t[0]}*pi/{t[1]})+0.{t[2]:04d}"),
+    st.tuples(st.integers(1, 7), st.sampled_from((2, 4, 8))).map(lambda t: f"{t[0]}*pi/{t[1]}"),
+    st.floats(-3, 3).map(lambda x: f"{x:.6f}"),
+    st.tuples(st.integers(1, 9), st.integers(0, 9), st.integers(-330, 330)).map(lambda t: f"{t[0]}.{t[1]}e{t[2]}"),
+)
+EXPRESSION_PIECES = ("pi", "0", "2", "1.5", ".5", "3e-2", "1e400", "+", "-", "*", "/", "(", ")", " ", "\t", "e", ".")
+token_soup = (st.lists(st.sampled_from(EXPRESSION_PIECES), min_size=1, max_size=12).map("".join)
+              .filter(lambda piece: "//" not in piece))
+
+
+@given(piece=st.one_of(corpus_pieces, token_soup))
+@settings(max_examples=1000)
+def test_evaluator_equals_the_reference(piece):
+    assert_read_as_the_reference_reads_it(piece)
+
+
+@given(source=st.one_of(qasm_texts, st.integers(0, 10_000)))
+@settings(max_examples=500)
+def test_columns_and_the_gates_view_agree(source):
+    """On a circuit parsed from a drawn text (when it parses), or a random
+    circuit built from Gates, the columns are the fields of the cached
+    Gate view, and either way of building a circuit gives an equal one."""
+    if isinstance(source, int):
+        c = random_circuit(random.Random(source), directives=True)
+    else:
+        c = parse_program(source).circuit
+        if c is None:
+            return
+    columns = (c.names, c.kinds, c.qubits, c.params)
+    assert c.gates is c.gates
+    assert columns == tuple(tuple(getattr(g, field) for g in c.gates)
+                            for field in ("name", "kind", "qubits", "params"))
+    for other in (Circuit(c.num_qubits, c.gates), Circuit.from_columns(c.num_qubits, *columns)):
+        assert other == c
+        assert hash(other) == hash(c)
+        assert repr(other) == repr(c)
+    assert parse(unparse(c)) == c
+    assert validate(c) == []

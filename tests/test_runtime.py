@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import longest_path_oracle, random_circuit
+from conftest import REPEATS_TEXT, longest_path_oracle, parsed_and_built, random_circuit
 from gatedepth.calibration import DurationTable
 from gatedepth.ir import BARRIER, DELAY, MEASURE, UNITARY, Circuit, Gate
 from gatedepth.metrics import WeightMap, gate_aware_depth
@@ -62,6 +62,23 @@ def test_unresolved_error_names_gate_and_position():
     with pytest.raises(UnresolvedDurationError) as exc:
         estimate_runtime(c, table)
     assert exc.value.gate_name == "sx" and exc.value.position == 1
+
+
+@pytest.mark.parametrize("circuit", parsed_and_built(REPEATS_TEXT), ids=["parsed", "built"])
+def test_unresolved_duration_names_the_first_gate_of_a_repeated_pair(circuit):
+    """Each distinct (name, qubits) is looked up once, but a pair with no
+    duration raises at its first gate; the reversed ecr, with no entry of
+    its own and no default, raises although the forward ecr resolved."""
+    entries = {("x", (0,)): 1e-8, ("ecr", (0, 1)): 5e-7}
+    with pytest.raises(UnresolvedDurationError) as exc:
+        estimate_runtime(circuit, DurationTable("d", "a", entries))
+    assert (exc.value.gate_name, exc.value.qubits, exc.value.position) == ("sx", (1,), 3)
+    with pytest.raises(UnresolvedDurationError) as exc:
+        estimate_runtime(circuit, DurationTable("d", "a", entries, {"sx": 3e-8}))
+    assert (exc.value.gate_name, exc.value.qubits, exc.value.position) == ("ecr", (1, 0), 4)
+    with_reversed = {**entries, ("ecr", (1, 0)): 6e-7}
+    assert estimate_runtime(circuit, DurationTable("d", "a", with_reversed, {"sx": 3e-8})) == (
+        pytest.approx(1e-8 + 5e-7 + 3e-8 + 6e-7 + 3e-8 + 6e-7, rel=1e-12))
 
 
 def test_delay_adds_its_duration():
