@@ -39,18 +39,22 @@ class Gate:
             raise ValueError(f"unknown gate kind {self.kind!r}")
 
 
+def _multi_qubit(kind: str, qubits: tuple[int, ...]) -> bool:
+    return kind == UNITARY and len(qubits) >= 2
+
+
 def is_multi_qubit(gate: Gate) -> bool:
     """True iff the gate is a unitary acting on two or more qubits.
 
     Barriers, delays, and measurements never count as multi-qubit for
     metric purposes.
     """
-    return gate.kind == UNITARY and len(gate.qubits) >= 2
+    return _multi_qubit(gate.kind, gate.qubits)
 
 
 def multi_qubit_mask(circuit: "Circuit") -> list[bool]:
     """Per gate of ``circuit``, in order, whether :func:`is_multi_qubit` holds."""
-    return [kind == UNITARY and len(qubits) >= 2 for kind, qubits in zip(circuit.kinds, circuit.qubits)]
+    return list(map(_multi_qubit, circuit.kinds, circuit.qubits))
 
 
 def _view_gate(name: str, qubits: tuple[int, ...], params: tuple[float, ...], kind: str) -> Gate:

@@ -22,7 +22,6 @@ from __future__ import annotations
 import bisect
 import math
 import re
-import sys
 from dataclasses import dataclass, field
 from typing import Callable, Iterator, NamedTuple, NoReturn
 
@@ -186,8 +185,6 @@ class _Parser:
         self.kinds: list[str] = []
         self.qubits: list[tuple[int, ...]] = []
         self.params: list[tuple[float, ...]] = []
-        # operand text of the fast path -> its qubit indices
-        self.operands: dict[str, tuple[int, ...]] = {}
         # parameter text -> its value, or None where the grammar must read it
         self.values: dict[str, float | None] = {}
 
@@ -295,14 +292,8 @@ class _Parser:
         if the grammar would accept the statement as it stands; otherwise
         change nothing and return False."""
         name, params, operands, bit = m.groups()
-        qubits = self.operands.get(operands)
-        if qubits is None:
-            # registers are never redeclared, so an operand text once read stays valid
-            qubits = self.indices(self.qregs, operands)
-            if qubits is None:
-                return False
-            self.operands[operands] = qubits
-        if len(self.names) + (len(qubits) if name == "barrier" else 1) > MAX_GATES:
+        qubits = self.indices(self.qregs, operands)
+        if qubits is None or len(self.names) + (len(qubits) if name == "barrier" else 1) > MAX_GATES:
             return False
         if name == "barrier":
             if params is not None or bit is not None:
@@ -320,8 +311,7 @@ class _Parser:
         spec = (1, len(values)) if name == "delay" and len(values) <= 1 else BUILTIN_GATES.get(name)
         if spec != (len(qubits), len(values)) or len(qubits) > 1 and len(set(qubits)) != len(qubits):
             return False
-        # interned: the gates of one name share one string
-        self.append(sys.intern(name), DELAY if name == "delay" else UNITARY, qubits, values)
+        self.append(name, DELAY if name == "delay" else UNITARY, qubits, values)
         return True
 
     def indices(self, regs: dict[str, tuple[int, int]], operands: str) -> tuple[int, ...] | None:

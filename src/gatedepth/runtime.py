@@ -35,10 +35,8 @@ def durations(circuit: Circuit, table: DurationTable) -> list[float]:
     reversed entry and no default is an error, never a silent reuse of the
     forward duration. Delays contribute their explicit duration parameter
     (seconds), which must be a finite number >= 0; barriers need no entry.
-    Each distinct (name, qubit tuple) is looked up once per call.
     """
     column = []
-    resolved: dict[tuple[str, tuple[int, ...]], float] = {}
     columns = zip(circuit.names, circuit.kinds, circuit.qubits, circuit.params)
     for pos, (name, kind, qubits, params) in enumerate(columns):
         if kind == BARRIER:
@@ -51,12 +49,9 @@ def durations(circuit: Circuit, table: DurationTable) -> list[float]:
             except ValueError as exc:
                 raise UnresolvedDurationError(name, qubits, pos, str(exc)) from None
         else:
-            dur = resolved.get((name, qubits))
+            dur = table.lookup(name, qubits)
             if dur is None:
-                dur = table.lookup(name, qubits)
-                if dur is None:
-                    raise UnresolvedDurationError(name, qubits, pos)
-                resolved[name, qubits] = dur
+                raise UnresolvedDurationError(name, qubits, pos)
         column.append(dur)
     return column
 

@@ -66,9 +66,9 @@ def test_unresolved_error_names_gate_and_position():
 
 @pytest.mark.parametrize("circuit", parsed_and_built(REPEATS_TEXT), ids=["parsed", "built"])
 def test_unresolved_duration_names_the_first_gate_of_a_repeated_pair(circuit):
-    """Each distinct (name, qubits) is looked up once, but a pair with no
-    duration raises at its first gate; the reversed ecr, with no entry of
-    its own and no default, raises although the forward ecr resolved."""
+    """A repeated pair with no duration raises at its first gate; the
+    reversed ecr, with no entry of its own and no default, raises although
+    the forward ecr resolved."""
     entries = {("x", (0,)): 1e-8, ("ecr", (0, 1)): 5e-7}
     with pytest.raises(UnresolvedDurationError) as exc:
         estimate_runtime(circuit, DurationTable("d", "a", entries))
