@@ -236,8 +236,8 @@ def cmd_compare(args) -> int:
         res = [c.percent_re for c in comparisons if c.percent_re is not None]
         try:
             accuracy, idents = identification_accuracy(records, metric)
-        except ValueError as exc:
-            raise CliError(EXIT_MANIFEST, str(exc))
+        except ValueError as exc:  # no base has two versions
+            raise CliError(EXIT_MANIFEST, f"{args.manifest}: {exc}")
         pairs += ({**vars(c), "flags": ";".join(c.flags)} for c in comparisons)
         summary["metrics"][metric] = {
             "pair_count": len(comparisons),

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
+from itertools import compress
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -30,6 +31,8 @@ RUNTIME_ABS_TOL = 1e-12
 FLAG_ZERO_DELTA_RUNTIME = "zero_delta_runtime"
 FLAG_ZERO_METRIC_BASE = "zero_metric_base"
 FLAG_ZERO_RUNTIME_BASE = "zero_runtime_base"
+# each leaves a pair's %RE undefined; a pair's flags are listed in this order
+ZERO_FLAGS = (FLAG_ZERO_METRIC_BASE, FLAG_ZERO_RUNTIME_BASE, FLAG_ZERO_DELTA_RUNTIME)
 
 # most grid values one weight-sweep pass carries; bounds the per-qubit rows
 GRID_BLOCK = 256
@@ -88,16 +91,34 @@ def _versions_by_base(keys: Sequence[tuple[str, str]]) -> dict[str, dict[str, in
     return {base: dict(group) for base, group in groups.items()}
 
 
-def _oriented_pairs(keys: Sequence[tuple[str, str]]) -> list[tuple[int, int]]:
-    """Index pairs (C1, C2) into ``keys``: one per unordered compiler pair of
-    each base name, bases in order of first appearance, the
+def _oriented_pairs(keys: Sequence[tuple[str, str]]) -> np.ndarray:
+    """Index arrays C1 and C2 into ``keys``, one entry per unordered compiler
+    pair of each base name, bases in order of first appearance, the
     lexicographically smaller compiler id as C2."""
     pairs = []
     for by_compiler in _versions_by_base(keys).values():
         compilers = sorted(by_compiler)
         for i, c2 in enumerate(compilers):
             pairs.extend((by_compiler[c1], by_compiler[c2]) for c1 in compilers[i + 1:])
-    return pairs
+    return np.array(pairs, dtype=np.intp).reshape(-1, 2).T
+
+
+def _pair_errors(values: np.ndarray, runtimes: np.ndarray, c1: np.ndarray, c2: np.ndarray):
+    """The %RE of each version pair (C1, C2) = (``c1[k]``, ``c2[k]``) for each
+    column of ``values`` (versions x columns), against ``runtimes`` (one per
+    version): the relative metric differences, the relative runtime
+    differences, the %REs, and ``zero``, the three masks of ``ZERO_FLAGS``,
+    each pairs x columns. The %RE is defined where no mask is set; elsewhere
+    the arrays hold what dividing by zero gives. As in :func:`all_pairs`, a
+    zero runtime difference is flagged only where the metric base is not
+    zero."""
+    m1, m2, r1, r2 = values[c1], values[c2], runtimes[c1, None], runtimes[c2, None]
+    with np.errstate(all="ignore"):  # a zero base, or an overflow, as Python floats give it
+        delta_metric = (m1 - m2) / m2
+        delta_runtime = np.broadcast_to((r1 - r2) / r2, m2.shape)
+        percent_re = np.abs(delta_metric - delta_runtime) / np.abs(delta_runtime) * 100.0
+    zero = np.array(np.broadcast_arrays(m2 == 0, r2 == 0, (delta_runtime == 0) & (m2 != 0)))
+    return delta_metric, delta_runtime, percent_re, zero
 
 
 def all_pairs(records: Sequence[VersionRecord], metric: str) -> list[PairComparison]:
@@ -107,28 +128,18 @@ def all_pairs(records: Sequence[VersionRecord], metric: str) -> list[PairCompari
     is the denominator C2. A base with k versions yields k*(k-1)/2 pairs.
     %RE is left None (with a flag) when a denominator is zero.
     """
-    comparisons: list[PairComparison] = []
-    for i, j in _oriented_pairs([(rec.base, rec.compiler) for rec in records]):
-        rec1, rec2 = records[i], records[j]
-        flags: list[str] = []
-        delta_metric = delta_runtime = percent_re = None
-        if rec2.metrics[metric] == 0:
-            flags.append(FLAG_ZERO_METRIC_BASE)
-        else:
-            delta_metric = relative_difference(rec1.metrics[metric], rec2.metrics[metric])
-        if rec2.runtime_s == 0:
-            flags.append(FLAG_ZERO_RUNTIME_BASE)
-        else:
-            delta_runtime = relative_difference(rec1.runtime_s, rec2.runtime_s)
-        if delta_metric is not None and delta_runtime is not None:
-            if delta_runtime == 0:
-                flags.append(FLAG_ZERO_DELTA_RUNTIME)
-            else:
-                percent_re = percent_relative_error(delta_metric, delta_runtime)
-        comparisons.append(
-            PairComparison(rec1.base, rec1.compiler, rec2.compiler, metric, delta_metric,
-                           delta_runtime, percent_re, tuple(flags))
-        )
+    c1, c2 = _oriented_pairs([(rec.base, rec.compiler) for rec in records])
+    values = np.array([rec.metrics[metric] for rec in records], dtype=float)[:, None]
+    runtimes = np.array([rec.runtime_s for rec in records], dtype=float)
+    *errors, zero = _pair_errors(values, runtimes, c1, c2)
+    comparisons = []
+    for i, j, delta_metric, delta_runtime, percent_re, zeros in zip(
+            c1.tolist(), c2.tolist(), *(e[:, 0].tolist() for e in errors), zero[:, :, 0].T.tolist()):
+        flags = tuple(compress(ZERO_FLAGS, zeros))
+        comparisons.append(PairComparison(
+            records[i].base, records[i].compiler, records[j].compiler, metric,
+            None if zeros[0] else delta_metric, None if zeros[1] else delta_runtime,
+            None if flags else percent_re, flags))
     return comparisons
 
 
@@ -242,10 +253,10 @@ def sweep_single_qubit_weight(
     work is done per block of at most ``GRID_BLOCK`` grid values: each
     version is swept once per block, one numpy column per w_s (depths do
     not depend on the device), and each device's %RE is one pairs x block
-    array with its column medians. The version pairs, and each device's
-    relative runtime differences, are formed once; each version's runtimes
-    on all devices are one sweep of its stacked duration columns. Memory is
-    per block. Ties in the argmin go to the smallest w_s. A grid value that
+    array from the kernel :func:`all_pairs` uses, with its column medians.
+    The version pairs are formed once; each version's runtimes on all
+    devices are one sweep of its stacked duration columns. Memory is per
+    block. Ties in the argmin go to the smallest w_s. A grid value that
     is not a finite number >= 0, or a point where no pair has a defined
     %RE, raises ``ValueError``; a gate without a duration raises
     :class:`UnresolvedDurationError` naming the base and compiler id.
@@ -264,16 +275,7 @@ def sweep_single_qubit_weight(
         runtimes.append(sweep(c, columns[0] if len(tables) == 1 else np.array(columns).T,
                               width=len(tables)))
     runtimes = np.array(runtimes).reshape(len(versions), len(tables)).T  # one row per device
-    c1, c2 = np.array(_oriented_pairs([(base, compiler) for base, compiler, _ in versions]),
-                      dtype=np.intp).reshape(-1, 2).T
-    # per device, the pairs with a defined relative runtime difference, and that difference
-    device_pairs = []
-    for r in runtimes:
-        nonzero_base = r[c2] != 0
-        i1, i2 = c1[nonzero_base], c2[nonzero_base]
-        delta_runtime = (r[i1] - r[i2]) / r[i2]
-        nonzero = delta_runtime != 0
-        device_pairs.append((i1[nonzero], i2[nonzero], delta_runtime[nonzero, None]))
+    c1, c2 = _oriented_pairs([(base, compiler) for base, compiler, _ in versions])
     points: list[list[SweepPoint]] = [[] for _ in tables]
     for start in range(0, len(grid), GRID_BLOCK):
         block = grid[start:start + GRID_BLOCK]
@@ -283,16 +285,14 @@ def sweep_single_qubit_weight(
         weights = defaultdict(lambda: ws, dict.fromkeys(multiqubit, ones), rz=zeros)
         depths = np.array([sweep(c, increments(c, "gateaware", weights), width=width)
                            for *_, c in versions]).reshape(len(versions), width)
-        for table, (i1, i2, delta_runtime), table_points in zip(tables, device_pairs, points):
-            d1, d2 = depths[i1], depths[i2]
-            defined = d2 != 0  # a zero metric base drops the pair from that column only
+        for table, r, table_points in zip(tables, runtimes, points):
+            *_, percent_re, zero = _pair_errors(depths, r, c1, c2)
+            defined = ~zero.any(axis=0)
             undefined = ~defined.any(axis=0)
             if undefined.any():
                 w_s = block[int(np.argmax(undefined))]
                 raise ValueError(f"device {table.device!r}: no version pair has a defined %RE "
                                  f"at w_s={w_s}")
-            with np.errstate(divide="ignore", invalid="ignore"):
-                percent_re = np.abs((d1 - d2) / d2 - delta_runtime) / np.abs(delta_runtime) * 100.0
             # np.percentile takes the same pairs in every column: one call per set of defined pairs
             patterns, column_pattern = np.unique(defined, axis=1, return_inverse=True)
             medians = np.empty(width)

@@ -7,7 +7,8 @@ gate, which the parser appends to without building an object per gate.
 """
 from __future__ import annotations
 
-from dataclasses import FrozenInstanceError, dataclass
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Sequence
 
 UNITARY = "unitary"
@@ -64,6 +65,7 @@ def _view_gate(name: str, qubits: tuple[int, ...], params: tuple[float, ...], ki
     return gate
 
 
+@dataclass(frozen=True, init=False, repr=False)
 class Circuit:
     """An ordered gate list over ``num_qubits`` qubits, stored as columns.
 
@@ -72,16 +74,22 @@ class Circuit:
     gates)`` builds a circuit from :class:`Gate` objects and keeps them;
     :meth:`from_columns` builds one from its columns, as the parser does.
     ``gates`` is a read-only tuple of Gates: those given, or, for a circuit
-    built from columns, Gates built once on first access. Equality, hash and
-    repr are those of ``(num_qubits, gates)``.
+    built from columns, Gates built once on first access. Equality and hash
+    are those of the columns, repr that of ``(num_qubits, gates)``.
     """
+
+    num_qubits: int
+    names: tuple[str, ...]
+    kinds: tuple[str, ...]
+    qubits: tuple[tuple[int, ...], ...]
+    params: tuple[tuple[float, ...], ...]
 
     def __init__(self, num_qubits: int, gates: Iterable[Gate] = ()):
         gates = tuple(gates)
         self.__dict__.update(
             num_qubits=num_qubits, names=tuple(g.name for g in gates),
             kinds=tuple(g.kind for g in gates), qubits=tuple(g.qubits for g in gates),
-            params=tuple(g.params for g in gates), _gates=gates)
+            params=tuple(g.params for g in gates), gates=gates)
 
     @classmethod
     def from_columns(cls, num_qubits: int, names: Sequence[str], kinds: Sequence[str],
@@ -92,30 +100,12 @@ class Circuit:
             raise ValueError("circuit columns differ in length")
         circuit = object.__new__(cls)
         circuit.__dict__.update(num_qubits=num_qubits, names=tuple(names), kinds=tuple(kinds),
-                                qubits=tuple(qubits), params=tuple(params), _gates=None)
+                                qubits=tuple(qubits), params=tuple(params))
         return circuit
 
-    @property
+    @cached_property
     def gates(self) -> tuple[Gate, ...]:
-        if self._gates is None:
-            self.__dict__["_gates"] = tuple(map(_view_gate, self.names, self.qubits, self.params,
-                                                self.kinds))
-        return self._gates
-
-    def __setattr__(self, name, value):
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise FrozenInstanceError(f"cannot delete field {name!r}")
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return ((self.num_qubits, self.names, self.kinds, self.qubits, self.params)
-                == (other.num_qubits, other.names, other.kinds, other.qubits, other.params))
-
-    def __hash__(self):
-        return hash((self.num_qubits, self.gates))
+        return tuple(map(_view_gate, self.names, self.qubits, self.params, self.kinds))
 
     def __repr__(self):
         return f"{self.__class__.__qualname__}(num_qubits={self.num_qubits!r}, gates={self.gates!r})"

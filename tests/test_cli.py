@@ -416,6 +416,20 @@ def test_compare_bad_manifest_exits_5(tmp_path, compare_setup, capsys):
     assert "/bases" in err
 
 
+def test_compare_without_a_base_of_two_versions_exits_5_naming_the_manifest(tmp_path, compare_setup,
+                                                                           capsys):
+    _, table, _ = compare_setup
+    singles = tmp_path / "singles.json"
+    singles.write_text(json.dumps({"bases": [
+        {"name": base, "versions": [{"compiler": "qk", "file": f"{base}_qk.qasm"}]}
+        for base in ("b0", "b1")]}))
+    code, out, err = run(capsys, "compare", str(singles), "--metrics", "traditional",
+                         "--durations", str(table), "--out", str(tmp_path / "out"))
+    assert (code, out) == (5, "")
+    assert err == f"{singles}: no base circuit has two or more versions\n"
+    assert not (tmp_path / "out").exists()
+
+
 def test_compare_repeated_metric_exits_4(compare_setup, tmp_path, capsys):
     manifest, table, _ = compare_setup
     code, _, err = run(capsys, "compare", str(manifest), "--metrics", "traditional,traditional",
@@ -715,6 +729,33 @@ def test_demo_outputs_byte_identical(tmp_path, monkeypatch, capsys):
     digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
                for name in DEMO_SHA256}
     assert digests == DEMO_SHA256
+
+
+@pytest.mark.parametrize("w_s", [0.0, 0.093, 0.37, 1.0])
+def test_sweep_median_is_the_compare_median_of_the_same_weight_map(w_s, tmp_path, monkeypatch,
+                                                                    capsys):
+    """On each demo device, sweep's median at w_s is, as written text, the
+    gate-aware median compare writes for the weight map rz 0, ecr 1 and w_s
+    for every other gate name of the demo."""
+    monkeypatch.chdir(DEMO)
+    weights = tmp_path / "weights.json"
+    weights.write_text(json.dumps({"architecture": "eagle-demo",
+                                   "weights": {"rz": 0.0, "ecr": 1.0, "sx": w_s, "x": w_s}}))
+    tables = [f"durations_device{d}.json" for d in range(3)]
+    assert run(capsys, "sweep", "manifest.json", "--durations", *tables,
+               "--grid", f"{w_s}:{w_s}:1", "--out", str(tmp_path / "sweep.csv"))[0] == 0
+    with open(tmp_path / "sweep.csv", newline="", encoding="utf-8") as fh:
+        swept = {device: median for _, device, median in list(csv.reader(fh))[1:]}
+    compared = {}
+    for table in tables:
+        out = tmp_path / table
+        assert run(capsys, "compare", "manifest.json", "--metrics", "gateaware", "--durations", table,
+                   "--weights", str(weights), "--out", str(out))[0] == 0
+        summary = json.loads((out / "summary.json").read_text(encoding="utf-8"), parse_float=str)
+        device = json.loads(Path(table).read_text(encoding="utf-8"))["device"]
+        compared[device] = summary["metrics"]["gateaware"]["percent_re"]["median"]
+    assert len(compared) == 3
+    assert compared == swept
 
 
 def test_the_demo_generator_rewrites_the_bundled_demo(tmp_path, monkeypatch):

@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 from conftest import random_circuit
 from gatedepth import compare
 from gatedepth.calibration import DurationTable
-from gatedepth.compare import (FLAG_ZERO_DELTA_RUNTIME, SweepPoint, SweepResult,
+from gatedepth.compare import (FLAG_ZERO_DELTA_RUNTIME, FLAG_ZERO_METRIC_BASE,
+                               FLAG_ZERO_RUNTIME_BASE, PairComparison, SweepPoint, SweepResult,
                                VersionRecord, all_pairs, identification_accuracy,
                                identify_optimal, percent_relative_error,
                                relative_difference, summarize_distribution,
@@ -120,6 +121,52 @@ def test_zero_metric_base_flagged():
     records = [rec("b", "a", 0, 1e-4), rec("b", "b", 2, 2e-4)]
     (pair,) = all_pairs(records, "m")
     assert pair.delta_metric is None and pair.percent_re is None
+
+
+def reference_all_pairs(records, metric):
+    """all_pairs done the direct way: one pair at a time, with the scalar
+    definitions relative_difference and percent_relative_error."""
+    comparisons = []
+    for i, j in zip(*compare._oriented_pairs([(rec.base, rec.compiler) for rec in records]).tolist()):
+        rec1, rec2 = records[i], records[j]
+        flags = []
+        delta_metric = delta_runtime = percent_re = None
+        if rec2.metrics[metric] == 0:
+            flags.append(FLAG_ZERO_METRIC_BASE)
+        else:
+            delta_metric = relative_difference(rec1.metrics[metric], rec2.metrics[metric])
+        if rec2.runtime_s == 0:
+            flags.append(FLAG_ZERO_RUNTIME_BASE)
+        else:
+            delta_runtime = relative_difference(rec1.runtime_s, rec2.runtime_s)
+        if delta_metric is not None and delta_runtime is not None:
+            if delta_runtime == 0:
+                flags.append(FLAG_ZERO_DELTA_RUNTIME)
+            else:
+                percent_re = percent_relative_error(delta_metric, delta_runtime)
+        comparisons.append(PairComparison(rec1.base, rec1.compiler, rec2.compiler, metric,
+                                          delta_metric, delta_runtime, percent_re, tuple(flags)))
+    return comparisons
+
+
+# Records for the differential test below: a base may have one version; zero
+# metric bases, zero runtimes and equal runtimes of two versions are common;
+# metric values may be ints
+RECORDS = st.lists(
+    st.tuples(st.sampled_from(("b0", "b1", "b2")), st.sampled_from(("alpha", "beta", "gamma", "delta")),
+              st.one_of(st.integers(0, 3), st.sampled_from((0.0, 0.5, 2.0)), st.floats(0, 1e6)),
+              st.one_of(st.sampled_from((0, 0.0, 1e-7, 2e-7)), st.floats(0, 1e-3))),
+    max_size=10, unique_by=lambda t: t[:2],
+).map(lambda ts: [rec(base, compiler, value, runtime) for base, compiler, value, runtime in ts])
+
+
+@given(records=RECORDS)
+@settings(max_examples=300)
+def test_all_pairs_equals_reference_all_pairs(records):
+    """Every value, None and flag of the array kernel is the scalar path's.
+    Compared as reprs, which tell every float apart: a nan %RE (from a
+    runtime difference that overflows to inf) is unequal to itself."""
+    assert repr(all_pairs(records, "m")) == repr(reference_all_pairs(records, "m"))
 
 
 def test_duplicate_compiler_rejected():
@@ -291,7 +338,8 @@ def reference_sweep(versions, tables, grid) -> SweepResult:
             records = [VersionRecord(base, compiler, {"gateaware": gate_aware_depth(c, wmap)},
                                      estimate_runtime(c, table))
                        for base, compiler, c in versions]
-            res = [p.percent_re for p in all_pairs(records, "gateaware") if p.percent_re is not None]
+            res = [p.percent_re for p in reference_all_pairs(records, "gateaware")
+                   if p.percent_re is not None]
             median = summarize_distribution(res).median
             points.append(SweepPoint(w_s, table.device, median))
             if best is None or median < best[0]:
