@@ -9,7 +9,6 @@ Usage: python3 demo/generate_demo.py
 """
 from __future__ import annotations
 
-import json
 import random
 from pathlib import Path
 
@@ -18,6 +17,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from gatedepth.calibration import DurationTable, configure_weights
 from gatedepth.ir import Circuit, Gate
+from gatedepth.metrics import write_json
 from gatedepth.qasm import unparse
 
 ROOT = Path(__file__).resolve().parent
@@ -73,7 +73,7 @@ def main():
             entry["versions"].append({"compiler": compiler, "file": f"circuits/{fname}"})
             circuits.append(circuit)
         manifest["bases"].append(entry)
-    (ROOT / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
+    write_json(ROOT / "manifest.json", manifest)
 
     # per-location durations with ~5% device-to-device and location spread
     keys = sorted({(g.name, g.qubits) for c in circuits for g in c.gates})

@@ -8,11 +8,10 @@ average, so the slowest gate gets weight exactly 1.0 and virtual gates
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
-from .metrics import WeightMap, nonnegative_number
+from .metrics import WeightMap, nonnegative_number, read_json, write_json
 
 
 class DurationTableError(ValueError):
@@ -56,9 +55,7 @@ class DurationTable:
         }
 
     def save(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_dict(), fh, indent=2)
-            fh.write("\n")
+        write_json(path, self.to_dict())
 
 
 def duration_table_from_dict(data: dict) -> DurationTable:
@@ -98,12 +95,7 @@ def duration_table_from_dict(data: dict) -> DurationTable:
 
 
 def load_duration_table(path) -> DurationTable:
-    with open(path, encoding="utf-8") as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise DurationTableError(f"invalid JSON: {exc}") from exc
-    return duration_table_from_dict(data)
+    return duration_table_from_dict(read_json(path, DurationTableError))
 
 
 @dataclass(frozen=True)

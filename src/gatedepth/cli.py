@@ -28,7 +28,7 @@ from . import __version__
 from .calibration import DurationTable, configure_weights, load_duration_table
 from .compare import (PairComparison, VersionRecord, all_pairs, identification_accuracy,
                       summarize_distribution, sweep_single_qubit_weight)
-from .metrics import MissingWeightError, WeightMap, increments, sweep
+from .metrics import MissingWeightError, WeightMap, increments, read_json, sweep, write_json
 from .qasm import QasmParseError, parse_file
 from .runtime import UnresolvedDurationError, durations
 # not called here: bench/tracing.py wraps these names in this module
@@ -81,12 +81,6 @@ def _write(path, write, *args, **kwargs) -> None:
         write(path, *args, **kwargs)
     except OSError as exc:
         raise CliError(EXIT_CONFIG, f"{path}: {exc.strerror or exc}")
-
-
-def _save_json(path, document) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(document, fh, indent=2)
-        fh.write("\n")
 
 
 def _save_csv(path, header, rows) -> None:
@@ -176,11 +170,7 @@ def cmd_estimate(args) -> int:
 def _load_manifest(path: str) -> list[tuple[str, str, str]]:
     """The (base name, compiler id, file path) of every version, in manifest
     order; a relative file path is taken from the manifest's directory."""
-    with open(path, encoding="utf-8") as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"invalid JSON: {exc}") from None
+    data = read_json(path)
     bases = data.get("bases") if isinstance(data, dict) else None
     if not isinstance(bases, list) or not bases:
         raise ValueError("/bases: required non-empty array")
@@ -252,9 +242,9 @@ def cmd_compare(args) -> int:
     _write(args.out, os.makedirs, exist_ok=True)
     _write(out_dir / "pairs.csv", _save_csv, [f.name for f in fields(PairComparison)],
            [row.values() for row in pairs])
-    _write(out_dir / "report.json", _save_json,
+    _write(out_dir / "report.json", write_json,
            {"records": [vars(r) for r in records], "pairs": pairs})
-    _write(out_dir / "summary.json", _save_json, summary)
+    _write(out_dir / "summary.json", write_json, summary)
 
     for metric in metrics:
         m = summary["metrics"][metric]
@@ -282,7 +272,10 @@ def _parse_grid(spec: str) -> list[float]:
         raise CliError(EXIT_CONFIG, f"invalid grid {spec!r}; more than {MAX_GRID_POINTS} points")
     n = round(span) + 1
     grid = [round(start + i * step, 12) for i in range(n)]
-    return [g for g in grid if g <= stop + 1e-12]
+    grid = [g for g in grid if g <= stop + 1e-12]
+    if len(set(grid)) < len(grid):  # rounding keeps the order, so points collide as repeats
+        raise CliError(EXIT_CONFIG, f"invalid grid {spec!r}; points collide at 12 decimals")
+    return grid
 
 
 def cmd_sweep(args) -> int:
@@ -361,10 +354,18 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
     except CliError as exc:
         print(str(exc), file=sys.stderr)
         return exc.code
+    except BrokenPipeError:  # the reader closed stdout; the flush at exit then writes nowhere
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        print("<stdout>: Broken pipe", file=sys.stderr)
+        return EXIT_CONFIG
 
 
 if __name__ == "__main__":

@@ -41,6 +41,25 @@ def nonnegative_number(value, label: str, error: type[ValueError] = ValueError) 
     return num
 
 
+def read_json(path, error: type[ValueError] = ValueError):
+    """The JSON document in the UTF-8 file ``path``. Text that does not
+    decode, or is nested too deep to, raises ``error("invalid JSON: ...")``;
+    bytes that are not UTF-8 raise the read's ``UnicodeDecodeError``."""
+    with open(path, encoding="utf-8") as fh:
+        text = fh.read()
+    try:
+        return json.loads(text)
+    except (ValueError, RecursionError) as exc:
+        raise error(f"invalid JSON: {exc}") from exc
+
+
+def write_json(path, document) -> None:
+    """Write ``document`` to ``path`` as JSON indented 2, ending in a newline."""
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(document, fh, indent=2)  # streamed, so a report is never held as one string
+        fh.write("\n")
+
+
 @dataclass(frozen=True)
 class WeightMap:
     """Gate-name -> dimensionless weight in [0, 1] for one architecture."""
@@ -58,7 +77,8 @@ class WeightMap:
         return self.weights[name]
 
     def to_dict(self) -> dict:
-        return {"architecture": self.architecture or "", "weights": dict(self.weights)}
+        return {"architecture": self.architecture or "",
+                "weights": dict(sorted(self.weights.items()))}
 
     @classmethod
     def from_dict(cls, data) -> "WeightMap":
@@ -69,14 +89,11 @@ class WeightMap:
         return cls(weights=data["weights"], architecture=data.get("architecture") or None)
 
     def save(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        write_json(path, self.to_dict())
 
     @classmethod
     def load(cls, path) -> "WeightMap":
-        with open(path, encoding="utf-8") as fh:
-            return cls.from_dict(json.load(fh))
+        return cls.from_dict(read_json(path))
 
 
 class MissingWeightError(KeyError):

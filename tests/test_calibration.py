@@ -92,6 +92,15 @@ def test_load_serialize_load_identical(tmp_path):
     assert loaded == load_duration_table(p2) == table
 
 
+def test_nested_document_is_invalid_json(tmp_path):
+    """Nested past the decoder's limit, a document is invalid JSON (RFC 8259
+    section 9 lets a parser limit nesting), not a RecursionError."""
+    path = tmp_path / "nested.json"
+    path.write_bytes(b"[" * 100_000)
+    with pytest.raises(DurationTableError, match="invalid JSON"):
+        load_duration_table(path)
+
+
 # --- summarize ----------------------------------------------------------
 
 def test_summarize_two_point_mean():

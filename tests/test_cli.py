@@ -5,7 +5,10 @@ import importlib
 import importlib.util
 import io
 import json
+import os
 import random
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -171,7 +174,8 @@ def test_depth_on_any_bytes_exits_0_or_2(data, fuzz_qasm):
     assert "Traceback" not in err.getvalue()
 
 
-@pytest.mark.parametrize("unreadable", ["missing", "directory", "not-utf8", "not-json", "schema"])
+@pytest.mark.parametrize("unreadable", ["missing", "directory", "not-utf8", "not-json", "schema",
+                                        "nested"])
 @pytest.mark.parametrize("loader, expected", [
     ("qasm", 2), ("durations", 4), ("second-table", 4), ("weights", 4), ("manifest", 5),
 ])
@@ -184,7 +188,7 @@ def test_unreadable_input_exits_with_its_loader_code(loader, expected, unreadabl
         bad.mkdir()
     elif unreadable != "missing":
         bad.write_bytes({"not-utf8": b'OPENQASM 2.0; {"\xff": 1}\n', "not-json": b'{"device"\n',
-                         "schema": b"[1, 2]\n"}[unreadable])
+                         "schema": b"[1, 2]\n", "nested": b"[" * 100_000}[unreadable])
     argv = {
         "qasm": ["depth", "--metric", "traditional", str(bad)],
         "durations": ["estimate", "--durations", str(bad), ref_qasm],
@@ -196,7 +200,7 @@ def test_unreadable_input_exits_with_its_loader_code(loader, expected, unreadabl
     code, out, err = run(capsys, *argv)
     assert code == expected
     assert out == ""
-    located = loader == "qasm" and unreadable in ("not-json", "schema")
+    located = loader == "qasm" and unreadable in ("not-json", "schema", "nested")
     assert err.startswith(f"{bad}:1:1: error: " if located else f"{bad}: ")
     assert err.count(str(bad)) == 1 and err.count("\n") == 1
 
@@ -578,6 +582,7 @@ def test_sweep_negative_grid_start_exits_4(compare_setup, capsys):
 
 @pytest.mark.parametrize("spec", [
     "0:inf:1", "nan:1:0.1", "0:1:inf", "0:1:1e-9", "0:1:1e-6", "-1e308:1e308:1e-300",
+    "0:1e-11:1e-13", "1000000:1000000.000000001:1e-12",
 ])
 def test_grid_not_finite_or_too_many_points_exits_4(spec):
     with pytest.raises(CliError) as exc:
@@ -694,6 +699,23 @@ def test_the_cli_looks_up_each_traced_name_when_it_calls_it(monkeypatch, tmp_pat
                  ["sweep", "manifest.json", "--durations", *tables, "--grid", "0:1:0.5"]):
         assert run(capsys, *argv)[0] == 0
     assert [name for name, n in calls.items() if n == 0] == []
+
+
+def test_closed_stdout_exits_4_with_one_line():
+    """30,003 CSV rows overflow a pipe buffer, so sweep is still writing when
+    its reader closes the pipe after one line."""
+    tables = [str(DEMO / f"durations_device{d}.json") for d in range(3)]
+    env = {**os.environ, "PYTHONPATH": str(Path(gatedepth.cli.__file__).parents[1])}
+    proc = subprocess.Popen([sys.executable, "-m", "gatedepth.cli", "sweep",
+                             str(DEMO / "manifest.json"), "--durations", *tables,
+                             "--grid", "0:1:0.0001"],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    assert proc.stdout.readline() == b"w_s,device,median_percent_re\n"
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=120)
+    assert proc.returncode == 4
+    assert b"Traceback" not in err and b"Exception ignored" not in err
+    assert err == b"<stdout>: Broken pipe\n"
 
 
 # --- byte identity on the bundled demo ------------------------------------

@@ -125,6 +125,22 @@ def test_negative_weight_rejected():
         WeightMap({"x": -0.1})
 
 
+def test_weight_map_saves_names_sorted(tmp_path):
+    path = tmp_path / "weights.json"
+    WeightMap({"x": 0.1, "ecr": 1.0, "rz": 0.0}, "eagle").save(path)
+    assert path.read_text(encoding="utf-8") == (
+        '{\n  "architecture": "eagle",\n  "weights": {\n    "ecr": 1.0,\n'
+        '    "rz": 0.0,\n    "x": 0.1\n  }\n}\n')
+    assert WeightMap.load(path) == WeightMap({"ecr": 1.0, "rz": 0.0, "x": 0.1}, "eagle")
+
+
+def test_weight_map_nested_document_is_invalid_json(tmp_path):
+    path = tmp_path / "nested.json"
+    path.write_bytes(b"[" * 100_000)
+    with pytest.raises(ValueError, match="invalid JSON"):
+        WeightMap.load(path)
+
+
 # --- equivalence and bounding properties --------------------------------
 
 @given(seed=st.integers(0, 10_000))
