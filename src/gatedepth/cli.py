@@ -7,8 +7,9 @@ Subcommands:
     compare   run the pairwise %RE and identification analyses over a manifest
     sweep     sweep the single-qubit weight w_s over a grid
 
-Exit codes: 0 ok, 2 parse error, 3 unresolved weight/duration,
-4 configuration error or unwritable output, 5 manifest error.
+Exit codes: 0 ok, 2 parse error, 3 unresolved weight/duration or a depth or
+runtime past the largest float, 4 configuration error or unwritable output,
+5 manifest error.
 """
 from __future__ import annotations
 
@@ -112,7 +113,8 @@ def _weights_for(metrics: tuple[str, ...], path: str | None) -> dict | None:
 
 def _sweep_values(path: str, circuit, metrics: tuple, weights, table, barrier: str) -> list:
     """One sweep of a column per requested metric, in order, then the runtime
-    if ``table`` is given; a missing weight exits 3 before a missing duration."""
+    if ``table`` is given; a missing weight exits 3 before a missing duration,
+    and a value past the largest float exits 3 after both."""
     try:
         columns = [increments(circuit, m, weights) for m in metrics]
         if table is not None:
@@ -120,8 +122,13 @@ def _sweep_values(path: str, circuit, metrics: tuple, weights, table, barrier: s
     except (MissingWeightError, UnresolvedDurationError) as exc:
         raise CliError(EXIT_RESOLUTION, f"{path}: {exc.args[0]}")
     if len(columns) == 1:
-        return [sweep(circuit, columns[0], barrier)]
-    return sweep(circuit, np.column_stack(columns), barrier, len(columns)).tolist()
+        values = [sweep(circuit, columns[0], barrier)]
+    else:
+        values = sweep(circuit, np.column_stack(columns), barrier, len(columns)).tolist()
+    for key, value in zip([DEPTH_KEYS[m] for m in metrics] + ["runtime_s"], values):
+        if not math.isfinite(value):
+            raise CliError(EXIT_RESOLUTION, f"{path}: {key} is {value}: a sum past the largest float")
+    return values
 
 
 # ---------------------------------------------------------------- depth ---
@@ -286,7 +293,7 @@ def cmd_sweep(args) -> int:
                 for base, compiler, path in manifest]
     try:
         result = sweep_single_qubit_weight(versions, tables, grid)
-    except UnresolvedDurationError as exc:
+    except (UnresolvedDurationError, OverflowError) as exc:
         raise CliError(EXIT_RESOLUTION, exc.args[0])
     except ValueError as exc:  # the grid is valid, so a point has no defined %RE
         raise CliError(EXIT_MANIFEST, str(exc))

@@ -259,7 +259,8 @@ def sweep_single_qubit_weight(
     block. Ties in the argmin go to the smallest w_s. A grid value that
     is not a finite number >= 0, or a point where no pair has a defined
     %RE, raises ``ValueError``; a gate without a duration raises
-    :class:`UnresolvedDurationError` naming the base and compiler id.
+    :class:`UnresolvedDurationError`, and a runtime or depth past the
+    largest float ``OverflowError``, naming the base and compiler id.
     """
     for w_s in grid:
         nonnegative_number(w_s, "w_s")
@@ -272,8 +273,11 @@ def sweep_single_qubit_weight(
         except UnresolvedDurationError as exc:
             exc.args = (f"base {base!r}, compiler {compiler!r}: {exc.args[0]}",)
             raise
-        runtimes.append(sweep(c, columns[0] if len(tables) == 1 else np.array(columns).T,
-                              width=len(tables)))
+        runtime = sweep(c, columns[0] if len(tables) == 1 else np.array(columns).T, width=len(tables))
+        if not np.isfinite(runtime).all():
+            raise OverflowError(f"base {base!r}, compiler {compiler!r}: runtime is inf: "
+                                f"a sum past the largest float")
+        runtimes.append(runtime)
     runtimes = np.array(runtimes).reshape(len(versions), len(tables)).T  # one row per device
     c1, c2 = _oriented_pairs([(base, compiler) for base, compiler, _ in versions])
     points: list[list[SweepPoint]] = [[] for _ in tables]
@@ -285,6 +289,11 @@ def sweep_single_qubit_weight(
         weights = defaultdict(lambda: ws, dict.fromkeys(multiqubit, ones), rz=zeros)
         depths = np.array([sweep(c, increments(c, "gateaware", weights), width=width)
                            for *_, c in versions]).reshape(len(versions), width)
+        if not np.isfinite(depths).all():
+            v, k = np.argwhere(~np.isfinite(depths))[0]
+            base, compiler, _ = versions[v]
+            raise OverflowError(f"base {base!r}, compiler {compiler!r}: gate-aware depth at "
+                                f"w_s={block[k]} is inf: a sum past the largest float")
         for table, r, table_points in zip(tables, runtimes, points):
             *_, percent_re, zero = _pair_errors(depths, r, c1, c2)
             defined = ~zero.any(axis=0)

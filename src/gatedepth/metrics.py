@@ -116,21 +116,24 @@ def sweep(circuit: Circuit, increments: Sequence, barrier: str = BARRIER_SKIP,
     place, so one array may be shared. Only touched qubits keep a depth.
     Barriers never increment (their row is ignored); with
     ``barrier="sync"`` they propagate the max depth across their operands,
-    with the default ``"skip"`` they are ignored entirely.
+    with the default ``"skip"`` they are ignored entirely. A sum past the
+    largest float is inf, in a numpy row as in a float, with no warning;
+    callers that report a depth check that it is finite.
     """
     zero, maximum = (0.0, max) if width == 1 else (np.zeros(width), np.maximum)
     depths: dict[int, float | np.ndarray] = {}
     get = depths.get
-    for kind, qubits, row in zip(circuit.kinds, circuit.qubits, increments):
-        if kind == BARRIER and barrier != BARRIER_SYNC:
-            continue
-        top = get(qubits[0], zero)
-        for q in qubits[1:]:
-            top = maximum(top, get(q, zero))
-        if kind != BARRIER:
-            top = top + row
-        for q in qubits:
-            depths[q] = top
+    with np.errstate(over="ignore"):
+        for kind, qubits, row in zip(circuit.kinds, circuit.qubits, increments):
+            if kind == BARRIER and barrier != BARRIER_SYNC:
+                continue
+            top = get(qubits[0], zero)
+            for q in qubits[1:]:
+                top = maximum(top, get(q, zero))
+            if kind != BARRIER:
+                top = top + row
+            for q in qubits:
+                depths[q] = top
     return reduce(maximum, depths.values(), zero)
 
 

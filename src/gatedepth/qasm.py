@@ -128,6 +128,26 @@ def _tokens(text: str, offset: int = 0) -> Iterator[_Token]:
             yield new(_Token, (lexeme if kind == "symbol" else kind, lexeme, m.start()))
 
 
+# The parameter-expression evaluator reads lexemes, the texts of tokens. On
+# the fast path one ``findall`` of this regex cuts a parameter text into
+# them: its alternatives are _TOKEN_RE's, in the same order, and whitespace
+# matches none of them, so findall skips it. Any other character is a
+# lexeme of its own, as it is a "bad" token. A text holds no "//" there.
+_LEXEME_RE = re.compile(
+    r"""
+    (?:\d+\.\d*|\.\d+)(?:[eE][+-]?\d+)?|\d+[eE][+-]?\d+
+  | \d+
+  | [A-Za-z_][A-Za-z0-9_]*
+  | "[^"\n]*"
+  | ->|[;,()\[\]{}*/+\-]
+  | [^ \t\r\n]
+    """,
+    re.VERBOSE | re.ASCII,
+)
+# the first characters of a number lexeme, with a "." that has more after it
+_DIGITS = frozenset("0123456789")
+
+
 # The statement fast path. One match reads ``name[(params)] reg[i](, reg[j])*;``
 # with an optional ``-> creg[j]`` before the ';' (a measure), after what the
 # tokenizer skips. Identifiers end where the tokenizer's do; an index has at
@@ -165,7 +185,67 @@ def _int_literal(text: str) -> int | None:
 
 class _Skip(Exception):
     """A statement failed with the diagnostic ``(token, message)`` in its
-    args; ``recover`` records it and skips to just past the next ';'."""
+    args; ``recover`` records it and skips to just past the next ';'.
+    :func:`_expression` raises it with a lexeme's index for the token."""
+
+
+def _expected(what: str, found: str) -> str:
+    """The message that ``what`` was expected where the text ``found`` is."""
+    return f"expected {what}, found {found!r}" if found else f"expected {what}, found end of input"
+
+
+def _expression(lexemes: list[str], i: int, depth: int = 0) -> tuple[float, int]:
+    """The value of the parameter expression at ``lexemes[i]``, inside
+    ``depth`` parentheses, and the index of the lexeme after it.
+
+    Terms are joined by '+' and '-'; a term is factors joined by '*' and
+    '/'; a factor is signs before a number, ``pi`` or a parenthesized
+    expression. Lexemes are read by index: they end in a ';' or in "", the
+    end of input, which no expression takes. Only a parenthesis recurses.
+    A failure raises ``_Skip(index, message)`` at the lexeme's index."""
+    total = term = 0.0
+    add = mul = None  # the operators before the current term and factor
+    while True:
+        lex = lexemes[i]
+        negate = False
+        while lex == "+" or lex == "-":
+            negate ^= lex == "-"
+            i += 1
+            lex = lexemes[i]
+        first = lex[:1]
+        if first in _DIGITS or first == "." and len(lex) > 1:
+            value = float(lex)
+        elif lex == "pi":
+            value = math.pi
+        elif lex == "(" and depth < MAX_PAREN_DEPTH:
+            value, i = _expression(lexemes, i + 1, depth + 1)
+            if lexemes[i] != ")":
+                raise _Skip(i, _expected(")", lexemes[i]))
+        elif lex == "(":
+            raise _Skip(i, f"parameter expression nests parentheses deeper than {MAX_PAREN_DEPTH}")
+        else:
+            raise _Skip(i, f"expected parameter expression, found {lex!r}")
+        i += 1
+        if negate:
+            value = -value
+        if mul is None:
+            term = value
+        elif mul == "*":
+            term *= value
+        elif value == 0:
+            raise _Skip(i, "division by zero in parameter expression")
+        else:
+            term /= value
+        op = lexemes[i]
+        if op == "*" or op == "/":
+            mul = op
+            i += 1
+            continue
+        total = term if add is None else total + term if add == "+" else total - term
+        if op != "+" and op != "-":
+            return total, i
+        add, mul = op, None
+        i += 1
 
 
 class _Parser:
@@ -242,7 +322,7 @@ class _Parser:
     def expected(self, what: str) -> tuple[_Token, str]:
         """The next token, and the message that ``what`` was expected there."""
         tok = self.peek()
-        return tok, f"expected {what}, found {tok.text!r}" if tok.text else f"expected {what}, found end of input"
+        return tok, _expected(what, tok.text)
 
     def expect(self, kind: str, what: str | None = None) -> _Token:
         if self.peek().kind == kind:
@@ -348,20 +428,19 @@ class _Parser:
     def evaluate(self, text: str) -> float | None:
         """The value of one parameter expression, or None if the grammar
         rejects the text: ``float`` reads a plain number, the grammar's own
-        evaluator anything else. This replaces the token list, so it runs
-        only between statements."""
+        evaluator the lexemes of anything else."""
         if _NUMBER_CHARS.issuperset(text):
             try:
                 return float(text)
             except ValueError:
                 pass
-        self.tokens = [*_tokens(text), _Token("eof", "", len(text))]
-        self.i = 0
+        lexemes = _LEXEME_RE.findall(text)
+        lexemes.append("")
         try:
-            value = self.parse_expression()
+            value, i = _expression(lexemes, 0)
         except _Skip:
             return None
-        return value if self.tokens[self.i].kind == "eof" else None
+        return value if lexemes[i] == "" else None
 
     # --- grammar -------------------------------------------------------
     def parse_program(self):
@@ -475,6 +554,18 @@ class _Parser:
                            f"for register {name.text!r} of size {size}")
         return range(offset + k, offset + k + 1)
 
+    def parse_expression(self, lexemes: list[str]) -> float:
+        """The value of the parameter expression at the next token, read by
+        :func:`_expression` from ``lexemes``, the texts of ``self.tokens``;
+        a failure is reported at its token. After a failure ``self.i`` lags,
+        but ``recover`` skips to the same ';'."""
+        try:
+            value, self.i = _expression(lexemes, self.i)
+        except _Skip as skip:
+            index, message = skip.args
+            self.fail(self.tokens[index], message)
+        return value
+
     def fits(self, tok: _Token, count: int) -> bool:
         """Whether ``count`` more gates keep the program within MAX_GATES;
         if not, record the error at the statement's first token ``tok``."""
@@ -513,7 +604,9 @@ class _Parser:
         params: list[float] = []
         if self.accept("("):
             if self.peek().kind != ")":
-                params = self.comma_list(self.parse_expression)
+                # the statement's tokens end in its ';' or the end of input
+                lexemes = [tok.text for tok in self.tokens]
+                params = self.comma_list(lambda: self.parse_expression(lexemes))
             self.expect(")")
 
         if gate_name == "delay":
@@ -552,63 +645,6 @@ class _Parser:
                 self.error(name, f"gate {gate_name!r} applied to duplicate qubits {list(qubits)}")
                 return
             self.append(gate_name, kind, qubits, params)
-
-    # --- pi-expression evaluation (precedence: unary -, * /, + -) ------
-    def parse_expression(self, depth: int = 0) -> float:
-        """The value of terms joined by '+' and '-' inside ``depth``
-        parentheses; a term is factors joined by '*' and '/', and a factor
-        signs before a number, ``pi`` or a parenthesized expression. Tokens
-        are read by index: a statement's tokens end in a ';' or the end of
-        input, which no expression takes. Only a parenthesis recurses. After
-        a failure ``self.i`` may lag, but ``recover`` skips to the same ';'."""
-        tokens = self.tokens
-        i = self.i
-        total = term = 0.0
-        add = mul = None  # the operators before the current term and factor
-        while True:
-            tok = tokens[i]
-            negate = False
-            while tok.kind in ("+", "-"):
-                negate ^= tok.kind == "-"
-                i += 1
-                tok = tokens[i]
-            i += 1
-            if tok.kind in ("real", "int"):
-                value = float(tok.text)
-            elif tok.kind == "id" and tok.text == "pi":
-                value = math.pi
-            elif tok.kind == "(" and depth < MAX_PAREN_DEPTH:
-                self.i = i
-                value = self.parse_expression(depth + 1)
-                i = self.i
-                if tokens[i].kind != ")":
-                    self.fail(*self.expected(")"))
-                i += 1
-            elif tok.kind == "(":
-                self.fail(tok, f"parameter expression nests parentheses deeper than {MAX_PAREN_DEPTH}")
-            else:
-                self.fail(tok, f"expected parameter expression, found {tok.text!r}")
-            if negate:
-                value = -value
-            if mul is None:
-                term = value
-            elif mul == "*":
-                term *= value
-            elif value == 0:
-                self.fail(tokens[i], "division by zero in parameter expression")
-            else:
-                term /= value
-            op = tokens[i].kind
-            if op in ("*", "/"):
-                mul = op
-                i += 1
-                continue
-            total = term if add is None else total + term if add == "+" else total - term
-            if op not in ("+", "-"):
-                self.i = i
-                return total
-            add, mul = op, None
-            i += 1
 
 
 def parse_program(text: str) -> ParseResult:

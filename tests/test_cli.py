@@ -9,6 +9,7 @@ import os
 import random
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -592,6 +593,56 @@ def test_grid_not_finite_or_too_many_points_exits_4(spec):
 
 def test_grid_at_point_limit_accepted():
     assert len(_parse_grid("0:0.999999:1e-6")) == MAX_GRID_POINTS
+
+
+# --- values past the largest float --------------------------------------
+
+PAST_MAX_FLOAT = "is inf: a sum past the largest float"
+
+
+def run_without_warnings(capsys, *argv):
+    """``run``, failing on any warning, such as numpy's on an overflow."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        return run(capsys, *argv)
+
+
+def test_a_runtime_past_the_largest_float_exits_3_and_writes_nothing(compare_setup, tmp_path,
+                                                                     capsys):
+    """Two gates of 1e308 s in a row take longer than the largest float:
+    JSON has no Infinity, so every command that sweeps runtimes stops,
+    with one line naming the file, or the base and the compiler id."""
+    manifest, table, weights = compare_setup
+    huge = tmp_path / "huge.json"
+    huge.write_text(json.dumps({"device": "huge", "architecture": "a", "entries": [],
+                                "defaults": {"cz": 1e308, "x": 1e308}}))
+    first = tmp_path / "b0_qk.qasm"
+    runs = [
+        (("estimate", "--durations", str(huge), str(first)), f"{first}: runtime_s {PAST_MAX_FLOAT}"),
+        (("compare", str(manifest), "--durations", str(huge), "--weights", str(weights),
+          "--out", str(tmp_path / "report")), f"{first}: runtime_s {PAST_MAX_FLOAT}"),
+        (("sweep", str(manifest), "--durations", str(table), str(huge), "--grid", "0:1:0.5",
+          "--out", str(tmp_path / "sweep.csv")),
+         f"base 'b0', compiler 'qk': runtime {PAST_MAX_FLOAT}"),
+    ]
+    for argv, message in runs:
+        assert run_without_warnings(capsys, *argv) == (3, "", message + "\n")
+    assert not (tmp_path / "report").exists() and not (tmp_path / "sweep.csv").exists()
+
+
+def test_a_depth_past_the_largest_float_exits_3(compare_setup, tmp_path, capsys):
+    """``x q[0]; x q[0];`` at a weight of 1e308 for ``depth``, and at
+    w_s = 9e307 on the grid of ``sweep``."""
+    manifest, table, _ = compare_setup
+    huge = tmp_path / "huge_weights.json"
+    huge.write_text(json.dumps({"architecture": "a", "weights": {"cz": 1.0, "x": 1e308}}))
+    twice = tmp_path / "b1_qk.qasm"
+    for metric in ("gateaware", "all"):
+        assert run_without_warnings(capsys, "depth", "--metric", metric, "--weights", str(huge),
+                                    str(twice)) == (3, "", f"{twice}: gate_aware_depth {PAST_MAX_FLOAT}\n")
+    assert run_without_warnings(capsys, "sweep", str(manifest), "--durations", str(table),
+                                "--grid", "0:1e308:1e307") == (
+        3, "", f"base 'b1', compiler 'qk': gate-aware depth at w_s=9e+307 {PAST_MAX_FLOAT}\n")
 
 
 # --- one sweep per circuit ---------------------------------------------

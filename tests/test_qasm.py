@@ -128,6 +128,15 @@ def test_diagnostic_positions():
     ("OPENQASM 2.0;\nqreg q[1];\ncreg a[1];\n  qreg a[2];\n",
      [(3, 1, "classical register 'a' accepted and ignored"),
       (4, 8, "duplicate register name 'a'")]),
+    # parameter-expression diagnostics of the grammar, each at its token
+    ("OPENQASM 2.0;\nqreg q[1];\n  rz((1 q[0];\n", [(3, 9, "expected ), found 'q'")]),
+    ("OPENQASM 2.0;\nqreg q[1];\nrz(1+) q[0];\n",
+     [(3, 6, "expected parameter expression, found ')'")]),
+    ("OPENQASM 2.0;\nqreg q[1];\nu3(pi,1/0*2,0) q[0];\n",
+     [(3, 10, "division by zero in parameter expression")]),
+    ("OPENQASM 2.0;\nqreg q[1];\nrz(pi\n\n", [(5, 1, "expected ), found end of input")]),
+    ("OPENQASM 2.0;\nqreg q[1];\nrz(" + "(" * 101 + "1" + ")" * 101 + ") q[0];\n",
+     [(3, 104, "parameter expression nests parentheses deeper than 100")]),
 ])
 def test_diagnostic_line_and_column(text, expected):
     result = parse_program(text)
@@ -652,6 +661,7 @@ EVALUATOR_HAZARDS = (
     "(" * MAX_PAREN_DEPTH + "1" + ")" * MAX_PAREN_DEPTH,
     "(" * (MAX_PAREN_DEPTH + 1) + "1" + ")" * (MAX_PAREN_DEPTH + 1),
     "-(" * MAX_PAREN_DEPTH + "pi" + ")/2" * MAX_PAREN_DEPTH,
+    "1\x0b2", "١", "\xa0", "p i", "pi_",
 )
 
 
@@ -679,6 +689,18 @@ token_soup = (st.lists(st.sampled_from(EXPRESSION_PIECES), min_size=1, max_size=
 @settings(max_examples=1000)
 def test_evaluator_equals_the_reference(piece):
     assert_read_as_the_reference_reads_it(piece)
+
+
+@given(piece=st.one_of(corpus_pieces, token_soup,
+                       st.lists(st.one_of(st.sampled_from(EXPRESSION_PIECES),
+                                          st.sampled_from(("\x0b", "\xa0", "١", '"', "@", "."))),
+                                min_size=1, max_size=12).map("".join)))
+@settings(max_examples=500)
+def test_the_lexeme_regex_cuts_a_piece_as_the_tokenizer_does(piece):
+    """The fast path's ``findall`` gives the texts of the grammar's tokens,
+    bad characters included, on every piece without a comment."""
+    if "//" not in piece:
+        assert qasm._LEXEME_RE.findall(piece) == [t.text for t in qasm._tokens(piece)]
 
 
 @given(source=st.one_of(qasm_texts, st.integers(0, 10_000)))
