@@ -8,6 +8,7 @@ single-qubit weight of a parameterized weight map over a grid.
 """
 from __future__ import annotations
 
+import math
 from collections import defaultdict
 from dataclasses import dataclass
 from itertools import compress
@@ -33,6 +34,8 @@ FLAG_ZERO_METRIC_BASE = "zero_metric_base"
 FLAG_ZERO_RUNTIME_BASE = "zero_runtime_base"
 # each leaves a pair's %RE undefined; a pair's flags are listed in this order
 ZERO_FLAGS = (FLAG_ZERO_METRIC_BASE, FLAG_ZERO_RUNTIME_BASE, FLAG_ZERO_DELTA_RUNTIME)
+# an undefined %RE without a zero flag: a quotient past the largest float
+FLAG_OVERFLOW = "overflow"
 
 # most grid values one weight-sweep pass carries; bounds the per-qubit rows
 GRID_BLOCK = 256
@@ -107,18 +110,15 @@ def _pair_errors(values: np.ndarray, runtimes: np.ndarray, c1: np.ndarray, c2: n
     """The %RE of each version pair (C1, C2) = (``c1[k]``, ``c2[k]``) for each
     column of ``values`` (versions x columns), against ``runtimes`` (one per
     version): the relative metric differences, the relative runtime
-    differences, the %REs, and ``zero``, the three masks of ``ZERO_FLAGS``,
-    each pairs x columns. The %RE is defined where no mask is set; elsewhere
-    the arrays hold what dividing by zero gives. As in :func:`all_pairs`, a
-    zero runtime difference is flagged only where the metric base is not
-    zero."""
+    differences and the %REs, each pairs x columns. A value is defined where
+    it is finite: a zero base, a zero runtime difference or a quotient past
+    the largest float leaves it inf or nan."""
     m1, m2, r1, r2 = values[c1], values[c2], runtimes[c1, None], runtimes[c2, None]
     with np.errstate(all="ignore"):  # a zero base, or an overflow, as Python floats give it
         delta_metric = (m1 - m2) / m2
         delta_runtime = np.broadcast_to((r1 - r2) / r2, m2.shape)
         percent_re = np.abs(delta_metric - delta_runtime) / np.abs(delta_runtime) * 100.0
-    zero = np.array(np.broadcast_arrays(m2 == 0, r2 == 0, (delta_runtime == 0) & (m2 != 0)))
-    return delta_metric, delta_runtime, percent_re, zero
+    return delta_metric, delta_runtime, percent_re
 
 
 def all_pairs(records: Sequence[VersionRecord], metric: str) -> list[PairComparison]:
@@ -126,20 +126,20 @@ def all_pairs(records: Sequence[VersionRecord], metric: str) -> list[PairCompari
 
     Orientation is deterministic: the lexicographically smaller compiler id
     is the denominator C2. A base with k versions yields k*(k-1)/2 pairs.
-    %RE is left None (with a flag) when a denominator is zero.
-    """
+    A value that is not finite is None; a pair without a %RE is flagged
+    with each zero flag that applies, or else ``FLAG_OVERFLOW``."""
     c1, c2 = _oriented_pairs([(rec.base, rec.compiler) for rec in records])
     values = np.array([rec.metrics[metric] for rec in records], dtype=float)[:, None]
     runtimes = np.array([rec.runtime_s for rec in records], dtype=float)
-    *errors, zero = _pair_errors(values, runtimes, c1, c2)
     comparisons = []
-    for i, j, delta_metric, delta_runtime, percent_re, zeros in zip(
-            c1.tolist(), c2.tolist(), *(e[:, 0].tolist() for e in errors), zero[:, :, 0].T.tolist()):
-        flags = tuple(compress(ZERO_FLAGS, zeros))
-        comparisons.append(PairComparison(
-            records[i].base, records[i].compiler, records[j].compiler, metric,
-            None if zeros[0] else delta_metric, None if zeros[1] else delta_runtime,
-            None if flags else percent_re, flags))
+    errors = (e[:, 0].tolist() for e in _pair_errors(values, runtimes, c1, c2))
+    for i, j, *pair in zip(c1.tolist(), c2.tolist(), *errors):
+        delta_metric, delta_runtime, percent_re = (v if math.isfinite(v) else None for v in pair)
+        m2, r2 = records[j].metrics[metric], records[j].runtime_s
+        flags = (tuple(compress(ZERO_FLAGS, (m2 == 0, r2 == 0, delta_runtime == 0 and m2 != 0)))
+                 or ((FLAG_OVERFLOW,) if percent_re is None else ()))
+        comparisons.append(PairComparison(records[i].base, records[i].compiler, records[j].compiler,
+                                          metric, delta_metric, delta_runtime, percent_re, flags))
     return comparisons
 
 
@@ -295,8 +295,8 @@ def sweep_single_qubit_weight(
             raise OverflowError(f"base {base!r}, compiler {compiler!r}: gate-aware depth at "
                                 f"w_s={block[k]} is inf: a sum past the largest float")
         for table, r, table_points in zip(tables, runtimes, points):
-            *_, percent_re, zero = _pair_errors(depths, r, c1, c2)
-            defined = ~zero.any(axis=0)
+            *_, percent_re = _pair_errors(depths, r, c1, c2)
+            defined = np.isfinite(percent_re)
             undefined = ~defined.any(axis=0)
             if undefined.any():
                 w_s = block[int(np.argmax(undefined))]

@@ -676,17 +676,22 @@ def parse_file(path) -> Circuit:
 
 
 def unparse(circuit: Circuit) -> str:
-    """Emit QASM text that reparses to a structurally equal circuit."""
+    """Emit QASM text that reparses to a structurally equal circuit. A
+    parameter that is not finite has no OpenQASM 2.0 literal: it raises
+    ``ValueError`` naming the gate's position and name."""
     lines = ["OPENQASM 2.0;", 'include "qelib1.inc";', f"qreg q[{circuit.num_qubits}];"]
     if any(g.kind == MEASURE for g in circuit.gates):
         lines.append(f"creg c[{circuit.num_qubits}];")
-    for g in circuit.gates:
+    for position, g in enumerate(circuit.gates):
         operands = ",".join(f"q[{q}]" for q in g.qubits)
         if g.kind == MEASURE:
             lines.append(f"measure q[{g.qubits[0]}] -> c[{g.qubits[0]}];")
         elif g.kind == BARRIER:
             lines.append(f"barrier {operands};")
         elif g.params:
+            if not all(map(math.isfinite, g.params)):
+                raise ValueError(f"gate position {position}, {g.name!r}: parameters {g.params} "
+                                 f"are not all finite; OpenQASM 2.0 has no literal for inf or nan")
             params = ",".join(repr(p) for p in g.params)
             lines.append(f"{g.name}({params}) {operands};")
         else:

@@ -645,6 +645,51 @@ def test_a_depth_past_the_largest_float_exits_3(compare_setup, tmp_path, capsys)
         3, "", f"base 'b1', compiler 'qk': gate-aware depth at w_s=9e+307 {PAST_MAX_FLOAT}\n")
 
 
+def strict_json(text, **kwargs):
+    """``json.loads``, rejecting the NaN and Infinity that RFC 8259 lacks."""
+    def reject(constant):
+        raise ValueError(f"not JSON: {constant}")
+    return json.loads(text, parse_constant=reject, **kwargs)
+
+
+@pytest.fixture
+def overflow_setup(tmp_path):
+    """Two versions of base b whose relative runtime difference passes the
+    largest float: C2 = a takes 1e-300 s, C1 = b takes 1e300 s."""
+    manifest = tmp_path / "overflow.json"
+    manifest.write_text(json.dumps({"bases": [{"name": "b", "versions": [
+        {"compiler": "a", "file": write_version(tmp_path, "a", 2, "x q[1];")},
+        {"compiler": "b", "file": write_version(tmp_path, "b", 2, "x q[0];")}]}]}))
+    table = tmp_path / "d.json"
+    table.write_text(json.dumps({"device": "d", "architecture": "a",
+                                 "entries": [{"gate": "x", "qubits": [1], "duration_s": 1e-300}],
+                                 "defaults": {"x": 1e300}}))
+    return manifest, table
+
+
+def test_compare_flags_a_relative_difference_past_the_largest_float(overflow_setup, tmp_path,
+                                                                    capsys):
+    """The pair has no %RE, so it is flagged and left out, and every JSON
+    document compare writes is JSON."""
+    manifest, table = overflow_setup
+    out_dir = tmp_path / "report"
+    code, _, err = run_without_warnings(capsys, "compare", str(manifest), "--metrics", "traditional",
+                                        "--durations", str(table), "--out", str(out_dir))
+    assert (code, err) == (0, "")
+    with open(out_dir / "pairs.csv", newline="") as fh:
+        assert list(csv.reader(fh))[1:] == [["b", "b", "a", "traditional", "0.0", "", "", "overflow"]]
+    strict_json((out_dir / "report.json").read_text())
+    summary = strict_json((out_dir / "summary.json").read_text())
+    assert summary["metrics"]["traditional"]["excluded_pairs"] == 1
+
+
+def test_sweep_without_a_finite_percent_re_exits_5(overflow_setup, capsys):
+    manifest, table = overflow_setup
+    assert run_without_warnings(capsys, "sweep", str(manifest), "--durations", str(table),
+                                "--grid", "0.5:1:0.5") == (
+        5, "", "device 'd': no version pair has a defined %RE at w_s=0.5\n")
+
+
 # --- one sweep per circuit ---------------------------------------------
 
 @pytest.fixture
@@ -809,23 +854,42 @@ def test_sweep_median_is_the_compare_median_of_the_same_weight_map(w_s, tmp_path
                                                                     capsys):
     """On each demo device, sweep's median at w_s is, as written text, the
     gate-aware median compare writes for the weight map rz 0, ecr 1 and w_s
-    for every other gate name of the demo."""
-    monkeypatch.chdir(DEMO)
-    weights = tmp_path / "weights.json"
-    weights.write_text(json.dumps({"architecture": "eagle-demo",
-                                   "weights": {"rz": 0.0, "ecr": 1.0, "sx": w_s, "x": w_s}}))
+    for every other gate name. The demo gains a base whose two versions,
+    one y gate each, have a relative runtime difference past the largest
+    float; no demo circuit has a y gate, so no demo runtime moves. Both
+    commands leave that pair out: at w_s = 0 for its zero metric base."""
+    manifest = json.loads((DEMO / "manifest.json").read_text(encoding="utf-8"))
+    for base in manifest["bases"]:
+        for version in base["versions"]:
+            version["file"] = str(DEMO / version["file"])
+    manifest["bases"].append({"name": "overflow", "versions": [
+        {"compiler": "a", "file": write_version(tmp_path, "a", 2, "y q[1];")},
+        {"compiler": "b", "file": write_version(tmp_path, "b", 2, "y q[0];")}]})
+    (tmp_path / "manifest.json").write_text(json.dumps(manifest))
     tables = [f"durations_device{d}.json" for d in range(3)]
+    for table in tables:
+        data = json.loads((DEMO / table).read_text(encoding="utf-8"))
+        data["entries"].append({"gate": "y", "qubits": [1], "duration_s": 1e-300})
+        data["defaults"]["y"] = 1e300
+        (tmp_path / table).write_text(json.dumps(data))
+    monkeypatch.chdir(tmp_path)
+    weights = tmp_path / "weights.json"
+    weights.write_text(json.dumps({"architecture": "eagle-demo", "weights": {
+        "rz": 0.0, "ecr": 1.0, "sx": w_s, "x": w_s, "y": w_s}}))
     assert run(capsys, "sweep", "manifest.json", "--durations", *tables,
                "--grid", f"{w_s}:{w_s}:1", "--out", str(tmp_path / "sweep.csv"))[0] == 0
     with open(tmp_path / "sweep.csv", newline="", encoding="utf-8") as fh:
         swept = {device: median for _, device, median in list(csv.reader(fh))[1:]}
     compared = {}
     for table in tables:
-        out = tmp_path / table
+        out = tmp_path / f"report_{table}"
         assert run(capsys, "compare", "manifest.json", "--metrics", "gateaware", "--durations", table,
                    "--weights", str(weights), "--out", str(out))[0] == 0
-        summary = json.loads((out / "summary.json").read_text(encoding="utf-8"), parse_float=str)
-        device = json.loads(Path(table).read_text(encoding="utf-8"))["device"]
+        with open(out / "pairs.csv", newline="", encoding="utf-8") as fh:
+            flags = [row["flags"] for row in csv.DictReader(fh) if row["base"] == "overflow"]
+        assert flags == ["zero_metric_base" if w_s == 0 else "overflow"]
+        summary = strict_json((out / "summary.json").read_text(encoding="utf-8"), parse_float=str)
+        device = json.loads((tmp_path / table).read_text(encoding="utf-8"))["device"]
         compared[device] = summary["metrics"]["gateaware"]["percent_re"]["median"]
     assert len(compared) == 3
     assert compared == swept

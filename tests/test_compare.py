@@ -123,9 +123,19 @@ def test_zero_metric_base_flagged():
     assert pair.delta_metric is None and pair.percent_re is None
 
 
+def test_a_quotient_past_the_largest_float_is_flagged_overflow():
+    """A C2 runtime of 5e-324 s: the relative runtime difference is inf."""
+    (pair,) = all_pairs([rec("b", "a", 1, 5e-324), rec("b", "b", 2, 1e-7)], "m")
+    assert pair.delta_metric == 1.0
+    assert pair.delta_runtime is None and pair.percent_re is None
+    assert pair.flags == ("overflow",)
+
+
 def reference_all_pairs(records, metric):
     """all_pairs done the direct way: one pair at a time, with the scalar
-    definitions relative_difference and percent_relative_error."""
+    definitions relative_difference and percent_relative_error, each value
+    reported only where it is finite, and FLAG_OVERFLOW on a pair without a
+    %RE that no zero flag explains."""
     comparisons = []
     for i, j in zip(*compare._oriented_pairs([(rec.base, rec.compiler) for rec in records]).tolist()):
         rec1, rec2 = records[i], records[j]
@@ -144,6 +154,11 @@ def reference_all_pairs(records, metric):
                 flags.append(FLAG_ZERO_DELTA_RUNTIME)
             else:
                 percent_re = percent_relative_error(delta_metric, delta_runtime)
+        delta_metric, delta_runtime, percent_re = (
+            v if v is not None and math.isfinite(v) else None
+            for v in (delta_metric, delta_runtime, percent_re))
+        if percent_re is None and not flags:
+            flags.append(compare.FLAG_OVERFLOW)
         comparisons.append(PairComparison(rec1.base, rec1.compiler, rec2.compiler, metric,
                                           delta_metric, delta_runtime, percent_re, tuple(flags)))
     return comparisons
@@ -164,8 +179,7 @@ RECORDS = st.lists(
 @settings(max_examples=300)
 def test_all_pairs_equals_reference_all_pairs(records):
     """Every value, None and flag of the array kernel is the scalar path's.
-    Compared as reprs, which tell every float apart: a nan %RE (from a
-    runtime difference that overflows to inf) is unequal to itself."""
+    Compared as reprs, which tell every float apart."""
     assert repr(all_pairs(records, "m")) == repr(reference_all_pairs(records, "m"))
 
 

@@ -377,6 +377,16 @@ def test_roundtrip_with_measures_and_barriers():
     assert parse(unparse(c)) == c
 
 
+@pytest.mark.parametrize("expression, value", [("1e400", "inf"), ("1e308*10-1e308*10", "nan")])
+def test_unparse_refuses_a_parameter_that_is_not_finite(expression, value):
+    """The parser accepts both; OpenQASM 2.0 has no literal for either value."""
+    c = parse(f"OPENQASM 2.0; qreg q[1]; x q[0]; rz({expression}) q[0];")
+    with pytest.raises(ValueError) as exc:
+        unparse(c)
+    assert str(exc.value) == (f"gate position 1, 'rz': parameters ({value},) are not all finite; "
+                              f"OpenQASM 2.0 has no literal for inf or nan")
+
+
 def test_deterministic():
     assert parse(REF_TEXT) == parse(REF_TEXT)
 
