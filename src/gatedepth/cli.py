@@ -27,8 +27,8 @@ import numpy as np
 
 from . import __version__
 from .calibration import DurationTable, configure_weights, load_duration_table
-from .compare import (PairComparison, VersionRecord, all_pairs, identification_accuracy,
-                      summarize_distribution, sweep_single_qubit_weight)
+from .compare import (PairComparison, SweepPoint, VersionRecord, all_pairs,
+                      identification_accuracy, summarize_distribution, sweep_single_qubit_weight)
 from .metrics import MissingWeightError, WeightMap, increments, read_json, sweep, write_json
 from .qasm import QasmParseError, parse_file
 from .runtime import UnresolvedDurationError, durations
@@ -255,8 +255,9 @@ def cmd_compare(args) -> int:
 
     for metric in metrics:
         m = summary["metrics"][metric]
-        med = m["percent_re"]["median"] if m["percent_re"] else float("nan")
-        print(f"{metric:>12s}: {m['pair_count']} pairs, median %RE {med:.6g}, "
+        med = (f"median %RE {m['percent_re']['median']:.6g}" if m["percent_re"]
+               else "no defined %RE")
+        print(f"{metric:>12s}: {m['pair_count']} pairs, {med}, "
               f"identification accuracy {m['identification_accuracy_percent']:.6g}%")
     return EXIT_OK
 
@@ -298,12 +299,11 @@ def cmd_sweep(args) -> int:
     except ValueError as exc:  # the grid is valid, so a point has no defined %RE
         raise CliError(EXIT_MANIFEST, str(exc))
 
-    header = ("w_s", "device", "median_percent_re")
-    rows = [(p.w_s, p.device, p.median_percent_re) for p in result.points]
+    header = SweepPoint._fields
     if args.out:
-        _write(args.out, _save_csv, header, rows)
+        _write(args.out, _save_csv, header, result.points)
     else:
-        _save_csv(None, header, rows)
+        _save_csv(None, header, result.points)
     print(json.dumps({"argmin_w_s": dict(result.argmin_w_s)}, sort_keys=True))
     return EXIT_OK
 

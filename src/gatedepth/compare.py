@@ -12,17 +12,16 @@ import math
 from collections import defaultdict
 from dataclasses import dataclass
 from itertools import compress
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
 from .calibration import DurationTable
 from .ir import Circuit, multi_qubit_mask
 from .metrics import increments, nonnegative_number, sweep
-from .runtime import UnresolvedDurationError, durations
-# not called here: bench/tracing.py wraps these names in this module
+from .runtime import UnresolvedDurationError, estimate_runtime
+# not called here: bench/tracing.py wraps this name in this module
 from .metrics import gate_aware_depth  # noqa: F401
-from .runtime import estimate_runtime  # noqa: F401
 
 # argmin tie tolerances: depths are exact sums of a few doubles, runtimes
 # can differ by float noise around 1e-16 s
@@ -222,8 +221,9 @@ def summarize_distribution(values: Sequence[float]) -> DistributionSummary:
     return DistributionSummary(len(arr), float(median), float(q1), float(q3), float(iqr), outliers)
 
 
-@dataclass(frozen=True)
-class SweepPoint:
+class SweepPoint(NamedTuple):
+    """One row of the sweep's CSV."""
+
     w_s: float
     device: str
     median_percent_re: float
@@ -254,11 +254,11 @@ def sweep_single_qubit_weight(
     version is swept once per block, one numpy column per w_s (depths do
     not depend on the device), and each device's %RE is one pairs x block
     array from the kernel :func:`all_pairs` uses, with its column medians.
-    The version pairs are formed once; each version's runtimes on all
-    devices are one sweep of its stacked duration columns. Memory is per
-    block. Ties in the argmin go to the smallest w_s. A grid value that
-    is not a finite number >= 0, or a point where no pair has a defined
-    %RE, raises ``ValueError``; a gate without a duration raises
+    The version pairs are formed once, and each version's runtime on each
+    device is its :func:`estimate_runtime`. Memory is per block. Ties in
+    the argmin go to the smallest w_s. A grid value that is not a finite
+    number >= 0, or a point where no pair has a defined %RE, raises
+    ``ValueError``; a gate without a duration raises
     :class:`UnresolvedDurationError`, and a runtime or depth past the
     largest float ``OverflowError``, naming the base and compiler id.
     """
@@ -266,19 +266,19 @@ def sweep_single_qubit_weight(
         nonnegative_number(w_s, "w_s")
     multiqubit = {name for *_, c in versions
                   for name, multi in zip(c.names, multi_qubit_mask(c)) if multi}
-    runtimes = []  # per version, its runtime on each device: one sweep of the stacked durations
+    runtimes = []
     for base, compiler, c in versions:
         try:
-            columns = [durations(c, table) for table in tables]
+            runtime = [estimate_runtime(c, table) for table in tables]
         except UnresolvedDurationError as exc:
             exc.args = (f"base {base!r}, compiler {compiler!r}: {exc.args[0]}",)
             raise
-        runtime = sweep(c, columns[0] if len(tables) == 1 else np.array(columns).T, width=len(tables))
-        if not np.isfinite(runtime).all():
+        if not all(map(math.isfinite, runtime)):
             raise OverflowError(f"base {base!r}, compiler {compiler!r}: runtime is inf: "
                                 f"a sum past the largest float")
         runtimes.append(runtime)
-    runtimes = np.array(runtimes).reshape(len(versions), len(tables)).T  # one row per device
+    # one row per device; the reshape keeps that shape when there is no version
+    runtimes = np.array(runtimes).reshape(len(versions), len(tables)).T
     c1, c2 = _oriented_pairs([(base, compiler) for base, compiler, _ in versions])
     points: list[list[SweepPoint]] = [[] for _ in tables]
     for start in range(0, len(grid), GRID_BLOCK):
@@ -303,10 +303,12 @@ def sweep_single_qubit_weight(
                 raise ValueError(f"device {table.device!r}: no version pair has a defined %RE "
                                  f"at w_s={w_s}")
             # np.percentile takes the same pairs in every column: one call per set of defined pairs
-            patterns, column_pattern = np.unique(defined, axis=1, return_inverse=True)
+            groups: dict[bytes, list[int]] = {}
+            for k in range(width):
+                groups.setdefault(defined[:, k].tobytes(), []).append(k)
             medians = np.empty(width)
-            for k, rows in enumerate(patterns.T):
-                columns = column_pattern == k
+            for columns in groups.values():
+                rows = defined[:, columns[0]]
                 medians[columns] = np.percentile(percent_re[rows][:, columns], 50.0, axis=0)
             table_points.extend(SweepPoint(w_s, table.device, float(m))
                                 for w_s, m in zip(block, medians))

@@ -98,17 +98,18 @@ class QasmParseError(ValueError):
 # worked out from the offset only when a diagnostic needs them. A symbol's
 # kind is its own text ("->" included), so the parser tests ``kind == ";"``;
 # the other kinds are "real", "int", "id", "string", "bad" and "eof".
+# (kind, pattern) of each token both regexes below read, in the order tried
+_LEXICON = (
+    ("real", r"(?:\d+\.\d*|\.\d+)(?:[eE][+-]?\d+)?|\d+[eE][+-]?\d+"),
+    ("int", r"\d+"),
+    ("id", r"[A-Za-z_][A-Za-z0-9_]*"),
+    ("string", r'"[^"\n]*"'),
+    ("symbol", r"->|[;,()\[\]{}*/+\-]"),
+)
 _TOKEN_RE = re.compile(
-    r"""
-    (?P<skip>[ \t\r\n]+|//[^\n]*)
-  | (?P<real>(?:\d+\.\d*|\.\d+)(?:[eE][+-]?\d+)?|\d+[eE][+-]?\d+)
-  | (?P<int>\d+)
-  | (?P<id>[A-Za-z_][A-Za-z0-9_]*)
-  | (?P<string>"[^"\n]*")
-  | (?P<symbol>->|[;,()\[\]{}*/+\-])
-  | (?P<bad>.)
-    """,
-    re.VERBOSE | re.ASCII,  # OpenQASM 2.0 digits are ASCII: any other is a bad character
+    "|".join([r"(?P<skip>[ \t\r\n]+|//[^\n]*)",
+              *(f"(?P<{kind}>{pattern})" for kind, pattern in _LEXICON), r"(?P<bad>.)"]),
+    re.ASCII,  # OpenQASM 2.0 digits are ASCII: any other is a bad character
 )
 
 
@@ -130,20 +131,11 @@ def _tokens(text: str, offset: int = 0) -> Iterator[_Token]:
 
 # The parameter-expression evaluator reads lexemes, the texts of tokens. On
 # the fast path one ``findall`` of this regex cuts a parameter text into
-# them: its alternatives are _TOKEN_RE's, in the same order, and whitespace
-# matches none of them, so findall skips it. Any other character is a
-# lexeme of its own, as it is a "bad" token. A text holds no "//" there.
-_LEXEME_RE = re.compile(
-    r"""
-    (?:\d+\.\d*|\.\d+)(?:[eE][+-]?\d+)?|\d+[eE][+-]?\d+
-  | \d+
-  | [A-Za-z_][A-Za-z0-9_]*
-  | "[^"\n]*"
-  | ->|[;,()\[\]{}*/+\-]
-  | [^ \t\r\n]
-    """,
-    re.VERBOSE | re.ASCII,
-)
+# them: whitespace matches none of the lexicon's patterns, so findall skips
+# it, and any other character is a lexeme of its own, as it is a "bad"
+# token. A text holds no "//" there.
+_LEXEME_RE = re.compile("|".join([*(pattern for _, pattern in _LEXICON), r"[^ \t\r\n]"]),
+                        re.ASCII)
 # the first characters of a number lexeme, with a "." that has more after it
 _DIGITS = frozenset("0123456789")
 

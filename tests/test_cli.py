@@ -683,6 +683,24 @@ def test_compare_flags_a_relative_difference_past_the_largest_float(overflow_set
     assert summary["metrics"]["traditional"]["excluded_pairs"] == 1
 
 
+def test_compare_prints_a_metric_without_a_defined_percent_re_as_such(tmp_path, capsys):
+    """The base C2, p, has no multi-qubit gate: its multi-qubit depth is 0,
+    so the only pair has no multi-qubit %RE and no median to print."""
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps({"bases": [{"name": "b", "versions": [
+        {"compiler": "p", "file": write_version(tmp_path, "p", 1, "x q[0];")},
+        {"compiler": "q", "file": write_version(tmp_path, "q", 1, "")}]}]}))
+    table = tmp_path / "d.json"
+    table.write_text(json.dumps({"device": "d", "architecture": "a", "entries": [],
+                                 "defaults": {"x": 1e-7}}))
+    out_dir = tmp_path / "report"
+    assert run_without_warnings(capsys, "compare", str(manifest), "--metrics", "multiqubit",
+                                "--durations", str(table), "--out", str(out_dir)) == (
+        0, "  multiqubit: 1 pairs, no defined %RE, identification accuracy 0%\n", "")
+    summary = strict_json((out_dir / "summary.json").read_text())
+    assert summary["metrics"]["multiqubit"]["percent_re"] is None
+
+
 def test_sweep_without_a_finite_percent_re_exits_5(overflow_setup, capsys):
     manifest, table = overflow_setup
     assert run_without_warnings(capsys, "sweep", str(manifest), "--durations", str(table),

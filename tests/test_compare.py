@@ -377,10 +377,10 @@ def test_sweep_equals_one_weight_map_per_point(monkeypatch):
 def test_sweep_builds_one_gateaware_column_per_version_per_block(monkeypatch):
     """Each version's increments come from metrics.increments, once per
     block of GRID_BLOCK grid values, and each is swept once per block;
-    its runtimes on all devices are one more sweep, one column per device."""
+    its runtime on each device is one estimate_runtime call."""
     monkeypatch.setattr(compare, "GRID_BLOCK", 40)
-    calls, sweeps = [], []
-    increments, sweep = compare.increments, compare.sweep
+    calls, sweeps, runtimes = [], [], []
+    increments, sweep, estimate = compare.increments, compare.sweep, compare.estimate_runtime
 
     def counted(c, metric, weights):
         calls.append((id(c), metric))
@@ -390,14 +390,20 @@ def test_sweep_builds_one_gateaware_column_per_version_per_block(monkeypatch):
         sweeps.append((id(c), width))
         return sweep(c, rows, barrier, width)
 
+    def counted_estimate(c, table):
+        runtimes.append((id(c), table.device))
+        return estimate(c, table)
+
     monkeypatch.setattr(compare, "increments", counted)
     monkeypatch.setattr(compare, "sweep", counted_sweep)
+    monkeypatch.setattr(compare, "estimate_runtime", counted_estimate)
     versions, table = make_ratio_dataset(0.3, seed=1, n_bases=2)
     tables = [table, dataclasses.replace(table, device="other")]
     compare.sweep_single_qubit_weight(versions, tables, [round(0.01 * i, 2) for i in range(101)])
     ids = [id(c) for *_, c in versions]
     assert sorted(calls) == sorted((v, "gateaware") for v in ids * 3)
-    assert sorted(sweeps) == sorted((v, width) for v in ids for width in (40, 40, 21, 2))
+    assert sorted(sweeps) == sorted((v, width) for v in ids for width in (40, 40, 21))
+    assert sorted(runtimes) == sorted((v, device) for v in ids for device in ("synth", "other"))
 
 
 @pytest.mark.parametrize("w_s", [-0.5, math.inf, math.nan, "0.5", True])
@@ -413,6 +419,14 @@ def test_sweep_without_a_defined_percent_re_names_device_and_w_s():
     table = DurationTable("dev", "arch", {}, {"x": 1e-7})
     with pytest.raises(ValueError, match=r"device 'dev': .* at w_s=0.5"):
         sweep_single_qubit_weight(versions, [table], [0.5])
+
+
+def test_sweep_without_versions_names_device_and_w_s():
+    """No version, so no pair: the runtimes stay one row per device."""
+    table = DurationTable("dev", "arch", {}, {"x": 1e-7})
+    with pytest.raises(ValueError, match=r"^device 'dev': no version pair has a defined %RE "
+                                         r"at w_s=0\.5$"):
+        sweep_single_qubit_weight([], [table], [0.5])
 
 
 def test_sweep_names_the_first_w_s_without_a_defined_percent_re():
