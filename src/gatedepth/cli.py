@@ -21,6 +21,8 @@ import os
 import sys
 from contextlib import nullcontext
 from dataclasses import fields
+from itertools import groupby
+from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
@@ -203,6 +205,18 @@ def _load_manifest(path: str) -> list[tuple[str, str, str]]:
     return out
 
 
+def _parsed_versions(manifest: list[tuple[str, str, str]]):
+    """Each (base name, compiler id, file path, circuit) of ``manifest``, in
+    order, parsed as it is reached. Versions of one base repeat one
+    another's statements, so consecutive versions of a base share a
+    statement memo; a new base starts a new one, which keeps the memo's
+    memory to one base's statements."""
+    for base, versions in groupby(manifest, key=itemgetter(0)):
+        statements: dict = {}
+        for _, compiler, path in versions:
+            yield base, compiler, path, _read(path, EXIT_PARSE, lambda p: parse_file(p, statements))
+
+
 # -------------------------------------------------------------- compare ---
 
 def cmd_compare(args) -> int:
@@ -217,9 +231,8 @@ def cmd_compare(args) -> int:
     weights = _weights_for(metrics, args.weights)
 
     records = []
-    for base, compiler, path in manifest:
-        *values, runtime = _sweep_values(path, _read(path, EXIT_PARSE, parse_file), metrics,
-                                         weights, table, args.barrier)
+    for base, compiler, path, circuit in _parsed_versions(manifest):
+        *values, runtime = _sweep_values(path, circuit, metrics, weights, table, args.barrier)
         records.append(VersionRecord(base, compiler, dict(zip(metrics, values)), runtime))
 
     pairs: list[dict] = []  # the rows of pairs.csv, and the pairs of report.json
@@ -290,8 +303,7 @@ def cmd_sweep(args) -> int:
     manifest = _read(args.manifest, EXIT_MANIFEST, _load_manifest)
     tables = _read_device_tables(args.durations)
     grid = _parse_grid(args.grid)
-    versions = [(base, compiler, _read(path, EXIT_PARSE, parse_file))
-                for base, compiler, path in manifest]
+    versions = [(base, compiler, circuit) for base, compiler, _, circuit in _parsed_versions(manifest)]
     try:
         result = sweep_single_qubit_weight(versions, tables, grid)
     except (UnresolvedDurationError, OverflowError) as exc:

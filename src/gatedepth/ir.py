@@ -127,18 +127,19 @@ def validate(circuit: Circuit) -> list[Violation]:
     violations: list[Violation] = []
     if circuit.num_qubits < 1:
         violations.append(Violation(-1, f"num_qubits must be positive, got {circuit.num_qubits}"))
-    for i, g in enumerate(circuit.gates):
-        if not g.qubits:
-            violations.append(Violation(i, f"gate {g.name!r} has no qubit operands"))
-        if len(set(g.qubits)) != len(g.qubits):
-            violations.append(Violation(i, f"gate {g.name!r} has duplicate qubit operands {list(g.qubits)}"))
-        for q in g.qubits:
+    columns = zip(circuit.names, circuit.kinds, circuit.qubits, circuit.params)
+    for i, (name, kind, qubits, params) in enumerate(columns):
+        if not qubits:
+            violations.append(Violation(i, f"gate {name!r} has no qubit operands"))
+        if len(set(qubits)) != len(qubits):
+            violations.append(Violation(i, f"gate {name!r} has duplicate qubit operands {list(qubits)}"))
+        for q in qubits:
             if q < 0 or q >= circuit.num_qubits:
                 violations.append(
-                    Violation(i, f"gate {g.name!r} operand {q} out of range for {circuit.num_qubits} qubits")
+                    Violation(i, f"gate {name!r} operand {q} out of range for {circuit.num_qubits} qubits")
                 )
-        if g.kind == BARRIER and g.params:
+        if kind == BARRIER and params:
             violations.append(Violation(i, "barrier must not carry parameters"))
-        if g.kind == MEASURE and len(g.qubits) != 1:
-            violations.append(Violation(i, f"measure must have exactly one qubit operand, got {len(g.qubits)}"))
+        if kind == MEASURE and len(qubits) != 1:
+            violations.append(Violation(i, f"measure must have exactly one qubit operand, got {len(qubits)}"))
     return violations

@@ -15,7 +15,10 @@ Most statements of a transpiled file are a builtin gate, a measure or a
 barrier on indexed qubits. Each is read by one regex match at its offset
 and kept only if the token grammar would accept it as it stands; every
 other statement, and every diagnostic, comes from the grammar, which
-tokenizes only the statements it reads.
+tokenizes only the statements it reads. A statement kept is remembered by
+its matched text under the registers declared so far, so each distinct
+statement is read once; parses given one ``statements`` dict, such as the
+compiled versions of one circuit, share what they remember.
 """
 from __future__ import annotations
 
@@ -160,6 +163,9 @@ _STATEMENT_RE = re.compile(
 _NEWLINE_RE = re.compile("\n")
 # what the parameter memo gives for a text not read yet
 _UNREAD = object()
+# the key of the parameter memo in a ``statements`` dict; its other keys are
+# register layouts, which are tuples
+_PARAMETERS = "parameters"
 # the characters of a parameter that may be one number, signed or not:
 # ``float`` reads such a text as the grammar does, or refuses it
 _NUMBER_CHARS = frozenset("0123456789.eE+- \t\r\n")
@@ -241,7 +247,7 @@ def _expression(lexemes: list[str], i: int, depth: int = 0) -> tuple[float, int]
 
 
 class _Parser:
-    def __init__(self, text: str):
+    def __init__(self, text: str, statements: dict):
         self.text = text
         # diagnostics as (offset, message, severity); the offsets of bad
         # characters are kept apart, and come first
@@ -257,8 +263,12 @@ class _Parser:
         self.kinds: list[str] = []
         self.qubits: list[tuple[int, ...]] = []
         self.params: list[tuple[float, ...]] = []
-        # parameter text -> its value, or None where the grammar must read it
-        self.values: dict[str, float | None] = {}
+        # register layout -> {statement text -> the gate take() gave for it},
+        # and _PARAMETERS -> {parameter text -> its value, or None where the
+        # grammar must read it}; shared by every parse given this dict
+        self.statements = statements
+        self.values: dict[str, float | None] = statements.setdefault(_PARAMETERS, {})
+        self.use_layout()
 
     # --- token helpers -------------------------------------------------
     def tokenize_from(self, offset: int):
@@ -351,6 +361,13 @@ class _Parser:
             out.append(ParseDiagnostic(line + 1, offset - line_start + 1, message, severity))
         return out
 
+    def use_layout(self):
+        """Remember statements in the memo of the registers declared so far:
+        each register's name, offset and size, in declaration order, decide
+        what a statement text reads as."""
+        layout = (tuple(self.qregs.items()), tuple(self.cregs.items()))
+        self.memo: dict[str, tuple] = self.statements.setdefault(layout, {})
+
     def append(self, name: str, kind: str, qubits: tuple[int, ...], params: tuple[float, ...]):
         """Append one gate to the circuit's columns."""
         self.names.append(name)
@@ -359,32 +376,32 @@ class _Parser:
         self.params.append(params)
 
     # --- statement fast path ------------------------------------------
-    def take(self, m: re.Match) -> bool:
-        """Append the gate of the statement ``m`` matched and return True
-        if the grammar would accept the statement as it stands; otherwise
-        change nothing and return False."""
+    def take(self, m: re.Match) -> tuple | None:
+        """The gate of the statement ``m`` matched, as ``(name, kind, qubits,
+        params, count)``, if the grammar would accept the statement as it
+        stands under the registers declared so far, the gate limit aside;
+        otherwise None. ``count`` is what the gate adds to the gates
+        MAX_GATES limits: a barrier counts the operands it lists, before
+        they are deduped, as the grammar counts them."""
         name, params, operands, bit = m.groups()
         qubits = self.indices(self.qregs, operands)
-        if qubits is None or len(self.names) + (len(qubits) if name == "barrier" else 1) > MAX_GATES:
-            return False
+        if qubits is None:
+            return None
         if name == "barrier":
             if params is not None or bit is not None:
-                return False
-            self.append("barrier", BARRIER, tuple(dict.fromkeys(qubits)), ())
-            return True
+                return None
+            return "barrier", BARRIER, tuple(dict.fromkeys(qubits)), (), len(qubits)
         if name == "measure":
             if params is not None or len(qubits) != 1 or bit is None or self.indices(self.cregs, bit) is None:
-                return False
-            self.append("measure", MEASURE, qubits, ())
-            return True
+                return None
+            return "measure", MEASURE, qubits, (), 1
         values = () if params is None else self.parameters(params)
         if values is None or bit is not None:
-            return False
+            return None
         spec = (1, len(values)) if name == "delay" and len(values) <= 1 else BUILTIN_GATES.get(name)
         if spec != (len(qubits), len(values)) or len(qubits) > 1 and len(set(qubits)) != len(qubits):
-            return False
-        self.append(name, DELAY if name == "delay" else UNITARY, qubits, values)
-        return True
+            return None
+        return name, DELAY if name == "delay" else UNITARY, qubits, values, 1
 
     def indices(self, regs: dict[str, tuple[int, int]], operands: str) -> tuple[int, ...] | None:
         """The flat indices of ``name[i]`` operands, or None if one is not
@@ -436,19 +453,37 @@ class _Parser:
 
     # --- grammar -------------------------------------------------------
     def parse_program(self):
-        match = _STATEMENT_RE.match
+        match, text = _STATEMENT_RE.match, self.text
+        names, kinds, qubits, params = self.names, self.kinds, self.qubits, self.params
         self.recover(self.parse_header)
         offset = self.next_offset()
+        memo = self.memo
         while True:
-            m = match(self.text, offset)
-            if m is not None and self.take(m):
-                offset = m.end()
-                continue
+            m = match(text, offset)
+            if m is not None:
+                key = m.group()
+                gate = memo.get(key)
+                if gate is None:
+                    gate = self.take(m)
+                    if gate is not None:
+                        memo[key] = gate
+                # past the gate limit, the grammar reports the statement
+                if gate is not None and len(names) + gate[4] <= MAX_GATES:
+                    # appended here, not by append(): a call per gate costs
+                    # about a tenth of a parse of repeated statements
+                    name, kind, gate_qubits, gate_params, _ = gate
+                    names.append(name)
+                    kinds.append(kind)
+                    qubits.append(gate_qubits)
+                    params.append(gate_params)
+                    offset = m.end()
+                    continue
             self.tokenize_from(offset)
             if self.peek().kind == "eof":
                 return
             self.recover(self.parse_statement)
             offset = self.next_offset()
+            memo = self.memo  # a declaration changes the registers
 
     def parse_header(self):
         if self.peek().text != "OPENQASM":
@@ -525,6 +560,7 @@ class _Parser:
         else:
             self.cregs[name.text] = (0, n)
             self.error(keyword, f"classical register {name.text!r} accepted and ignored", severity="warning")
+        self.use_layout()
 
     def parse_operand(self, classical: bool = False) -> range:
         """Parse ``name`` or ``name[i]``; return flattened qubit (or bit) indices."""
@@ -639,9 +675,15 @@ class _Parser:
             self.append(gate_name, kind, qubits, params)
 
 
-def parse_program(text: str) -> ParseResult:
-    """Parse QASM text, returning the circuit (or None) plus all diagnostics."""
-    parser = _Parser(text)
+def parse_program(text: str, statements: dict | None = None) -> ParseResult:
+    """Parse QASM text, returning the circuit (or None) plus all diagnostics.
+
+    ``statements`` is a memo of the statements read so far, which the parse
+    reads and adds to: texts given one dict, such as the compiled versions
+    of one circuit, read each distinct statement once between them. A dict
+    that earlier parses filled gives the result an empty one gives; None
+    means a memo for this parse alone."""
+    parser = _Parser(text, {} if statements is None else statements)
     parser.parse_program()
     diags = parser.diagnostics()
     if any(d.severity == "error" for d in diags):
@@ -654,17 +696,19 @@ def parse_program(text: str) -> ParseResult:
     return ParseResult(circuit, diags)
 
 
-def parse(text: str) -> Circuit:
-    """Parse QASM text; raise :class:`QasmParseError` on any error."""
-    result = parse_program(text)
+def parse(text: str, statements: dict | None = None) -> Circuit:
+    """Parse QASM text, with the memo ``statements`` as in
+    :func:`parse_program`; raise :class:`QasmParseError` on any error."""
+    result = parse_program(text, statements)
     if result.circuit is None:
         raise QasmParseError(result.errors())
     return result.circuit
 
 
-def parse_file(path) -> Circuit:
+def parse_file(path, statements: dict | None = None) -> Circuit:
+    """Parse the QASM file at ``path``, as :func:`parse` parses its text."""
     with open(path, encoding="utf-8") as fh:
-        return parse(fh.read())
+        return parse(fh.read(), statements)
 
 
 def unparse(circuit: Circuit) -> str:
@@ -672,20 +716,20 @@ def unparse(circuit: Circuit) -> str:
     parameter that is not finite has no OpenQASM 2.0 literal: it raises
     ``ValueError`` naming the gate's position and name."""
     lines = ["OPENQASM 2.0;", 'include "qelib1.inc";', f"qreg q[{circuit.num_qubits}];"]
-    if any(g.kind == MEASURE for g in circuit.gates):
+    if MEASURE in circuit.kinds:
         lines.append(f"creg c[{circuit.num_qubits}];")
-    for position, g in enumerate(circuit.gates):
-        operands = ",".join(f"q[{q}]" for q in g.qubits)
-        if g.kind == MEASURE:
-            lines.append(f"measure q[{g.qubits[0]}] -> c[{g.qubits[0]}];")
-        elif g.kind == BARRIER:
+    columns = zip(circuit.names, circuit.kinds, circuit.qubits, circuit.params)
+    for position, (name, kind, qubits, params) in enumerate(columns):
+        operands = ",".join(f"q[{q}]" for q in qubits)
+        if kind == MEASURE:
+            lines.append(f"measure q[{qubits[0]}] -> c[{qubits[0]}];")
+        elif kind == BARRIER:
             lines.append(f"barrier {operands};")
-        elif g.params:
-            if not all(map(math.isfinite, g.params)):
-                raise ValueError(f"gate position {position}, {g.name!r}: parameters {g.params} "
+        elif params:
+            if not all(map(math.isfinite, params)):
+                raise ValueError(f"gate position {position}, {name!r}: parameters {params} "
                                  f"are not all finite; OpenQASM 2.0 has no literal for inf or nan")
-            params = ",".join(repr(p) for p in g.params)
-            lines.append(f"{g.name}({params}) {operands};")
+            lines.append(f"{name}({','.join(map(repr, params))}) {operands};")
         else:
-            lines.append(f"{g.name} {operands};")
+            lines.append(f"{name} {operands};")
     return "\n".join(lines) + "\n"

@@ -466,6 +466,63 @@ def test_compare_missing_duration_exits_3(compare_setup, tmp_path, capsys):
                    f"(gate position 1)\n")
 
 
+def write_base(tmp_path, bodies) -> Path:
+    """A manifest of one base, ``b``, with a version ``v<i>`` per QASM body."""
+    for i, body in enumerate(bodies):
+        (tmp_path / f"v{i}.qasm").write_text(f"OPENQASM 2.0;\n{body}\n")
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps({"bases": [{"name": "b", "versions": [
+        {"compiler": f"v{i}", "file": f"v{i}.qasm"} for i in range(len(bodies))]}]}))
+    return manifest
+
+
+@pytest.fixture
+def x_duration_files(tmp_path):
+    """A table whose x lasts 1e-7 s on qubit 2 and 3e-7 s on qubit 3, and
+    a weight map for x."""
+    table = tmp_path / "durations.json"
+    table.write_text(json.dumps({"device": "dev", "architecture": "a", "defaults": {"x": 2e-7},
+                                 "entries": [{"gate": "x", "qubits": [2], "duration_s": 1e-7},
+                                             {"gate": "x", "qubits": [3], "duration_s": 3e-7}]}))
+    weights = tmp_path / "weights.json"
+    weights.write_text(json.dumps({"architecture": "a", "weights": {"x": 0.5}}))
+    return table, weights
+
+
+def test_versions_of_a_base_with_other_registers_read_their_own(tmp_path, x_duration_files, capsys):
+    """``x q[2]`` is qubit 2 in the first version and qubit 3 in the second,
+    behind ``qreg a[1]``: each compare record is the file's own depth and
+    estimate, though the versions repeat the statement text."""
+    table, weights = x_duration_files
+    manifest = write_base(tmp_path, ["qreg q[3];\nx q[2];", "qreg a[1];\nqreg q[3];\nx q[1];\nx q[2];"])
+    files = [str(tmp_path / "v0.qasm"), str(tmp_path / "v1.qasm")]
+    code, out, _ = run(capsys, "depth", "--weights", str(weights), *files)
+    assert code == 0
+    depths = [json.loads(line) for line in out.splitlines()]
+    code, out, _ = run(capsys, "estimate", "--durations", str(table), *files)
+    assert code == 0
+    runtimes = [json.loads(line)["runtime_s"] for line in out.splitlines()]
+    assert [d["traditional_depth"] for d in depths] == [1, 1]
+    assert runtimes == [1e-7, 3e-7]
+    assert run(capsys, "compare", str(manifest), "--durations", str(table), "--weights", str(weights),
+               "--out", str(tmp_path / "out"))[0] == 0
+    records = json.loads((tmp_path / "out" / "report.json").read_text())["records"]
+    assert [(r["metrics"], r["runtime_s"]) for r in records] == [
+        ({m: d[key] for m, key in gatedepth.cli.DEPTH_KEYS.items()}, runtime)
+        for d, runtime in zip(depths, runtimes)]
+
+
+@pytest.mark.parametrize("command", ["compare", "sweep"])
+def test_a_statement_out_of_range_in_a_later_version_exits_2_naming_it(command, tmp_path, x_duration_files,
+                                                                         capsys):
+    table, weights = x_duration_files
+    manifest = write_base(tmp_path, ["qreg q[3];\nx q[2];", "qreg q[2];\nx q[2];"])
+    extra = ["--weights", str(weights), "--out", str(tmp_path / "out")] if command == "compare" else []
+    code, out, err = run(capsys, command, str(manifest), "--durations", str(table), *extra)
+    assert (code, out) == (2, "")
+    assert err == f"{tmp_path / 'v1.qasm'}:3:5: error: index 2 out of range for register 'q' of size 2\n"
+
+
 @pytest.mark.parametrize("command", ["compare", "sweep"])
 def test_duplicate_compiler_id_exits_5(command, compare_setup, tmp_path, capsys):
     manifest, table, _ = compare_setup

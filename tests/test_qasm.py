@@ -7,7 +7,7 @@ import sys
 import tracemalloc
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import qasm_texts, random_circuit
@@ -735,3 +735,74 @@ def test_columns_and_the_gates_view_agree(source):
         assert repr(other) == repr(c)
     assert parse(unparse(c)) == c
     assert validate(c) == []
+
+
+# The versions of one circuit: one drawn list of statements, declarations
+# among them, with other register declarations of drawn sizes and orders put
+# in at a drawn place in each version, so that a statement text reads as
+# other qubits, or is undeclared or out of range, from version to version.
+operands = st.tuples(st.sampled_from("qrcs"), st.integers(0, 4)).map(lambda t: "%s[%d]" % t)
+bits = st.tuples(st.sampled_from("crs"), st.integers(0, 4)).map(lambda t: "%s[%d]" % t)
+declarations = st.sampled_from(("qreg q[2];", "qreg q[4];", "qreg r[1];", "qreg r[3];", "creg c[1];",
+                                "creg c[4];", "creg r[2];"))
+layout_statements = st.one_of(
+    declarations,
+    st.tuples(st.sampled_from(("x", "rz(pi/2)", "delay(2e-7)", "rz(1/0)")), operands)
+    .map(lambda t: "%s %s;" % t),
+    st.tuples(st.sampled_from(("cx", "ecr")), operands, operands).map(lambda t: "%s %s,%s;" % t),
+    st.lists(operands, min_size=1, max_size=3).map(lambda ops: f"barrier {','.join(ops)};"),
+    st.tuples(operands, bits).map(lambda t: "measure %s -> %s;" % t),
+)
+
+
+def _versions(drawn) -> list[str]:
+    body, layouts = drawn
+    texts = []
+    for registers, at in layouts:
+        parts = [sep + statement for sep, statement in body]
+        at %= len(parts) + 1
+        parts[at:at] = ["\n" + declaration for declaration in registers]
+        texts.append("OPENQASM 2.0;" + "".join(parts))
+    return texts
+
+
+versions = st.tuples(st.lists(st.tuples(st.sampled_from(SEPARATORS), layout_statements), max_size=12),
+                     st.lists(st.tuples(st.lists(declarations, max_size=3), st.integers(0, 12)),
+                              min_size=1, max_size=4)).map(_versions)
+
+
+@given(texts=st.tuples(versions, st.lists(st.one_of(corpus_texts, qasm_texts), max_size=2))
+       .map(lambda t: t[0] + t[1]).flatmap(st.permutations))
+@example(texts=["OPENQASM 2.0;\nqreg q[3];\nx q[2];", "OPENQASM 2.0;\nqreg a[1];\nqreg q[3];\nx q[2];"])
+@example(texts=["OPENQASM 2.0;\nqreg q[2];\ncreg c[4];\nmeasure q[0] -> c[3];",
+                "OPENQASM 2.0;\nqreg q[2];\ncreg c[1];\nmeasure q[0] -> c[3];"])
+@settings(max_examples=500)
+def test_a_shared_statement_memo_parses_each_text_as_it_parses_alone(texts):
+    """Texts parsed in turn with one ``statements`` dict, which each parse
+    reads and adds to, give the results they give parsed alone: the same
+    circuit columns and the same diagnostics."""
+    statements = {}
+    for text in texts:
+        alone, shared = parse_program(text), parse_program(text, statements)
+        assert shared.diagnostics == alone.diagnostics
+        assert shared.circuit == alone.circuit
+        assert repr(shared) == repr(alone)  # equal floats could still differ in sign
+
+
+def test_a_remembered_barrier_is_charged_its_listed_operands(monkeypatch):
+    """A barrier read from the memo counts both operands it lists, as on
+    its first read: after two barriers of one gate each, the third
+    ``barrier q[0],q[0];`` passes a limit of 3 gates (counted once, it
+    would not), and gets the grammar's diagnostic at its line and column."""
+    monkeypatch.setattr(qasm, "MAX_GATES", 3)
+    head = "OPENQASM 2.0;\nqreg q[2];"
+    statements = {}
+    assert parse_program(head + "\nbarrier q[0],q[0];", statements).ok
+    taken = []
+    take = qasm._Parser.take
+    monkeypatch.setattr(qasm._Parser, "take", lambda self, m: taken.append(m.group(1)) or take(self, m))
+    text = head + "\nbarrier q[0],q[0];" * 3
+    shared = parse_program(text, statements)
+    assert taken == ["qreg"]  # the regex matches the declaration too; every barrier was a memo hit
+    assert shared.errors() == [ParseDiagnostic(5, 1, "'barrier' would expand the program past 3 gates")]
+    assert shared == parse_program(text) == parse_both_ways(text)[1]
