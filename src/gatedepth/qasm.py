@@ -19,6 +19,13 @@ tokenizes only the statements it reads. A statement kept is remembered by
 its matched text under the registers declared so far, so each distinct
 statement is read once; parses given one ``statements`` dict, such as the
 compiled versions of one circuit, share what they remember.
+
+A repeat is one dict lookup: the memo is asked with the text up to the
+next ';' before any regex runs. The regex reads a ';' only as its last
+character or inside a leading comment, which runs to the end of its line,
+so a remembered text with one ';' reads the same wherever it stands under
+the same registers; one whose comment holds a ';' is only found by the
+match.
 """
 from __future__ import annotations
 
@@ -253,6 +260,8 @@ class _Parser:
         # characters are kept apart, and come first
         self.diags: list[tuple[int, str, str]] = []
         self.bad: list[int] = []
+        self.tokens: list[_Token] = []
+        self.i = 0
         self.tokenize_from(0)
         # name -> (offset, size); classical bits are not kept, so cregs' offsets are 0
         self.qregs: dict[str, tuple[int, int]] = {}
@@ -272,8 +281,12 @@ class _Parser:
 
     # --- token helpers -------------------------------------------------
     def tokenize_from(self, offset: int):
-        """Drop the tokens read so far and read on from ``offset``."""
-        self.tokens: list[_Token] = []
+        """Read on from ``offset``. Tokens read past the last statement are
+        kept if the next starts at ``offset``: a scan reads to the next ';',
+        and a run of gate definitions, which hold none, is read once."""
+        if self.i < len(self.tokens) and self.tokens[self.i].offset == offset:
+            return
+        self.tokens = []
         self.i = 0
         self.scanner = _tokens(self.text, offset)
 
@@ -382,7 +395,9 @@ class _Parser:
         stands under the registers declared so far, the gate limit aside;
         otherwise None. ``count`` is what the gate adds to the gates
         MAX_GATES limits: a barrier counts the operands it lists, before
-        they are deduped, as the grammar counts them."""
+        they are deduped, as the grammar counts them. The loop keeps the
+        gate in the memo, and checks the limit on every miss and every
+        hit."""
         name, params, operands, bit = m.groups()
         qubits = self.indices(self.qregs, operands)
         if qubits is None:
@@ -453,31 +468,49 @@ class _Parser:
 
     # --- grammar -------------------------------------------------------
     def parse_program(self):
-        match, text = _STATEMENT_RE.match, self.text
+        match, find, text = _STATEMENT_RE.match, self.text.find, self.text
         names, kinds, qubits, params = self.names, self.kinds, self.qubits, self.params
         self.recover(self.parse_header)
         offset = self.next_offset()
         memo = self.memo
+        # A statement the memo holds is one lookup: the key is the text
+        # up to the next ';', and no regex runs. That is exact: the regex
+        # reads a ';' only as its last character or in a leading comment,
+        # which runs to the end of its line, so a matched text with one
+        # ';', its last, reads the same wherever it stands under the same
+        # registers. A key whose comment holds a ';' is never found this
+        # way; the match finds it. A miss is matched, taken, and kept if
+        # taken. After a statement the grammar read that ends before
+        # ``end`` (a gate definition) the memo is not asked, so each
+        # character is searched and sliced once.
+        end = 0  # just past the first ';' at or after offset, once looked for
         while True:
-            m = match(text, offset)
-            if m is not None:
-                key = m.group()
-                gate = memo.get(key)
-                if gate is None:
-                    gate = self.take(m)
-                    if gate is not None:
-                        memo[key] = gate
-                # past the gate limit, the grammar reports the statement
-                if gate is not None and len(names) + gate[4] <= MAX_GATES:
-                    # appended here, not by append(): a call per gate costs
-                    # about a tenth of a parse of repeated statements
-                    name, kind, gate_qubits, gate_params, _ = gate
-                    names.append(name)
-                    kinds.append(kind)
-                    qubits.append(gate_qubits)
-                    params.append(gate_params)
-                    offset = m.end()
-                    continue
+            gate = None
+            if offset >= end:
+                end = find(";", offset) + 1 or len(text) + 1
+                gate = memo.get(text[offset:end])
+                after = end
+            if gate is None and end <= len(text):  # with no ';' left, no match
+                m = match(text, offset)
+                if m is not None:
+                    key = m.group()
+                    gate = memo.get(key)
+                    if gate is None:
+                        gate = self.take(m)
+                        if gate is not None:
+                            memo[key] = gate
+                    after = m.end()
+            # past the gate limit, the grammar reports the statement
+            if gate is not None and len(names) + gate[4] <= MAX_GATES:
+                # appended here, not by append(): a call per gate costs
+                # about a tenth of a parse of repeated statements
+                name, kind, gate_qubits, gate_params, _ = gate
+                names.append(name)
+                kinds.append(kind)
+                qubits.append(gate_qubits)
+                params.append(gate_params)
+                offset = after
+                continue
             self.tokenize_from(offset)
             if self.peek().kind == "eof":
                 return

@@ -514,6 +514,50 @@ def test_long_whitespace_runs_parse_in_linear_time(text):
     assert fast.ok
 
 
+@pytest.mark.skipif(not hasattr(signal, "setitimer"), reason="needs an interval timer")
+@pytest.mark.parametrize("n, block", [(20_000, "gate g { }\n"), (4_000, "gate g { }" + " " * 2000 + "\n")],
+                         ids=["blocks", "wide-blocks"])
+def test_runs_of_gate_definitions_parse_in_linear_time(n, block):
+    """A gate definition holds no ';', so one scan reads a run of them up
+    to the next statement's ';'; each is tokenized, and looked through for
+    a ';', once. Read again after each definition, 20,000 of them would
+    take minutes; 4,000 wide ones, with the text up to the ';' sliced and
+    hashed as a memo key after each, would take seconds."""
+    def too_slow(signum, frame):
+        raise TimeoutError("parse took over 5 s")
+
+    text = "OPENQASM 2.0;\nqreg q[1];\n" + block * n + "x q[0];"
+    handler = signal.signal(signal.SIGALRM, too_slow)
+    # after 5 s, then every second: an exception raised while a dropped
+    # generator is finalized is printed and lost, so one alarm may not stop
+    # the parse
+    signal.setitimer(signal.ITIMER_REAL, 5, 1)
+    try:
+        fast, slow = parse_both_ways(text)
+    except TimeoutError as timeout:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        # raised in whatever frame the parse was in, which pytest may fail
+        # to render: the test fails with the message alone
+        pytest.fail(str(timeout), pytrace=False)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, handler)
+    assert fast == slow
+    assert fast.errors() == [ParseDiagnostic(3 + k, 1, "custom gate definitions unsupported")
+                             for k in range(n)]
+
+
+def test_tokens_kept_past_a_gate_definition_are_not_read_again(monkeypatch):
+    """The scan that reads a gate definition reads on to the next ';'. The
+    regex path then takes ``x q[0];``, so the grammar, next at ``h q;``,
+    must not read the ``x`` again: with the limit at 2 gates, a second
+    ``x`` would put ``h q;`` past it."""
+    monkeypatch.setattr(qasm, "MAX_GATES", 2)
+    fast, slow = parse_both_ways("OPENQASM 2.0;\nqreg q[1];\ngate g { }\nx q[0];\nh q;")
+    assert fast == slow
+    assert fast.errors() == [ParseDiagnostic(3, 1, "custom gate definitions unsupported")]
+
+
 # Corpus-style statements as transpilers emit them, and the forms the
 # statement fast path must leave to the grammar: a comment, newline or '"'
 # inside a statement, whole registers, deep parentheses, division by zero,
@@ -776,6 +820,9 @@ versions = st.tuples(st.lists(st.tuples(st.sampled_from(SEPARATORS), layout_stat
 @example(texts=["OPENQASM 2.0;\nqreg q[3];\nx q[2];", "OPENQASM 2.0;\nqreg a[1];\nqreg q[3];\nx q[2];"])
 @example(texts=["OPENQASM 2.0;\nqreg q[2];\ncreg c[4];\nmeasure q[0] -> c[3];",
                 "OPENQASM 2.0;\nqreg q[2];\ncreg c[1];\nmeasure q[0] -> c[3];"])
+@example(texts=["OPENQASM 2.0;\nqreg q[1];x q[0];", "OPENQASM 2.0;\nqreg q[1];// a; b\nx q[0];"])
+@example(texts=["OPENQASM 2.0;\nqreg q[1]; // note\nx q[0];", "OPENQASM 2.0;\nqreg q[1]; // note\nx q[0];"])
+@example(texts=["OPENQASM 2.0;\nqreg q[1];x q[0];", "OPENQASM 2.0;\nqreg q[1];//x q[0];\nx q[0];"])
 @settings(max_examples=500)
 def test_a_shared_statement_memo_parses_each_text_as_it_parses_alone(texts):
     """Texts parsed in turn with one ``statements`` dict, which each parse
@@ -806,3 +853,31 @@ def test_a_remembered_barrier_is_charged_its_listed_operands(monkeypatch):
     assert taken == ["qreg"]  # the regex matches the declaration too; every barrier was a memo hit
     assert shared.errors() == [ParseDiagnostic(5, 1, "'barrier' would expand the program past 3 gates")]
     assert shared == parse_program(text) == parse_both_ways(text)[1]
+
+
+class CountingRegex:
+    """A compiled regex whose ``match`` calls are counted."""
+
+    def __init__(self, regex: re.Pattern):
+        self.regex = regex
+        self.calls = 0
+
+    def match(self, *args):
+        self.calls += 1
+        return self.regex.match(*args)
+
+
+def test_a_remembered_statement_is_not_matched(monkeypatch):
+    """The memo is asked before the statement regex runs: a second
+    version parsed with the first's memo matches only the statements the
+    memo cannot hold, the include and the two register declarations. Its
+    last line has a comment before one statement and two statements."""
+    text = CORPUS_SHAPED + " // note\nx q[0]; x q[1];\n"
+    statements = {}
+    first = parse_program(text, statements)
+    counting = CountingRegex(qasm._STATEMENT_RE)
+    monkeypatch.setattr(qasm, "_STATEMENT_RE", counting)
+    second = parse_program(text, statements)
+    assert counting.calls == 3
+    assert second == first
+    assert len(second.circuit.gates) == 25
