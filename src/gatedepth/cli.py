@@ -31,9 +31,11 @@ from . import __version__
 from .calibration import DurationTable, configure_weights, load_duration_table
 from .compare import (PairComparison, SweepPoint, VersionRecord, all_pairs,
                       identification_accuracy, summarize_distribution, sweep_single_qubit_weight)
-from .metrics import MissingWeightError, WeightMap, increments, read_json, sweep, write_json
+from .ir import DELAY
+from .metrics import (MissingWeightError, WeightMap, increment_rule, increments, read_json,
+                      sweep, write_json)
 from .qasm import QasmParseError, parse_file
-from .runtime import UnresolvedDurationError, durations
+from .runtime import UnresolvedDurationError, duration, durations
 # not called here: bench/tracing.py wraps these names in this module
 from .ir import validate  # noqa: F401
 from .metrics import gate_aware_depth, multiqubit_depth, traditional_depth  # noqa: F401
@@ -113,20 +115,52 @@ def _weights_for(metrics: tuple[str, ...], path: str | None) -> dict | None:
     return _read(path, EXIT_CONFIG, WeightMap.load, "invalid weight map: ").weights
 
 
-def _sweep_values(path: str, circuit, metrics: tuple, weights, table, barrier: str) -> list:
-    """One sweep of a column per requested metric, in order, then the runtime
-    if ``table`` is given; a missing weight exits 3 before a missing duration,
-    and a value past the largest float exits 3 after both."""
-    try:
-        columns = [increments(circuit, m, weights) for m in metrics]
+def _sweep_values(path: str, circuit, metrics: tuple, weights, table, barrier: str,
+                  rows: dict | None = None) -> list:
+    """Each requested metric's value, in order, then the runtime if
+    ``table`` is given, from one sweep of the circuit. A gate's row holds
+    its increments in that order: a float at width 1, otherwise a numpy
+    array. ``rows`` maps the (name, kind, qubits) keys lowered so far under
+    these metrics, weights and table to their rows, and gains this
+    circuit's; None gives a table for this circuit alone. A delay's row
+    holds its parameter, so it is built per gate and not kept. When a row
+    cannot be built, the column functions name the gate at fault: a
+    missing weight exits 3 before a missing duration, each at its first
+    gate, and a value past the largest float exits 3 after both."""
+    rules = [increment_rule(m, weights) for m in metrics]
+    width = len(rules) + (table is not None)
+
+    def row(name, kind, qubits, params):
+        values = [rule(name, kind, qubits) for rule in rules]
         if table is not None:
-            columns.append(durations(circuit, table))
-    except (MissingWeightError, UnresolvedDurationError) as exc:
-        raise CliError(EXIT_RESOLUTION, f"{path}: {exc.args[0]}")
-    if len(columns) == 1:
-        values = [sweep(circuit, columns[0], barrier)]
-    else:
-        values = sweep(circuit, np.column_stack(columns), barrier, len(columns)).tolist()
+            values.append(duration(table, name, kind, qubits, params))
+        return np.array(values) if width > 1 else values[0]
+
+    rows = {} if rows is None else rows
+    column = []
+    append, get = column.append, rows.get
+    try:
+        for name, kind, qubits, params in zip(circuit.names, circuit.kinds, circuit.qubits,
+                                              circuit.params):
+            if kind == DELAY:
+                append(row(name, kind, qubits, params))
+                continue
+            key = (name, kind, qubits)
+            found = get(key)
+            if found is None:
+                found = rows[key] = row(name, kind, qubits, params)
+            append(found)
+    except (KeyError, UnresolvedDurationError):
+        # the column functions name the first gate at fault, weights first
+        try:
+            for m in metrics:
+                increments(circuit, m, weights)
+            if table is not None:
+                durations(circuit, table)
+        except (MissingWeightError, UnresolvedDurationError) as exc:
+            raise CliError(EXIT_RESOLUTION, f"{path}: {exc.args[0]}")
+        raise
+    values = np.atleast_1d(sweep(circuit, column, barrier, width)).tolist()
     for key, value in zip([DEPTH_KEYS[m] for m in metrics] + ["runtime_s"], values):
         if not math.isfinite(value):
             raise CliError(EXIT_RESOLUTION, f"{path}: {key} is {value}: a sum past the largest float")
@@ -206,15 +240,18 @@ def _load_manifest(path: str) -> list[tuple[str, str, str]]:
 
 
 def _parsed_versions(manifest: list[tuple[str, str, str]]):
-    """Each (base name, compiler id, file path, circuit) of ``manifest``, in
-    order, parsed as it is reached. Versions of one base repeat one
-    another's statements, so consecutive versions of a base share a
-    statement memo; a new base starts a new one, which keeps the memo's
-    memory to one base's statements."""
+    """Each (base name, compiler id, file path, circuit, row table) of
+    ``manifest``, in order, parsed as it is reached. Versions of one base
+    repeat one another's statements and gates, so consecutive versions of
+    a base share a statement memo and a row table for :func:`_sweep_values`;
+    a new base starts new ones, which keeps their memory to one base's
+    statements and gates."""
     for base, versions in groupby(manifest, key=itemgetter(0)):
         statements: dict = {}
+        rows: dict = {}
         for _, compiler, path in versions:
-            yield base, compiler, path, _read(path, EXIT_PARSE, lambda p: parse_file(p, statements))
+            yield (base, compiler, path, _read(path, EXIT_PARSE, lambda p: parse_file(p, statements)),
+                   rows)
 
 
 # -------------------------------------------------------------- compare ---
@@ -231,8 +268,8 @@ def cmd_compare(args) -> int:
     weights = _weights_for(metrics, args.weights)
 
     records = []
-    for base, compiler, path, circuit in _parsed_versions(manifest):
-        *values, runtime = _sweep_values(path, circuit, metrics, weights, table, args.barrier)
+    for base, compiler, path, circuit, rows in _parsed_versions(manifest):
+        *values, runtime = _sweep_values(path, circuit, metrics, weights, table, args.barrier, rows)
         records.append(VersionRecord(base, compiler, dict(zip(metrics, values)), runtime))
 
     pairs: list[dict] = []  # the rows of pairs.csv, and the pairs of report.json
@@ -303,7 +340,8 @@ def cmd_sweep(args) -> int:
     manifest = _read(args.manifest, EXIT_MANIFEST, _load_manifest)
     tables = _read_device_tables(args.durations)
     grid = _parse_grid(args.grid)
-    versions = [(base, compiler, circuit) for base, compiler, _, circuit in _parsed_versions(manifest)]
+    versions = [(base, compiler, circuit)
+                for base, compiler, _, circuit, _ in _parsed_versions(manifest)]
     try:
         result = sweep_single_qubit_weight(versions, tables, grid)
     except (UnresolvedDurationError, OverflowError) as exc:

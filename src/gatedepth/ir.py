@@ -40,7 +40,8 @@ class Gate:
             raise ValueError(f"unknown gate kind {self.kind!r}")
 
 
-def _multi_qubit(kind: str, qubits: tuple[int, ...]) -> bool:
+def multi_qubit(kind: str, qubits: tuple[int, ...]) -> bool:
+    """:func:`is_multi_qubit` of a gate of ``kind`` on ``qubits``."""
     return kind == UNITARY and len(qubits) >= 2
 
 
@@ -50,12 +51,12 @@ def is_multi_qubit(gate: Gate) -> bool:
     Barriers, delays, and measurements never count as multi-qubit for
     metric purposes.
     """
-    return _multi_qubit(gate.kind, gate.qubits)
+    return multi_qubit(gate.kind, gate.qubits)
 
 
 def multi_qubit_mask(circuit: "Circuit") -> list[bool]:
     """Per gate of ``circuit``, in order, whether :func:`is_multi_qubit` holds."""
-    return list(map(_multi_qubit, circuit.kinds, circuit.qubits))
+    return list(map(multi_qubit, circuit.kinds, circuit.qubits))
 
 
 def _view_gate(name: str, qubits: tuple[int, ...], params: tuple[float, ...], kind: str) -> Gate:

@@ -1,10 +1,11 @@
 """Depth metrics computed by a single weighted critical-path sweep.
 
 Every metric is the same sweep over a different increments column.
-:func:`increments` maps each gate to its increment, in gate order:
-traditional depth uses 1 per unitary or measure, multi-qubit depth 1 per
-multi-qubit unitary, gate-aware depth the gate name's weight; barriers and
-delays add 0. The runtime (:mod:`gatedepth.runtime`) is one more column, of
+:func:`increment_rule` gives one gate's increment from its name, kind and
+qubits: traditional depth uses 1 per unitary or measure, multi-qubit depth
+1 per multi-qubit unitary, gate-aware depth the gate name's weight;
+barriers and delays add 0. :func:`increments` applies it to each gate, in
+gate order. The runtime (:mod:`gatedepth.runtime`) is one more column, of
 durations. The sweep sets each gate's operands to ``max(operand depths) +
 increment``. An increment may be a numpy array of one float per column, so
 one sweep of a circuit yields every metric and its runtime, bit for bit.
@@ -19,7 +20,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .ir import BARRIER, DELAY, Circuit, multi_qubit_mask
+from .ir import BARRIER, DELAY, Circuit, multi_qubit
 
 BARRIER_SKIP = "skip"
 BARRIER_SYNC = "sync"
@@ -113,19 +114,26 @@ def sweep(circuit: Circuit, increments: Sequence, barrier: str = BARRIER_SKIP,
     Otherwise a row is a numpy array of ``width`` increments and the result
     an array whose entry ``k`` equals a width-1 sweep of column ``k``: both
     take the same ``+`` and max in the same order. Rows are never changed in
-    place, so one array may be shared. Only touched qubits keep a depth.
-    Barriers never increment (their row is ignored); with
-    ``barrier="sync"`` they propagate the max depth across their operands,
-    with the default ``"skip"`` they are ignored entirely. A sum past the
-    largest float is inf, in a numpy row as in a float, with no warning;
-    callers that report a depth check that it is finite.
+    place, so gates may share one row object. Only touched qubits keep a
+    depth. A gate on one qubit adds its row to that qubit's depth, the
+    ``+`` the general step takes on the same two values. Barriers never
+    increment (their row is ignored); with ``barrier="sync"`` they
+    propagate the max depth across their operands, with the default
+    ``"skip"`` they are ignored entirely. A sum past the largest float is
+    inf, in a numpy row as in a float, with no warning; callers that report
+    a depth check that it is finite.
     """
     zero, maximum = (0.0, max) if width == 1 else (np.zeros(width), np.maximum)
     depths: dict[int, float | np.ndarray] = {}
     get = depths.get
     with np.errstate(over="ignore"):
         for kind, qubits, row in zip(circuit.kinds, circuit.qubits, increments):
-            if kind == BARRIER and barrier != BARRIER_SYNC:
+            if kind == BARRIER:
+                if barrier != BARRIER_SYNC:
+                    continue
+            elif len(qubits) == 1:
+                q = qubits[0]
+                depths[q] = get(q, zero) + row
                 continue
             top = get(qubits[0], zero)
             for q in qubits[1:]:
@@ -137,20 +145,29 @@ def sweep(circuit: Circuit, increments: Sequence, barrier: str = BARRIER_SKIP,
     return reduce(maximum, depths.values(), zero)
 
 
-def increments(circuit: Circuit, metric: str, weights: Mapping | None = None) -> list:
-    """Each gate's increment under ``metric``, in gate order; ``gateaware``
-    takes ``weights[name]``, a float or a numpy column, and raises
-    :class:`MissingWeightError` at the first gate whose name has none."""
-    kinds = circuit.kinds
+def increment_rule(metric: str, weights: Mapping | None = None):
+    """The increment one gate adds under ``metric``, as a function of the
+    gate's ``(name, kind, qubits)``: traditional depth counts 1 per unitary
+    or measure, multi-qubit depth 1 per multi-qubit unitary, and gate-aware
+    depth takes ``weights[name]``, a float or a numpy column, raising
+    ``KeyError`` for a name it lacks. Barriers and delays add 0."""
     if metric == "traditional":
-        return [0.0 if kind in (BARRIER, DELAY) else 1.0 for kind in kinds]
+        return lambda name, kind, qubits: 0.0 if kind in (BARRIER, DELAY) else 1.0
     if metric == "multiqubit":
-        return [1.0 if multi else 0.0 for multi in multi_qubit_mask(circuit)]
+        return lambda name, kind, qubits: 1.0 if multi_qubit(kind, qubits) else 0.0
     if metric != "gateaware":
         raise ValueError(f"unknown metric {metric!r}")
-    names = circuit.names
+    return lambda name, kind, qubits: 0.0 if kind in (BARRIER, DELAY) else weights[name]
+
+
+def increments(circuit: Circuit, metric: str, weights: Mapping | None = None) -> list:
+    """Each gate's increment under ``metric`` (see :func:`increment_rule`),
+    in gate order; ``gateaware`` raises :class:`MissingWeightError` at the
+    first gate whose name has no weight."""
+    rule = increment_rule(metric, weights)
+    names, kinds = circuit.names, circuit.kinds
     try:
-        return [0.0 if kind in (BARRIER, DELAY) else weights[name] for name, kind in zip(names, kinds)]
+        return list(map(rule, names, kinds, circuit.qubits))
     except KeyError as exc:
         # gates are mapped in order, so the first gate with this name is the culprit
         missing = exc.args[0]

@@ -480,26 +480,30 @@ class _Parser:
         # ';', its last, reads the same wherever it stands under the same
         # registers. A key whose comment holds a ';' is never found this
         # way; the match finds it. A miss is matched, taken, and kept if
-        # taken. After a statement the grammar read that ends before
-        # ``end`` (a gate definition) the memo is not asked, so each
-        # character is searched and sliced once.
+        # taken; a match that ends at that ';' has the key already asked,
+        # and one that ends past it (its comment holds a ';') is asked by
+        # its own text. After a statement the grammar read that ends
+        # before ``end`` (a gate definition) the memo is not asked, so
+        # each character is searched and sliced once.
         end = 0  # just past the first ';' at or after offset, once looked for
         while True:
-            gate = None
+            gate = key = None
             if offset >= end:
                 end = find(";", offset) + 1 or len(text) + 1
-                gate = memo.get(text[offset:end])
+                key = text[offset:end]
+                gate = memo.get(key)
                 after = end
             if gate is None and end <= len(text):  # with no ';' left, no match
                 m = match(text, offset)
                 if m is not None:
-                    key = m.group()
-                    gate = memo.get(key)
+                    after = m.end()
+                    if key is None or after != end:
+                        key = m.group()
+                        gate = memo.get(key)
                     if gate is None:
                         gate = self.take(m)
                         if gate is not None:
                             memo[key] = gate
-                    after = m.end()
             # past the gate limit, the grammar reports the statement
             if gate is not None and len(names) + gate[4] <= MAX_GATES:
                 # appended here, not by append(): a call per gate costs

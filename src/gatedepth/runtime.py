@@ -26,8 +26,10 @@ class UnresolvedDurationError(LookupError):
         )
 
 
-def durations(circuit: Circuit, table: DurationTable) -> list[float]:
-    """Each gate's duration in seconds, in gate order.
+def duration(table: DurationTable, name: str, kind: str, qubits: tuple[int, ...],
+             params: tuple[float, ...], position: int = -1) -> float:
+    """One gate's duration in seconds, the rule :func:`durations` applies;
+    an :class:`UnresolvedDurationError` names ``position``.
 
     Lookup precedence per gate: exact (name, qubit tuple) entry, then the
     per-gate default, then :class:`UnresolvedDurationError`. The qubit
@@ -36,24 +38,26 @@ def durations(circuit: Circuit, table: DurationTable) -> list[float]:
     forward duration. Delays contribute their explicit duration parameter
     (seconds), which must be a finite number >= 0; barriers need no entry.
     """
-    column = []
+    if kind == BARRIER:
+        return 0.0
+    if kind == DELAY:
+        if not params:
+            raise UnresolvedDurationError(name, qubits, position, "delay without a duration parameter")
+        try:
+            return nonnegative_number(params[0], "delay duration")
+        except ValueError as exc:
+            raise UnresolvedDurationError(name, qubits, position, str(exc)) from None
+    dur = table.lookup(name, qubits)
+    if dur is None:
+        raise UnresolvedDurationError(name, qubits, position)
+    return dur
+
+
+def durations(circuit: Circuit, table: DurationTable) -> list[float]:
+    """Each gate's :func:`duration` in seconds, in gate order."""
     columns = zip(circuit.names, circuit.kinds, circuit.qubits, circuit.params)
-    for pos, (name, kind, qubits, params) in enumerate(columns):
-        if kind == BARRIER:
-            dur = 0.0
-        elif kind == DELAY:
-            if not params:
-                raise UnresolvedDurationError(name, qubits, pos, "delay without a duration parameter")
-            try:
-                dur = nonnegative_number(params[0], "delay duration")
-            except ValueError as exc:
-                raise UnresolvedDurationError(name, qubits, pos, str(exc)) from None
-        else:
-            dur = table.lookup(name, qubits)
-            if dur is None:
-                raise UnresolvedDurationError(name, qubits, pos)
-        column.append(dur)
-    return column
+    return [duration(table, name, kind, qubits, params, pos)
+            for pos, (name, kind, qubits, params) in enumerate(columns)]
 
 
 def estimate_runtime(circuit: Circuit, table: DurationTable, barrier: str = BARRIER_SKIP) -> float:

@@ -5,6 +5,7 @@ import importlib
 import importlib.util
 import io
 import json
+import math
 import os
 import random
 import subprocess
@@ -24,6 +25,7 @@ import gatedepth.runtime
 from conftest import ONE_QUBIT, THREE_QUBIT, TWO_QUBIT, qasm_texts, random_circuit
 from gatedepth.calibration import DurationTable
 from gatedepth.cli import METRIC_NAMES, MAX_GRID_POINTS, CliError, _parse_grid, _sweep_values, main
+from gatedepth.ir import DELAY, Circuit, Gate
 from gatedepth.metrics import WeightMap, gate_aware_depth, multiqubit_depth, traditional_depth
 from gatedepth.runtime import estimate_runtime
 
@@ -823,6 +825,132 @@ def test_one_sweep_equals_each_metric_and_runtime_alone(seed, barrier, metrics, 
     got = _sweep_values("c.qasm", c, tuple(metrics), wmap.weights, table if timed else None, barrier)
     assert got == expected
     assert all(type(v) is float for v in got)
+
+
+def column_path_values(path, circuit, metrics, weights, table, barrier):
+    """What the column path gives: each requested metric's public function,
+    in order, then the runtime. The first missing weight or duration exits
+    3, as does a value past the largest float, each with its message."""
+    alone = {"traditional": lambda: traditional_depth(circuit, barrier),
+             "multiqubit": lambda: multiqubit_depth(circuit, barrier),
+             "gateaware": lambda: gate_aware_depth(circuit, WeightMap(weights), barrier)}
+    try:
+        values = [alone[m]() for m in metrics]
+        if table is not None:
+            values.append(estimate_runtime(circuit, table, barrier))
+    except (gatedepth.metrics.MissingWeightError, gatedepth.runtime.UnresolvedDurationError) as exc:
+        raise CliError(3, f"{path}: {exc.args[0]}")
+    keys = [gatedepth.cli.DEPTH_KEYS[m] for m in metrics] + ["runtime_s"]
+    for key, value in zip(keys, values):
+        if not math.isfinite(value):
+            raise CliError(3, f"{path}: {key} is {value}: a sum past the largest float")
+    return values
+
+
+def outcome(values_of, *args):
+    """The values ``values_of(*args)`` returns, or the code and message of
+    the CliError it raises."""
+    try:
+        return values_of(*args)
+    except CliError as exc:
+        return exc.code, str(exc)
+
+
+def odd_circuit(rng: random.Random) -> Circuit:
+    """A random circuit on at most 4 qubits, so that gates repeat, with
+    directives; one in four also has a delay without a duration parameter
+    or with a negative one."""
+    c = random_circuit(rng, max_qubits=4, directives=True)
+    gates = list(c.gates)
+    if rng.random() < 0.25:
+        bad = Gate("delay", (rng.randrange(c.num_qubits),), rng.choice(((), (-1e-7,))), DELAY)
+        gates.insert(rng.randint(0, len(gates)), bad)
+    return Circuit(c.num_qubits, gates)
+
+
+@given(seed=st.integers(0, 10_000), barrier=st.sampled_from(("skip", "sync")),
+       metrics=st.lists(st.sampled_from(METRIC_NAMES), unique=True), timed=st.booleans())
+@settings(max_examples=200)
+def test_circuits_sharing_a_row_table_sweep_as_the_column_path(seed, barrier, metrics, timed):
+    """Circuits swept one after another with one row table, as compare
+    sweeps the versions of one base, give under == what a fresh table
+    gives and what the public functions give. A circuit that fails gives
+    the column path's exit code and message: a missing weight before a
+    missing duration, each at its first gate. Weights and the table lack
+    some names; durations may be 0, a two-qubit gate has entries in one
+    direction only, and a weight may be 1e308, whose sums overflow."""
+    assume(metrics or timed)
+    rng = random.Random(seed)
+    weights = {name: rng.choice((0.0, rng.uniform(0, 2), 1e308 if rng.random() < 0.1 else 1.0))
+               for name in NAMES if rng.random() < 0.9}
+    entries = {(name, qubits): rng.choice((0.0, rng.uniform(0, 1e-6)))
+               for name in NAMES for qubits in ((0,), (1,), (0, 1), (1, 2), (0, 1, 2))
+               if rng.random() < 0.5}
+    defaults = {name: rng.choice((0.0, rng.uniform(0, 1e-6))) for name in NAMES if rng.random() < 0.8}
+    table = DurationTable("dev", "arch", entries, defaults) if timed else None
+    requested = weights if "gateaware" in metrics else None
+    rows: dict = {}
+    for k in range(4):
+        c = odd_circuit(rng)
+        args = (f"c{k}.qasm", c, tuple(metrics), requested, table, barrier)
+        shared = outcome(_sweep_values, *args, rows)
+        assert shared == outcome(_sweep_values, *args) == outcome(column_path_values, *args)
+        if isinstance(shared, list):
+            assert all(type(v) is float for v in shared)
+
+
+def test_a_row_table_per_base_builds_each_key_once(tmp_path, monkeypatch, capsys):
+    """compare gives the versions of one base one row table and a new base
+    a new one; depth and estimate one per file. Each distinct (name, kind,
+    qubits) key's row is built once per table, a delay's once per gate,
+    and the duration table is asked once per key that is not a delay or a
+    barrier: here 6 lookups in compare, where one per gate would be 11."""
+    files = {("a", "v1"): "x q[0]; x q[0]; cx q[0],q[1]; delay(1e-7) q[1]; barrier q; x q[1];",
+             ("a", "v2"): "x q[0]; cx q[1],q[0]; delay(2e-7) q[0]; x q[1];",
+             ("b", "v1"): "x q[0]; cx q[0],q[1];",
+             ("b", "v2"): "cx q[0],q[1]; x q[0];"}
+    manifest = {"bases": [{"name": base, "versions": [
+        {"compiler": v, "file": write_version(tmp_path, f"{base}_{v}", 2, files[(base, v)])}
+        for v in ("v1", "v2")]} for base in ("a", "b")]}
+    (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+    (tmp_path / "durations.json").write_text(json.dumps({
+        "device": "dev", "architecture": "a",
+        "entries": [{"gate": "cx", "qubits": [0, 1], "duration_s": 3e-7}],
+        "defaults": {"cx": 4e-7, "x": 1e-7}}))
+    (tmp_path / "weights.json").write_text(json.dumps({"architecture": "a",
+                                                       "weights": {"cx": 1.0, "x": 0.25}}))
+    tables, built, looked_up = [], [], []
+    sweep_values, duration = gatedepth.cli._sweep_values, gatedepth.cli.duration
+    lookup = DurationTable.lookup
+
+    def counted_sweep_values(*args):
+        tables.append(args[6] if len(args) > 6 else None)
+        return sweep_values(*args)
+
+    def counted_duration(table, name, kind, qubits, params):
+        built.append((len(tables), name, qubits))
+        return duration(table, name, kind, qubits, params)
+
+    monkeypatch.setattr(gatedepth.cli, "_sweep_values", counted_sweep_values)
+    monkeypatch.setattr(gatedepth.cli, "duration", counted_duration)
+    monkeypatch.setattr(DurationTable, "lookup",
+                        lambda table, name, qubits: looked_up.append((len(tables), name, qubits))
+                        or lookup(table, name, qubits))
+    monkeypatch.chdir(tmp_path)
+    assert run(capsys, "compare", "manifest.json", "--durations", "durations.json",
+               "--weights", "weights.json", "--out", "out")[0] == 0
+    assert [t is tables[0] for t in tables] == [True, True, False, False]
+    assert tables[2] is tables[3]
+    assert looked_up == [(1, "x", (0,)), (1, "cx", (0, 1)), (1, "x", (1,)), (2, "cx", (1, 0)),
+                         (3, "x", (0,)), (3, "cx", (0, 1))]
+    assert built == [(1, "x", (0,)), (1, "cx", (0, 1)), (1, "delay", (1,)), (1, "barrier", (0, 1)),
+                     (1, "x", (1,)), (2, "cx", (1, 0)), (2, "delay", (0,)),
+                     (3, "x", (0,)), (3, "cx", (0, 1))]
+    tables.clear(), looked_up.clear()
+    assert run(capsys, "estimate", "--durations", "durations.json", "a_v1.qasm", "a_v2.qasm")[0] == 0
+    assert tables == [None, None]
+    assert looked_up == [(1, "x", (0,)), (1, "cx", (0, 1)), (1, "x", (1,)),
+                         (2, "x", (0,)), (2, "cx", (1, 0)), (2, "x", (1,))]
 
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"

@@ -504,9 +504,14 @@ def test_long_whitespace_runs_parse_in_linear_time(text):
         raise TimeoutError("parse took over 5 s")
 
     handler = signal.signal(signal.SIGALRM, too_slow)
-    signal.setitimer(signal.ITIMER_REAL, 5)
+    # after 5 s, then every second, failing with the message alone: see
+    # test_runs_of_gate_definitions_parse_in_linear_time
+    signal.setitimer(signal.ITIMER_REAL, 5, 1)
     try:
         fast, slow = parse_both_ways(text)
+    except TimeoutError as timeout:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        pytest.fail(str(timeout), pytrace=False)
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0)
         signal.signal(signal.SIGALRM, handler)
@@ -881,3 +886,43 @@ def test_a_remembered_statement_is_not_matched(monkeypatch):
     assert counting.calls == 3
     assert second == first
     assert len(second.circuit.gates) == 25
+
+
+class CountingStatements(dict):
+    """A ``statements`` dict whose memos record every key they are asked."""
+
+    def __init__(self):
+        super().__init__()
+        self.asked = []
+
+    def setdefault(self, layout, memo):
+        if layout not in self:
+            self[layout] = CountingMemo(self.asked)
+        return self[layout]
+
+
+class CountingMemo(dict):
+    def __init__(self, asked):
+        super().__init__()
+        self.asked = asked
+
+    def get(self, key, default=None):
+        self.asked.append(key)
+        return super().get(key, default)
+
+
+def test_a_statement_missed_by_the_memo_is_asked_once():
+    """A miss whose match ends at the ';' the probe found is not asked
+    again: its text is the probe's key. One after a comment that holds a
+    ';' is asked again, by its matched text. A remembered statement is one
+    lookup, as is the text past the last ';'."""
+    text = "OPENQASM 2.0;\nqreg q[2];\nx q[0];\nx q[1];\n// a; b\nx q[0];\ncx q[0],q[1];\n"
+    once = ["\nqreg q[2];", "\nx q[0];", "\nx q[1];", "\n// a;", "\n// a; b\nx q[0];",
+            "\ncx q[0],q[1];", "\n"]
+    statements = CountingStatements()
+    first = parse_program(text, statements)
+    assert statements.asked == once
+    assert first == parse_program(text) and first.ok and len(first.circuit.gates) == 4
+    statements.asked.clear()  # every statement the memo can hold is now a hit
+    assert parse_program(text, statements) == first
+    assert statements.asked == once
