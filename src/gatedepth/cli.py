@@ -21,6 +21,7 @@ import os
 import sys
 from contextlib import nullcontext
 from dataclasses import fields
+from functools import partial
 from itertools import groupby
 from operator import itemgetter
 from pathlib import Path
@@ -31,11 +32,10 @@ from . import __version__
 from .calibration import DurationTable, configure_weights, load_duration_table
 from .compare import (PairComparison, SweepPoint, VersionRecord, all_pairs,
                       identification_accuracy, summarize_distribution, sweep_single_qubit_weight)
-from .ir import DELAY
-from .metrics import (MissingWeightError, WeightMap, increment_rule, increments, read_json,
-                      sweep, write_json)
+from .metrics import (MissingWeightError, WeightMap, increment_rule, lower, read_json, sweep,
+                      write_json)
 from .qasm import QasmParseError, parse_file
-from .runtime import UnresolvedDurationError, duration, durations
+from .runtime import UnresolvedDurationError, duration
 # not called here: bench/tracing.py wraps these names in this module
 from .ir import validate  # noqa: F401
 from .metrics import gate_aware_depth, multiqubit_depth, traditional_depth  # noqa: F401
@@ -118,49 +118,18 @@ def _weights_for(metrics: tuple[str, ...], path: str | None) -> dict | None:
 def _sweep_values(path: str, circuit, metrics: tuple, weights, table, barrier: str,
                   rows: dict | None = None) -> list:
     """Each requested metric's value, in order, then the runtime if
-    ``table`` is given, from one sweep of the circuit. A gate's row holds
-    its increments in that order: a float at width 1, otherwise a numpy
-    array. ``rows`` maps the (name, kind, qubits) keys lowered so far under
-    these metrics, weights and table to their rows, and gains this
-    circuit's; None gives a table for this circuit alone. A delay's row
-    holds its parameter, so it is built per gate and not kept. When a row
-    cannot be built, the column functions name the gate at fault: a
-    missing weight exits 3 before a missing duration, each at its first
-    gate, and a value past the largest float exits 3 after both."""
+    ``table`` is given, from one sweep of the circuit's :func:`lower` rows.
+    ``rows`` is the row table of circuits lowered under these metrics,
+    weights and table, and gains this circuit's; None gives one for this
+    circuit alone. A missing weight or duration exits 3, naming the gate
+    :func:`lower` raises at; a value past the largest float exits 3 after."""
     rules = [increment_rule(m, weights) for m in metrics]
-    width = len(rules) + (table is not None)
-
-    def row(name, kind, qubits, params):
-        values = [rule(name, kind, qubits) for rule in rules]
-        if table is not None:
-            values.append(duration(table, name, kind, qubits, params))
-        return np.array(values) if width > 1 else values[0]
-
-    rows = {} if rows is None else rows
-    column = []
-    append, get = column.append, rows.get
+    if table is not None:
+        rules.append(partial(duration, table))
     try:
-        for name, kind, qubits, params in zip(circuit.names, circuit.kinds, circuit.qubits,
-                                              circuit.params):
-            if kind == DELAY:
-                append(row(name, kind, qubits, params))
-                continue
-            key = (name, kind, qubits)
-            found = get(key)
-            if found is None:
-                found = rows[key] = row(name, kind, qubits, params)
-            append(found)
-    except (KeyError, UnresolvedDurationError):
-        # the column functions name the first gate at fault, weights first
-        try:
-            for m in metrics:
-                increments(circuit, m, weights)
-            if table is not None:
-                durations(circuit, table)
-        except (MissingWeightError, UnresolvedDurationError) as exc:
-            raise CliError(EXIT_RESOLUTION, f"{path}: {exc.args[0]}")
-        raise
-    values = np.atleast_1d(sweep(circuit, column, barrier, width)).tolist()
+        values = np.atleast_1d(sweep(circuit, lower(circuit, rules, rows), barrier, len(rules))).tolist()
+    except (MissingWeightError, UnresolvedDurationError) as exc:
+        raise CliError(EXIT_RESOLUTION, f"{path}: {exc.args[0]}")
     for key, value in zip([DEPTH_KEYS[m] for m in metrics] + ["runtime_s"], values):
         if not math.isfinite(value):
             raise CliError(EXIT_RESOLUTION, f"{path}: {key} is {value}: a sum past the largest float")

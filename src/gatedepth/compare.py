@@ -17,7 +17,7 @@ from typing import Mapping, NamedTuple, Sequence
 import numpy as np
 
 from .calibration import DurationTable
-from .ir import Circuit, multi_qubit_mask
+from .ir import Circuit, multi_qubit
 from .metrics import increments, nonnegative_number, sweep
 from .runtime import UnresolvedDurationError, estimate_runtime
 # not called here: bench/tracing.py wraps this name in this module
@@ -265,7 +265,7 @@ def sweep_single_qubit_weight(
     for w_s in grid:
         nonnegative_number(w_s, "w_s")
     multiqubit = {name for *_, c in versions
-                  for name, multi in zip(c.names, multi_qubit_mask(c)) if multi}
+                  for name, multi in zip(c.names, map(multi_qubit, c.kinds, c.qubits)) if multi}
     runtimes = []
     for base, compiler, c in versions:
         try:

@@ -54,11 +54,6 @@ def is_multi_qubit(gate: Gate) -> bool:
     return multi_qubit(gate.kind, gate.qubits)
 
 
-def multi_qubit_mask(circuit: "Circuit") -> list[bool]:
-    """Per gate of ``circuit``, in order, whether :func:`is_multi_qubit` holds."""
-    return list(map(multi_qubit, circuit.kinds, circuit.qubits))
-
-
 def _view_gate(name: str, qubits: tuple[int, ...], params: tuple[float, ...], kind: str) -> Gate:
     """A Gate of fields already in their stored form, without re-checking them."""
     gate = object.__new__(Gate)

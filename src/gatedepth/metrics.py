@@ -1,14 +1,14 @@
 """Depth metrics computed by a single weighted critical-path sweep.
 
-Every metric is the same sweep over a different increments column.
-:func:`increment_rule` gives one gate's increment from its name, kind and
-qubits: traditional depth uses 1 per unitary or measure, multi-qubit depth
-1 per multi-qubit unitary, gate-aware depth the gate name's weight;
-barriers and delays add 0. :func:`increments` applies it to each gate, in
-gate order. The runtime (:mod:`gatedepth.runtime`) is one more column, of
-durations. The sweep sets each gate's operands to ``max(operand depths) +
-increment``. An increment may be a numpy array of one float per column, so
-one sweep of a circuit yields every metric and its runtime, bit for bit.
+Every metric is the same sweep over a different increments column. A rule
+gives one gate's increment: :func:`increment_rule` gives traditional
+depth's (1 per unitary or measure), multi-qubit depth's (1 per multi-qubit
+unitary) and gate-aware depth's (the gate name's weight); barriers and
+delays add 0. The runtime's rule is :func:`gatedepth.runtime.duration`.
+:func:`lower` alone applies rules to a circuit, giving each gate a row of
+one increment per rule, and the sweep sets each gate's operands to
+``max(operand depths) + row``. A row may be a numpy array, so one sweep of
+a circuit yields every metric and its runtime, bit for bit.
 """
 from __future__ import annotations
 
@@ -146,34 +146,72 @@ def sweep(circuit: Circuit, increments: Sequence, barrier: str = BARRIER_SKIP,
 
 
 def increment_rule(metric: str, weights: Mapping | None = None):
-    """The increment one gate adds under ``metric``, as a function of the
-    gate's ``(name, kind, qubits)``: traditional depth counts 1 per unitary
-    or measure, multi-qubit depth 1 per multi-qubit unitary, and gate-aware
-    depth takes ``weights[name]``, a float or a numpy column, raising
-    ``KeyError`` for a name it lacks. Barriers and delays add 0."""
+    """The rule of ``metric``: the increment one gate adds, as a function of
+    the gate's ``(name, kind, qubits, params, position=-1)``. Traditional
+    depth counts 1 per unitary or measure, multi-qubit depth 1 per
+    multi-qubit unitary, and gate-aware depth takes ``weights[name]``, a
+    float or a numpy column, raising :class:`MissingWeightError` naming
+    ``position`` for a name it lacks. Barriers and delays add 0."""
     if metric == "traditional":
-        return lambda name, kind, qubits: 0.0 if kind in (BARRIER, DELAY) else 1.0
+        return lambda name, kind, qubits, *_: 0.0 if kind in (BARRIER, DELAY) else 1.0
     if metric == "multiqubit":
-        return lambda name, kind, qubits: 1.0 if multi_qubit(kind, qubits) else 0.0
+        return lambda name, kind, qubits, *_: 1.0 if multi_qubit(kind, qubits) else 0.0
     if metric != "gateaware":
         raise ValueError(f"unknown metric {metric!r}")
-    return lambda name, kind, qubits: 0.0 if kind in (BARRIER, DELAY) else weights[name]
+
+    def gate_aware(name, kind, qubits, params, position=-1):
+        if kind in (BARRIER, DELAY):
+            return 0.0
+        try:
+            return weights[name]
+        except KeyError:
+            raise MissingWeightError(name, position) from None
+    return gate_aware
+
+
+def lower(circuit: Circuit, rules: Sequence, rows: dict | None = None) -> list:
+    """Each gate's sweep row under ``rules``, in gate order: the one rule's
+    increment, or a numpy array of each rule's, in order.
+
+    A row depends only on the gate's (name, kind, qubits) key, so it is
+    built once per distinct key and kept in ``rows``; a caller may pass
+    ``rows`` to share them between circuits lowered under the same rules.
+    A delay's row holds its parameter, so it is built per gate and not
+    kept. When a row cannot be built (a rule raises ``LookupError``), each
+    rule in order is asked at each gate, with its position: the first rule
+    that fails anywhere raises, at its first failing gate.
+    """
+    if len(rules) == 1:
+        row = rules[0]
+    else:
+        def row(*gate):
+            return np.array([rule(*gate) for rule in rules])
+    rows = {} if rows is None else rows
+    lowered = []
+    append, get = lowered.append, rows.get
+    columns = (circuit.names, circuit.kinds, circuit.qubits, circuit.params)
+    try:
+        for name, kind, qubits, params in zip(*columns):
+            if kind == DELAY:
+                append(row(name, kind, qubits, params))
+                continue
+            key = (name, kind, qubits)
+            found = get(key)
+            if found is None:
+                found = rows[key] = row(name, kind, qubits, params)
+            append(found)
+    except LookupError:
+        for rule in rules:
+            for position, gate in enumerate(zip(*columns)):
+                rule(*gate, position)
+        raise
+    return lowered
 
 
 def increments(circuit: Circuit, metric: str, weights: Mapping | None = None) -> list:
-    """Each gate's increment under ``metric`` (see :func:`increment_rule`),
-    in gate order; ``gateaware`` raises :class:`MissingWeightError` at the
-    first gate whose name has no weight."""
-    rule = increment_rule(metric, weights)
-    names, kinds = circuit.names, circuit.kinds
-    try:
-        return list(map(rule, names, kinds, circuit.qubits))
-    except KeyError as exc:
-        # gates are mapped in order, so the first gate with this name is the culprit
-        missing = exc.args[0]
-        pos = next(i for i, (name, kind) in enumerate(zip(names, kinds))
-                   if name == missing and kind not in (BARRIER, DELAY))
-        raise MissingWeightError(missing, pos) from None
+    """Each gate's increment under ``metric``, in gate order: :func:`lower`
+    under the metric's :func:`increment_rule`."""
+    return lower(circuit, [increment_rule(metric, weights)])
 
 
 def traditional_depth(circuit: Circuit, barrier: str = BARRIER_SKIP) -> int:

@@ -1,15 +1,18 @@
 """Exact circuit runtime from per-location gate durations.
 
-:func:`durations` gives each gate its device duration in seconds: one more
-increments column for the critical-path sweep of :mod:`gatedepth.metrics`,
-swept with the depth metrics' columns. With per-gate exact times the sweep
-reproduces an ASAP schedule's total duration.
+:func:`duration` gives one gate its device duration in seconds. Bound to a
+table, it is one more rule of :func:`gatedepth.metrics.lower`: the runtime
+is one more column of the critical-path sweep, swept with the depth
+metrics'. With per-gate exact times the sweep reproduces an ASAP
+schedule's total duration.
 """
 from __future__ import annotations
 
+from functools import partial
+
 from .calibration import DurationTable
 from .ir import BARRIER, DELAY, Circuit
-from .metrics import BARRIER_SKIP, nonnegative_number, sweep
+from .metrics import BARRIER_SKIP, lower, nonnegative_number, sweep
 
 
 class UnresolvedDurationError(LookupError):
@@ -28,8 +31,9 @@ class UnresolvedDurationError(LookupError):
 
 def duration(table: DurationTable, name: str, kind: str, qubits: tuple[int, ...],
              params: tuple[float, ...], position: int = -1) -> float:
-    """One gate's duration in seconds, the rule :func:`durations` applies;
-    an :class:`UnresolvedDurationError` names ``position``.
+    """One gate's duration in seconds, the runtime's rule for
+    :func:`gatedepth.metrics.lower`; an :class:`UnresolvedDurationError`
+    names ``position``.
 
     Lookup precedence per gate: exact (name, qubit tuple) entry, then the
     per-gate default, then :class:`UnresolvedDurationError`. The qubit
@@ -53,13 +57,6 @@ def duration(table: DurationTable, name: str, kind: str, qubits: tuple[int, ...]
     return dur
 
 
-def durations(circuit: Circuit, table: DurationTable) -> list[float]:
-    """Each gate's :func:`duration` in seconds, in gate order."""
-    columns = zip(circuit.names, circuit.kinds, circuit.qubits, circuit.params)
-    return [duration(table, name, kind, qubits, params, pos)
-            for pos, (name, kind, qubits, params) in enumerate(columns)]
-
-
 def estimate_runtime(circuit: Circuit, table: DurationTable, barrier: str = BARRIER_SKIP) -> float:
     """Total runtime in seconds of the ASAP schedule implied by the table."""
-    return sweep(circuit, durations(circuit, table), barrier)
+    return sweep(circuit, lower(circuit, [partial(duration, table)]), barrier)

@@ -1,5 +1,6 @@
 import random
 import tracemalloc
+from functools import partial
 
 import numpy as np
 import pytest
@@ -9,10 +10,11 @@ from hypothesis import strategies as st
 from conftest import (ONE_QUBIT, REPEATS_TEXT, TWO_QUBIT, THREE_QUBIT, longest_path_oracle,
                       parsed_and_built, random_circuit)
 from gatedepth.calibration import DurationTable
-from gatedepth.ir import BARRIER, DELAY, MEASURE, Circuit, Gate, is_multi_qubit
+from gatedepth.ir import BARRIER, DELAY, MEASURE, UNITARY, Circuit, Gate, is_multi_qubit
 from gatedepth.metrics import (BARRIER_SKIP, BARRIER_SYNC, MissingWeightError, WeightMap,
-                               gate_aware_depth, multiqubit_depth, sweep, traditional_depth)
-from gatedepth.runtime import estimate_runtime
+                               gate_aware_depth, increment_rule, lower, multiqubit_depth, sweep,
+                               traditional_depth)
+from gatedepth.runtime import UnresolvedDurationError, duration, estimate_runtime
 
 REFERENCE = Circuit(3, (
     Gate("cz", (0, 1)),
@@ -274,3 +276,75 @@ def test_concatenation_superadditive(seed):
         assert metric(combined) >= max(metric(a), metric(b))
     w = random_weights(rng)
     assert gate_aware_depth(combined, w) >= max(gate_aware_depth(a, w), gate_aware_depth(b, w)) - 1e-12
+
+
+# --- lowering -------------------------------------------------------------
+
+def recording_rule(calls: list, value: float):
+    """A rule that gives ``value`` and records each gate it is asked for."""
+    def rule(name, kind, qubits, params, position=-1):
+        calls.append((name, kind, qubits, params, position))
+        return value
+    return rule
+
+
+# two versions of one base: they share the x q[0] and cx q[0],q[1] keys
+VERSIONS = (
+    Circuit(2, (Gate("x", (0,)), Gate("cx", (0, 1)), Gate("x", (0,)),
+                Gate("delay", (1,), (1e-7,), DELAY), Gate("barrier", (0, 1), (), BARRIER))),
+    Circuit(2, (Gate("cx", (0, 1)), Gate("x", (1,)), Gate("delay", (0,), (1e-7,), DELAY),
+                Gate("x", (0,)))),
+)
+
+
+def test_circuits_sharing_rows_ask_each_rule_once_per_distinct_key():
+    """Only the failure scan passes a position, so every call here has -1."""
+    first, second = [], []
+    rows: dict = {}
+    for c in VERSIONS:
+        lower(c, [recording_rule(first, 1.0), recording_rule(second, 2.0)], rows)
+    keys = [("x", UNITARY, (0,)), ("cx", UNITARY, (0, 1)), ("barrier", BARRIER, (0, 1)),
+            ("x", UNITARY, (1,))]
+    assert [call[:3] for call in first if call[1] != DELAY] == keys
+    assert list(rows) == keys
+    assert first == second
+    assert {call[4] for call in first} == {-1}
+
+
+def test_gates_of_one_key_get_one_row_object():
+    rows: dict = {}
+    a, b = (lower(c, [recording_rule([], 1.0), recording_rule([], 2.0)], rows) for c in VERSIONS)
+    assert a[0] is a[2] is b[3] is rows[("x", UNITARY, (0,))]
+    assert a[1] is b[0]
+    assert a[0].tolist() == [1.0, 2.0]
+    # under one rule a row is the rule's own value
+    assert lower(VERSIONS[0], [recording_rule([], 0.5)]) == [0.5] * 5
+
+
+def test_a_delays_row_is_built_per_gate_and_not_kept():
+    calls: list = []
+    rows: dict = {}
+    c = Circuit(1, [Gate("delay", (0,), (t,), DELAY) for t in (1e-7, 2e-7, 1e-7)])
+    table = DurationTable("dev", "arch", {}, {})
+    got = lower(c, [recording_rule(calls, 0.0), partial(duration, table)], rows)
+    assert [row.tolist() for row in got] == [[0.0, 1e-7], [0.0, 2e-7], [0.0, 1e-7]]
+    assert got[0] is not got[2]
+    assert len(calls) == 3
+    assert rows == {}
+
+
+def test_the_first_rule_that_fails_raises_at_its_first_failing_gate():
+    """The weight rule first fails at gate 3 and the duration rule at gate
+    1, whose reversed cx has neither an entry nor a default: the weight
+    rule comes first, so its error is raised, naming gate 3."""
+    c = Circuit(2, (Gate("x", (0,)), Gate("cx", (1, 0)), Gate("x", (1,)), Gate("h", (0,)),
+                    Gate("cx", (1, 0))))
+    weights = increment_rule("gateaware", {"x": 0.1, "cx": 1.0})
+    durations = partial(duration, DurationTable("dev", "arch", {("cx", (0, 1)): 3e-7},
+                                                {"x": 1e-7, "h": 1e-7}))
+    with pytest.raises(MissingWeightError) as missing:
+        lower(c, [weights, durations])
+    assert (missing.value.gate_name, missing.value.position) == ("h", 3)
+    with pytest.raises(UnresolvedDurationError) as unresolved:
+        lower(c, [durations, weights])
+    assert (unresolved.value.gate_name, unresolved.value.position) == ("cx", 1)
