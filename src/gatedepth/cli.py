@@ -26,14 +26,12 @@ from itertools import groupby
 from operator import itemgetter
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
 from .calibration import DurationTable, configure_weights, load_duration_table
 from .compare import (PairComparison, SweepPoint, VersionRecord, all_pairs,
                       identification_accuracy, summarize_distribution, sweep_single_qubit_weight)
 from .metrics import (MissingWeightError, WeightMap, increment_rule, lower, read_json, sweep,
-                      write_json)
+                      tuple_add, tuple_max, write_json)
 from .qasm import QasmParseError, parse_file
 from .runtime import UnresolvedDurationError, duration
 # not called here: bench/tracing.py wraps these names in this module
@@ -127,9 +125,13 @@ def _sweep_values(path: str, circuit, metrics: tuple, weights, table, barrier: s
     if table is not None:
         rules.append(partial(duration, table))
     try:
-        values = np.atleast_1d(sweep(circuit, lower(circuit, rules, rows), barrier, len(rules))).tolist()
+        lowered = lower(circuit, rules, rows)
     except (MissingWeightError, UnresolvedDurationError) as exc:
         raise CliError(EXIT_RESOLUTION, f"{path}: {exc.args[0]}")
+    if len(rules) == 1:
+        values = [sweep(circuit, lowered, barrier)]
+    else:
+        values = list(sweep(circuit, lowered, barrier, (0.0,) * len(rules), tuple_max, tuple_add))
     for key, value in zip([DEPTH_KEYS[m] for m in metrics] + ["runtime_s"], values):
         if not math.isfinite(value):
             raise CliError(EXIT_RESOLUTION, f"{path}: {key} is {value}: a sum past the largest float")

@@ -4,7 +4,8 @@ Given several compiled versions of each base circuit, this module computes
 relative-difference predictions and their percent relative error (%RE) for
 every version pair, checks whether each metric picks out the
 runtime-optimal version(s), summarizes %RE distributions, and sweeps the
-single-qubit weight of a parameterized weight map over a grid.
+single-qubit weight of a parameterized weight map over a grid. Only the
+grid sweep imports numpy; every other analysis runs on Python floats.
 """
 from __future__ import annotations
 
@@ -12,9 +13,7 @@ import math
 from collections import defaultdict
 from dataclasses import dataclass
 from itertools import compress
-from typing import Mapping, NamedTuple, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Mapping, NamedTuple, Sequence
 
 from .calibration import DurationTable
 from .ir import Circuit, multi_qubit
@@ -22,6 +21,9 @@ from .metrics import increments, nonnegative_number, sweep
 from .runtime import UnresolvedDurationError, estimate_runtime
 # not called here: bench/tracing.py wraps this name in this module
 from .metrics import gate_aware_depth  # noqa: F401
+
+if TYPE_CHECKING:
+    import numpy as np
 
 # argmin tie tolerances: depths are exact sums of a few doubles, runtimes
 # can differ by float noise around 1e-16 s
@@ -93,16 +95,28 @@ def _versions_by_base(keys: Sequence[tuple[str, str]]) -> dict[str, dict[str, in
     return {base: dict(group) for base, group in groups.items()}
 
 
-def _oriented_pairs(keys: Sequence[tuple[str, str]]) -> np.ndarray:
-    """Index arrays C1 and C2 into ``keys``, one entry per unordered compiler
-    pair of each base name, bases in order of first appearance, the
+def _oriented_pairs(keys: Sequence[tuple[str, str]]) -> list[tuple[int, int]]:
+    """The indices (C1, C2) into ``keys`` of each unordered compiler pair of
+    each base name, bases in order of first appearance, the
     lexicographically smaller compiler id as C2."""
     pairs = []
     for by_compiler in _versions_by_base(keys).values():
         compilers = sorted(by_compiler)
         for i, c2 in enumerate(compilers):
             pairs.extend((by_compiler[c1], by_compiler[c2]) for c1 in compilers[i + 1:])
-    return np.array(pairs, dtype=np.intp).reshape(-1, 2).T
+    return pairs
+
+
+def _divide(a: float, b: float) -> float:
+    """``a / b`` of two floats as numpy gives it, with no exception: a zero
+    ``b`` gives nan where ``a`` is 0 or nan, else inf of the quotient's
+    sign. CPython's ``/`` already gives inf for a quotient past the largest
+    float."""
+    if b == 0:
+        if a == 0 or math.isnan(a):
+            return math.nan
+        return math.copysign(math.inf, a) * math.copysign(1.0, b)
+    return a / b
 
 
 def _pair_errors(values: np.ndarray, runtimes: np.ndarray, c1: np.ndarray, c2: np.ndarray):
@@ -111,7 +125,11 @@ def _pair_errors(values: np.ndarray, runtimes: np.ndarray, c1: np.ndarray, c2: n
     version): the relative metric differences, the relative runtime
     differences and the %REs, each pairs x columns. A value is defined where
     it is finite: a zero base, a zero runtime difference or a quotient past
-    the largest float leaves it inf or nan."""
+    the largest float leaves it inf or nan. This is the w_s grid's kernel;
+    :func:`all_pairs` takes the same float operations on one pair at a
+    time."""
+    import numpy as np
+
     m1, m2, r1, r2 = values[c1], values[c2], runtimes[c1, None], runtimes[c2, None]
     with np.errstate(all="ignore"):  # a zero base, or an overflow, as Python floats give it
         delta_metric = (m1 - m2) / m2
@@ -125,20 +143,22 @@ def all_pairs(records: Sequence[VersionRecord], metric: str) -> list[PairCompari
 
     Orientation is deterministic: the lexicographically smaller compiler id
     is the denominator C2. A base with k versions yields k*(k-1)/2 pairs.
-    A value that is not finite is None; a pair without a %RE is flagged
-    with each zero flag that applies, or else ``FLAG_OVERFLOW``."""
-    c1, c2 = _oriented_pairs([(rec.base, rec.compiler) for rec in records])
-    values = np.array([rec.metrics[metric] for rec in records], dtype=float)[:, None]
-    runtimes = np.array([rec.runtime_s for rec in records], dtype=float)
+    Each value takes the float operations of :func:`_pair_errors`, the
+    grid's kernel. A value that is not finite is None; a pair without a %RE
+    is flagged with each zero flag that applies, or else ``FLAG_OVERFLOW``."""
     comparisons = []
-    errors = (e[:, 0].tolist() for e in _pair_errors(values, runtimes, c1, c2))
-    for i, j, *pair in zip(c1.tolist(), c2.tolist(), *errors):
-        delta_metric, delta_runtime, percent_re = (v if math.isfinite(v) else None for v in pair)
-        m2, r2 = records[j].metrics[metric], records[j].runtime_s
+    for i, j in _oriented_pairs([(rec.base, rec.compiler) for rec in records]):
+        rec1, rec2 = records[i], records[j]
+        m2, r2 = float(rec2.metrics[metric]), float(rec2.runtime_s)
+        delta_metric = _divide(float(rec1.metrics[metric]) - m2, m2)
+        delta_runtime = _divide(float(rec1.runtime_s) - r2, r2)
+        percent_re = _divide(abs(delta_metric - delta_runtime), abs(delta_runtime)) * 100.0
+        delta_metric, delta_runtime, percent_re = (
+            v if math.isfinite(v) else None for v in (delta_metric, delta_runtime, percent_re))
         flags = (tuple(compress(ZERO_FLAGS, (m2 == 0, r2 == 0, delta_runtime == 0 and m2 != 0)))
                  or ((FLAG_OVERFLOW,) if percent_re is None else ()))
-        comparisons.append(PairComparison(records[i].base, records[i].compiler, records[j].compiler,
-                                          metric, delta_metric, delta_runtime, percent_re, flags))
+        comparisons.append(PairComparison(rec1.base, rec1.compiler, rec2.compiler, metric,
+                                          delta_metric, delta_runtime, percent_re, flags))
     return comparisons
 
 
@@ -208,17 +228,31 @@ class DistributionSummary:
     outliers: tuple[float, ...]
 
 
+def _percentile(ordered: Sequence[float], q: float) -> float:
+    """``np.percentile(ordered, q)`` of the ascending ``ordered``, in the same
+    float operations: the index (n - 1) * (q / 100) falls between two order
+    statistics a and b at fraction t, and the value is numpy's ``_lerp``,
+    a + (b - a) * t, or b - (b - a) * (1 - t) where t >= 0.5."""
+    last = len(ordered) - 1
+    index = last * (q / 100)
+    i = min(math.floor(index), last)
+    a, b = ordered[i], ordered[min(i + 1, last)]
+    t = index - i
+    return b - (b - a) * (1 - t) if t >= 0.5 else a + (b - a) * t
+
+
 def summarize_distribution(values: Sequence[float]) -> DistributionSummary:
-    """Median/quartiles via linear interpolation between order statistics;
-    outliers are values beyond the 1.5*IQR fences."""
+    """Median/quartiles via linear interpolation between order statistics,
+    each the float ``np.percentile`` gives; outliers are values beyond the
+    1.5*IQR fences."""
     if len(values) == 0:
         raise ValueError("cannot summarize an empty distribution")
-    arr = np.asarray(values, dtype=float)
-    q1, median, q3 = np.percentile(arr, [25.0, 50.0, 75.0])
+    ordered = sorted(map(float, values))
+    q1, median, q3 = (_percentile(ordered, q) for q in (25.0, 50.0, 75.0))
     iqr = q3 - q1
     lo, hi = q1 - 1.5 * iqr, q3 + 1.5 * iqr
-    outliers = tuple(float(v) for v in sorted(arr[(arr < lo) | (arr > hi)]))
-    return DistributionSummary(len(arr), float(median), float(q1), float(q3), float(iqr), outliers)
+    outliers = tuple(v for v in ordered if v < lo or v > hi)
+    return DistributionSummary(len(ordered), median, q1, q3, iqr, outliers)
 
 
 class SweepPoint(NamedTuple):
@@ -253,7 +287,8 @@ def sweep_single_qubit_weight(
     work is done per block of at most ``GRID_BLOCK`` grid values: each
     version is swept once per block, one numpy column per w_s (depths do
     not depend on the device), and each device's %RE is one pairs x block
-    array from the kernel :func:`all_pairs` uses, with its column medians.
+    array from :func:`_pair_errors`, with its column medians. This is the
+    only analysis that imports numpy.
     The version pairs are formed once, and each version's runtime on each
     device is its :func:`estimate_runtime`. Memory is per block. Ties in
     the argmin go to the smallest w_s. A grid value that is not a finite
@@ -262,6 +297,8 @@ def sweep_single_qubit_weight(
     :class:`UnresolvedDurationError`, and a runtime or depth past the
     largest float ``OverflowError``, naming the base and compiler id.
     """
+    import numpy as np
+
     for w_s in grid:
         nonnegative_number(w_s, "w_s")
     multiqubit = {name for *_, c in versions
@@ -279,16 +316,18 @@ def sweep_single_qubit_weight(
         runtimes.append(runtime)
     # one row per device; the reshape keeps that shape when there is no version
     runtimes = np.array(runtimes).reshape(len(versions), len(tables)).T
-    c1, c2 = _oriented_pairs([(base, compiler) for base, compiler, _ in versions])
+    c1, c2 = np.array(_oriented_pairs([(base, compiler) for base, compiler, _ in versions]),
+                      dtype=np.intp).reshape(-1, 2).T
     points: list[list[SweepPoint]] = [[] for _ in tables]
     for start in range(0, len(grid), GRID_BLOCK):
         block = grid[start:start + GRID_BLOCK]
         width = len(block)
-        zeros, ones, ws = ((0.0, 1.0, block[0]) if width == 1 else
-                           (np.zeros(width), np.ones(width), np.array(block, dtype=float)))
+        zeros, ones, ws = np.zeros(width), np.ones(width), np.array(block, dtype=float)
         weights = defaultdict(lambda: ws, dict.fromkeys(multiqubit, ones), rz=zeros)
-        depths = np.array([sweep(c, increments(c, "gateaware", weights), width=width)
-                           for *_, c in versions]).reshape(len(versions), width)
+        with np.errstate(over="ignore"):  # a depth past the largest float is inf, checked below
+            depths = np.array([sweep(c, increments(c, "gateaware", weights), zero=zeros,
+                                     maximum=np.maximum, add=np.add)
+                               for *_, c in versions]).reshape(len(versions), width)
         if not np.isfinite(depths).all():
             v, k = np.argwhere(~np.isfinite(depths))[0]
             base, compiler, _ = versions[v]

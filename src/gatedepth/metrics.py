@@ -7,18 +7,19 @@ unitary) and gate-aware depth's (the gate name's weight); barriers and
 delays add 0. The runtime's rule is :func:`gatedepth.runtime.duration`.
 :func:`lower` alone applies rules to a circuit, giving each gate a row of
 one increment per rule, and the sweep sets each gate's operands to
-``max(operand depths) + row``. A row may be a numpy array, so one sweep of
-a circuit yields every metric and its runtime, bit for bit.
+``max(operand depths) + row``. A row is a float under one rule and a tuple
+of floats under several, so one sweep of a circuit yields every metric and
+its runtime, bit for bit; the w_s grid alone sweeps numpy rows, one entry
+per grid value. This module imports no numpy.
 """
 from __future__ import annotations
 
 import json
 import math
+import operator
 from dataclasses import dataclass
 from functools import reduce
 from typing import Mapping, Sequence
-
-import numpy as np
 
 from .ir import BARRIER, DELAY, Circuit, multi_qubit
 
@@ -106,42 +107,54 @@ class MissingWeightError(KeyError):
         super().__init__(f"no weight for gate {gate_name!r} (gate position {position})")
 
 
+def tuple_max(a: tuple, b: tuple) -> tuple:
+    """The max of two tuple rows, entry by entry, as ``max(x, y)`` takes it:
+    x unless y > x."""
+    return tuple([y if y > x else x for x, y in zip(a, b)])
+
+
+def tuple_add(a: tuple, b: tuple) -> tuple:
+    """The sum of two tuple rows, entry by entry, as ``+`` of two floats."""
+    return tuple(map(operator.add, a, b))
+
+
 def sweep(circuit: Circuit, increments: Sequence, barrier: str = BARRIER_SKIP,
-          width: int = 1) -> float | np.ndarray:
+          zero=0.0, maximum=max, add=operator.add):
     """Run the critical-path sweep; ``increments[i]`` is gate ``i``'s row.
 
-    With ``width`` 1 a row is a float and the result is the depth, a float.
-    Otherwise a row is a numpy array of ``width`` increments and the result
-    an array whose entry ``k`` equals a width-1 sweep of column ``k``: both
-    take the same ``+`` and max in the same order. Rows are never changed in
-    place, so gates may share one row object. Only touched qubits keep a
-    depth. A gate on one qubit adds its row to that qubit's depth, the
-    ``+`` the general step takes on the same two values. Barriers never
-    increment (their row is ignored); with ``barrier="sync"`` they
-    propagate the max depth across their operands, with the default
-    ``"skip"`` they are ignored entirely. A sum past the largest float is
-    inf, in a numpy row as in a float, with no warning; callers that report
-    a depth check that it is finite.
+    ``zero``, ``maximum`` and ``add`` are the rows' zero, max and ``+``. The
+    defaults sweep float rows, and the result is the depth, a float. Tuple
+    rows of ``width`` floats take ``(0.0,) * width``, :func:`tuple_max` and
+    :func:`tuple_add`; the w_s grid's numpy rows take ``np.zeros(width)``,
+    ``np.maximum`` and ``np.add``. The result is then a row whose entry
+    ``k`` equals a float sweep of column ``k``: both take the same ``+``
+    and max in the same order. Rows are never changed in place, so gates
+    may share one row object. Only touched qubits keep a depth. A gate on
+    one qubit adds its row to that qubit's depth, the ``+`` the general
+    step takes on the same two values. Barriers never increment (their row
+    is ignored); with ``barrier="sync"`` they propagate the max depth across
+    their operands, with the default ``"skip"`` they are ignored entirely.
+    A sum past the largest float is inf, in a float or a tuple row with no
+    warning (numpy warns unless its caller sets ``np.errstate``); callers
+    that report a depth check that it is finite.
     """
-    zero, maximum = (0.0, max) if width == 1 else (np.zeros(width), np.maximum)
-    depths: dict[int, float | np.ndarray] = {}
+    depths: dict = {}
     get = depths.get
-    with np.errstate(over="ignore"):
-        for kind, qubits, row in zip(circuit.kinds, circuit.qubits, increments):
-            if kind == BARRIER:
-                if barrier != BARRIER_SYNC:
-                    continue
-            elif len(qubits) == 1:
-                q = qubits[0]
-                depths[q] = get(q, zero) + row
+    for kind, qubits, row in zip(circuit.kinds, circuit.qubits, increments):
+        if kind == BARRIER:
+            if barrier != BARRIER_SYNC:
                 continue
-            top = get(qubits[0], zero)
-            for q in qubits[1:]:
-                top = maximum(top, get(q, zero))
-            if kind != BARRIER:
-                top = top + row
-            for q in qubits:
-                depths[q] = top
+        elif len(qubits) == 1:
+            q = qubits[0]
+            depths[q] = add(get(q, zero), row)
+            continue
+        top = get(qubits[0], zero)
+        for q in qubits[1:]:
+            top = maximum(top, get(q, zero))
+        if kind != BARRIER:
+            top = add(top, row)
+        for q in qubits:
+            depths[q] = top
     return reduce(maximum, depths.values(), zero)
 
 
@@ -150,8 +163,9 @@ def increment_rule(metric: str, weights: Mapping | None = None):
     the gate's ``(name, kind, qubits, params, position=-1)``. Traditional
     depth counts 1 per unitary or measure, multi-qubit depth 1 per
     multi-qubit unitary, and gate-aware depth takes ``weights[name]``, a
-    float or a numpy column, raising :class:`MissingWeightError` naming
-    ``position`` for a name it lacks. Barriers and delays add 0."""
+    float, or a numpy row on the w_s grid, raising
+    :class:`MissingWeightError` naming ``position`` for a name it lacks.
+    Barriers and delays add 0."""
     if metric == "traditional":
         return lambda name, kind, qubits, *_: 0.0 if kind in (BARRIER, DELAY) else 1.0
     if metric == "multiqubit":
@@ -171,7 +185,7 @@ def increment_rule(metric: str, weights: Mapping | None = None):
 
 def lower(circuit: Circuit, rules: Sequence, rows: dict | None = None) -> list:
     """Each gate's sweep row under ``rules``, in gate order: the one rule's
-    increment, or a numpy array of each rule's, in order.
+    increment, or a tuple of each rule's, in order.
 
     A row depends only on the gate's (name, kind, qubits) key, so it is
     built once per distinct key and kept in ``rows``; a caller may pass
@@ -185,7 +199,7 @@ def lower(circuit: Circuit, rules: Sequence, rows: dict | None = None) -> list:
         row = rules[0]
     else:
         def row(*gate):
-            return np.array([rule(*gate) for rule in rules])
+            return tuple([rule(*gate) for rule in rules])
     rows = {} if rows is None else rows
     lowered = []
     append, get = lowered.append, rows.get

@@ -1017,6 +1017,37 @@ def test_closed_stdout_exits_4_with_one_line():
     assert err == b"<stdout>: Broken pipe\n"
 
 
+# runs gatedepth.cli.main on its arguments, or, with none, imports gatedepth
+# alone; exits 0 only if that succeeds and numpy was never imported
+WITHOUT_NUMPY = """import sys
+if sys.argv[1:]:
+    from gatedepth.cli import main
+    code = main(sys.argv[1:])
+else:
+    import gatedepth
+    code = 0
+sys.exit("numpy was imported" if "numpy" in sys.modules else code)
+"""
+
+
+@pytest.mark.parametrize("command", ["import", "depth", "estimate", "weights", "compare"])
+def test_every_command_but_sweep_runs_without_numpy(command, tmp_path):
+    """numpy's import is most of the start-up time; only sweep's grid needs it."""
+    circuits = sorted(str(p.relative_to(DEMO)) for p in DEMO.glob("circuits/*.qasm"))
+    argv = {"import": [],
+            "depth": ["depth", "--weights", "weights.json", *circuits],
+            "estimate": ["estimate", "--durations", "durations_device0.json", *circuits],
+            "weights": ["weights", *(f"durations_device{d}.json" for d in range(3)),
+                        "--out", str(tmp_path / "weights.json")],
+            "compare": ["compare", "manifest.json", "--durations", "durations_device0.json",
+                        "--weights", "weights.json", "--out", str(tmp_path / "report")]}[command]
+    env = {**os.environ, "PYTHONPATH": str(Path(gatedepth.cli.__file__).parents[1])}
+    proc = subprocess.run([sys.executable, "-c", WITHOUT_NUMPY, *argv], cwd=DEMO, env=env,
+                          capture_output=True, timeout=120)
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    assert bool(proc.stdout) == (command != "import")
+
+
 # --- byte identity on the bundled demo ------------------------------------
 
 # sha256 of the demo outputs; a change to any of them changes a reported number

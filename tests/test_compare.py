@@ -1,18 +1,20 @@
 import dataclasses
 import math
+import operator
 import random
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import random_circuit
 from gatedepth import compare
 from gatedepth.calibration import DurationTable
 from gatedepth.compare import (FLAG_ZERO_DELTA_RUNTIME, FLAG_ZERO_METRIC_BASE,
-                               FLAG_ZERO_RUNTIME_BASE, PairComparison, SweepPoint, SweepResult,
-                               VersionRecord, all_pairs, identification_accuracy,
-                               identify_optimal, percent_relative_error,
+                               FLAG_ZERO_RUNTIME_BASE, ZERO_FLAGS, DistributionSummary,
+                               PairComparison, SweepPoint, SweepResult, VersionRecord, all_pairs,
+                               identification_accuracy, identify_optimal, percent_relative_error,
                                relative_difference, summarize_distribution,
                                sweep_single_qubit_weight)
 from gatedepth.ir import BARRIER, DELAY, MEASURE, Circuit, Gate, is_multi_qubit
@@ -123,12 +125,21 @@ def test_zero_metric_base_flagged():
     assert pair.delta_metric is None and pair.percent_re is None
 
 
+# compare's overflow repro: one x gate each, C2 = a at 1e-300 s on qubit 1,
+# C1 = b at the 1e300 s default
+OVERFLOW_REPRO = [rec("b", "a", 1, 1e-300), rec("b", "b", 1, 1e300)]
+
+
 def test_a_quotient_past_the_largest_float_is_flagged_overflow():
-    """A C2 runtime of 5e-324 s: the relative runtime difference is inf."""
+    """A C2 runtime of 5e-324 s: the relative runtime difference is inf. In
+    the repro, (1e300 - 1e-300) / 1e-300 passes the largest float."""
     (pair,) = all_pairs([rec("b", "a", 1, 5e-324), rec("b", "b", 2, 1e-7)], "m")
     assert pair.delta_metric == 1.0
     assert pair.delta_runtime is None and pair.percent_re is None
     assert pair.flags == ("overflow",)
+    (repro,) = all_pairs(OVERFLOW_REPRO, "m")
+    assert (repro.delta_metric, repro.delta_runtime, repro.percent_re) == (0.0, None, None)
+    assert repro.flags == ("overflow",)
 
 
 def reference_all_pairs(records, metric):
@@ -137,7 +148,7 @@ def reference_all_pairs(records, metric):
     reported only where it is finite, and FLAG_OVERFLOW on a pair without a
     %RE that no zero flag explains."""
     comparisons = []
-    for i, j in zip(*compare._oriented_pairs([(rec.base, rec.compiler) for rec in records]).tolist()):
+    for i, j in compare._oriented_pairs([(rec.base, rec.compiler) for rec in records]):
         rec1, rec2 = records[i], records[j]
         flags = []
         delta_metric = delta_runtime = percent_re = None
@@ -178,9 +189,46 @@ RECORDS = st.lists(
 @given(records=RECORDS)
 @settings(max_examples=300)
 def test_all_pairs_equals_reference_all_pairs(records):
-    """Every value, None and flag of the array kernel is the scalar path's.
+    """Every value, None and flag of the %RE kernel is the scalar path's.
     Compared as reprs, which tell every float apart."""
     assert repr(all_pairs(records, "m")) == repr(reference_all_pairs(records, "m"))
+
+
+def numpy_all_pairs(records, metric):
+    """all_pairs by the w_s grid's numpy kernel, compare._pair_errors, on
+    one column of metric values: each value where it is finite, else None,
+    and the flags from the C2 values and the kernel's relative runtime
+    difference."""
+    pairs = compare._oriented_pairs([(rec.base, rec.compiler) for rec in records])
+    c1, c2 = np.array(pairs, dtype=np.intp).reshape(-1, 2).T
+    values = np.array([rec.metrics[metric] for rec in records], dtype=float)[:, None]
+    runtimes = np.array([rec.runtime_s for rec in records], dtype=float)
+    errors = (e[:, 0].tolist() for e in compare._pair_errors(values, runtimes, c1, c2))
+    comparisons = []
+    for (i, j), *pair in zip(pairs, *errors):
+        delta_metric, delta_runtime, percent_re = (v if math.isfinite(v) else None for v in pair)
+        m2, r2 = records[j].metrics[metric], records[j].runtime_s
+        flags = [flag for flag, zero in zip(ZERO_FLAGS, (m2 == 0, r2 == 0,
+                                                         delta_runtime == 0 and m2 != 0)) if zero]
+        if percent_re is None and not flags:
+            flags.append(compare.FLAG_OVERFLOW)
+        comparisons.append(PairComparison(records[i].base, records[i].compiler,
+                                          records[j].compiler, metric, delta_metric,
+                                          delta_runtime, percent_re, tuple(flags)))
+    return comparisons
+
+
+@given(records=RECORDS)
+@example(records=[rec("b", "a", 0, 1e-4), rec("b", "b", 2, 2e-4)])  # zero metric base
+@example(records=[rec("b", "a", 1, 0.0), rec("b", "b", 2, 1e-7)])  # zero runtime base
+@example(records=[rec("b", "a", 4, 1e-4), rec("b", "b", 6, 1e-4)])  # zero runtime difference
+@example(records=[rec("b", "a", 0, 0.0), rec("b", "b", 0, 0.0)])  # 0/0 twice
+@example(records=OVERFLOW_REPRO)
+@settings(max_examples=300)
+def test_scalar_kernel_equals_the_grids_numpy_kernel(records):
+    """all_pairs on Python floats gives, under ==, every value, None and
+    flag that the grid's numpy kernel gives on the same records."""
+    assert all_pairs(records, "m") == numpy_all_pairs(records, "m")
 
 
 def test_duplicate_compiler_rejected():
@@ -292,6 +340,34 @@ def test_summary_empty_rejected():
         summarize_distribution([])
 
 
+def numpy_summary(values) -> DistributionSummary:
+    """summarize_distribution by np.percentile, the reference."""
+    arr = np.asarray(values, dtype=float)
+    q1, median, q3 = np.percentile(arr, [25.0, 50.0, 75.0])
+    iqr = q3 - q1
+    lo, hi = q1 - 1.5 * iqr, q3 + 1.5 * iqr
+    outliers = tuple(float(v) for v in sorted(arr[(arr < lo) | (arr > hi)]))
+    return DistributionSummary(len(arr), float(median), float(q1), float(q3), float(iqr), outliers)
+
+
+# 1-60 values from 0 to 1e8; zeros and repeated values are common
+SAMPLES = st.lists(st.one_of(st.floats(0, 1e8), st.sampled_from((0.0, 1.0, 37.5, 1e8))),
+                   min_size=1, max_size=60)
+
+
+@given(values=SAMPLES)
+@example(values=[0.0])
+@example(values=[0.0, 1e8])
+@example(values=[5.0, 5.0, 5.0, 1e8])
+@settings(max_examples=500)
+def test_quartiles_equal_numpy_percentile(values):
+    """The pure-Python quartiles are np.percentile's floats, and so are the
+    IQR and the outliers built on them."""
+    s = summarize_distribution(values)
+    assert [s.q1, s.median, s.q3] == np.percentile(values, [25, 50, 75]).tolist()
+    assert s == numpy_summary(values)
+
+
 # --- weight sweep -------------------------------------------------------
 
 def make_ratio_dataset(ratio: float, seed: int = 0, n_bases: int = 6):
@@ -386,9 +462,9 @@ def test_sweep_builds_one_gateaware_column_per_version_per_block(monkeypatch):
         calls.append((id(c), metric))
         return increments(c, metric, weights)
 
-    def counted_sweep(c, rows, barrier="skip", width=1):
-        sweeps.append((id(c), width))
-        return sweep(c, rows, barrier, width)
+    def counted_sweep(c, rows, barrier="skip", zero=0.0, maximum=max, add=operator.add):
+        sweeps.append((id(c), np.size(zero)))
+        return sweep(c, rows, barrier, zero, maximum, add)
 
     def counted_estimate(c, table):
         runtimes.append((id(c), table.device))

@@ -1,3 +1,4 @@
+import operator
 import random
 import tracemalloc
 from functools import partial
@@ -13,7 +14,7 @@ from gatedepth.calibration import DurationTable
 from gatedepth.ir import BARRIER, DELAY, MEASURE, UNITARY, Circuit, Gate, is_multi_qubit
 from gatedepth.metrics import (BARRIER_SKIP, BARRIER_SYNC, MissingWeightError, WeightMap,
                                gate_aware_depth, increment_rule, lower, multiqubit_depth, sweep,
-                               traditional_depth)
+                               traditional_depth, tuple_add, tuple_max)
 from gatedepth.runtime import UnresolvedDurationError, duration, estimate_runtime
 
 REFERENCE = Circuit(3, (
@@ -224,29 +225,44 @@ def test_sweep_matches_brute_force_oracle(seed, barrier):
         assert got == pytest.approx(expected, rel=1e-12, abs=1e-15)
 
 
+def row_forms(width: int) -> list[tuple]:
+    """Each row form the program sweeps at ``width`` columns, as (the row
+    made from a tuple of floats, then sweep's zero, maximum and add): a
+    tuple (the CLI's metrics and runtime) and a numpy row (the w_s grid) at
+    any width, and a float at one column."""
+    forms = [(tuple, (0.0,) * width, tuple_max, tuple_add),
+             (np.array, np.zeros(width), np.maximum, np.add)]
+    if width == 1:
+        forms.append((lambda row: row[0], 0.0, max, operator.add))
+    return forms
+
+
 @given(seed=st.integers(0, 10_000), width=st.integers(1, 4),
        barrier=st.sampled_from((BARRIER_SKIP, BARRIER_SYNC)))
 @settings(max_examples=100)
 def test_row_sweep_equals_each_column_swept_alone(seed, width, barrier):
-    """Entry k of a width-K sweep is bit-identical to the width-1 sweep of
-    column k, and equals the DAG oracle with column k as the weights."""
+    """In every row form, entry k of a width-K sweep is bit-identical to the
+    float sweep of column k, and equals the DAG oracle with column k as the
+    weights."""
     rng = random.Random(seed)
     c = random_circuit(rng, directives=True)
     rows = [tuple(0.0 if g.kind == BARRIER else rng.uniform(0, 2) for _ in range(width))
             for g in c.gates]
-    as_row = (lambda row: row[0]) if width == 1 else np.array  # a float, or an array
-    got = np.atleast_1d(sweep(c, [as_row(row) for row in rows], barrier, width))
-    assert len(got) == width
     counted = (lambda g: g.kind != BARRIER) if barrier == BARRIER_SKIP else (lambda g: True)
     position = {id(g): i for i, g in enumerate(c.gates)}
-    for k in range(width):
-        assert got[k] == sweep(c, [row[k] for row in rows], barrier)
-        expected = longest_path_oracle(c, lambda g: rows[position[id(g)]][k], counted)
-        assert got[k] == pytest.approx(expected, rel=1e-12, abs=1e-15)
+    for as_row, *operations in row_forms(width):
+        got = np.atleast_1d(sweep(c, [as_row(row) for row in rows], barrier, *operations))
+        assert len(got) == width
+        for k in range(width):
+            assert got[k] == sweep(c, [row[k] for row in rows], barrier)
+            expected = longest_path_oracle(c, lambda g: rows[position[id(g)]][k], counted)
+            assert got[k] == pytest.approx(expected, rel=1e-12, abs=1e-15)
 
 
 def test_sweep_of_no_gates_gives_a_zero_per_column():
-    assert sweep(Circuit(3), [], width=3).tolist() == [0.0, 0.0, 0.0]
+    assert sweep(Circuit(3), [], BARRIER_SKIP, (0.0,) * 3, tuple_max, tuple_add) == (0.0, 0.0, 0.0)
+    assert sweep(Circuit(3), [], BARRIER_SKIP, np.zeros(3), np.maximum,
+                 np.add).tolist() == [0.0, 0.0, 0.0]
     assert sweep(Circuit(3), []) == 0.0
 
 
@@ -316,7 +332,7 @@ def test_gates_of_one_key_get_one_row_object():
     a, b = (lower(c, [recording_rule([], 1.0), recording_rule([], 2.0)], rows) for c in VERSIONS)
     assert a[0] is a[2] is b[3] is rows[("x", UNITARY, (0,))]
     assert a[1] is b[0]
-    assert a[0].tolist() == [1.0, 2.0]
+    assert a[0] == (1.0, 2.0)
     # under one rule a row is the rule's own value
     assert lower(VERSIONS[0], [recording_rule([], 0.5)]) == [0.5] * 5
 
@@ -327,7 +343,7 @@ def test_a_delays_row_is_built_per_gate_and_not_kept():
     c = Circuit(1, [Gate("delay", (0,), (t,), DELAY) for t in (1e-7, 2e-7, 1e-7)])
     table = DurationTable("dev", "arch", {}, {})
     got = lower(c, [recording_rule(calls, 0.0), partial(duration, table)], rows)
-    assert [row.tolist() for row in got] == [[0.0, 1e-7], [0.0, 2e-7], [0.0, 1e-7]]
+    assert got == [(0.0, 1e-7), (0.0, 2e-7), (0.0, 1e-7)]
     assert got[0] is not got[2]
     assert len(calls) == 3
     assert rows == {}
