@@ -30,8 +30,8 @@ from . import __version__
 from .calibration import DurationTable, configure_weights, load_duration_table
 from .compare import (PairComparison, SweepPoint, VersionRecord, all_pairs,
                       identification_accuracy, summarize_distribution, sweep_single_qubit_weight)
-from .metrics import (MissingWeightError, WeightMap, increment_rule, lower, read_json, sweep,
-                      tuple_add, tuple_max, write_json)
+from .metrics import (MissingWeightError, WeightMap, increment_rule, lower, metric_weights,
+                      read_json, sweep, tuple_add, tuple_max, write_json)
 from .qasm import QasmParseError, parse_file
 from .runtime import UnresolvedDurationError, duration
 # not called here: bench/tracing.py wraps these names in this module
@@ -121,7 +121,8 @@ def _sweep_values(path: str, circuit, metrics: tuple, weights, table, barrier: s
     weights and table, and gains this circuit's; None gives one for this
     circuit alone. A missing weight or duration exits 3, naming the gate
     :func:`lower` raises at; a value past the largest float exits 3 after."""
-    rules = [increment_rule(m, weights) for m in metrics]
+    maps = metric_weights([circuit], weights) if metrics else {}
+    rules = [increment_rule(maps[m]) for m in metrics]
     if table is not None:
         rules.append(partial(duration, table))
     try:

@@ -10,14 +10,13 @@ grid sweep imports numpy; every other analysis runs on Python floats.
 from __future__ import annotations
 
 import math
-from collections import defaultdict
 from dataclasses import dataclass
 from itertools import compress
 from typing import TYPE_CHECKING, Mapping, NamedTuple, Sequence
 
 from .calibration import DurationTable
-from .ir import Circuit, multi_qubit
-from .metrics import increments, nonnegative_number, sweep
+from .ir import Circuit
+from .metrics import increment_rule, lower, metric_weights, nonnegative_number, sweep
 from .runtime import UnresolvedDurationError, estimate_runtime
 # not called here: bench/tracing.py wraps this name in this module
 from .metrics import gate_aware_depth  # noqa: F401
@@ -280,10 +279,10 @@ def sweep_single_qubit_weight(
     """Evaluate gate-aware depth accuracy for each single-qubit weight w_s,
     over one (base name, compiler id, circuit) per compiled version.
 
-    A gate weighs 0.0 if it is an rz, barrier or delay, 1.0 if some version
-    applies its name to two or more qubits, and w_s otherwise (measure
-    included). Every float equals what :func:`all_pairs` and
-    :func:`summarize_distribution` give for the same weight map, but the
+    A gate weighs 0.0 if it is an rz, barrier or delay, 1.0 where the
+    versions' multi-qubit :func:`metric_weights` map gives 1.0, and w_s
+    otherwise (measure included). Every float equals what :func:`all_pairs`
+    and :func:`summarize_distribution` give for the same weight map, but the
     work is done per block of at most ``GRID_BLOCK`` grid values: each
     version is swept once per block, one numpy column per w_s (depths do
     not depend on the device), and each device's %RE is one pairs x block
@@ -301,8 +300,7 @@ def sweep_single_qubit_weight(
 
     for w_s in grid:
         nonnegative_number(w_s, "w_s")
-    multiqubit = {name for *_, c in versions
-                  for name, multi in zip(c.names, map(multi_qubit, c.kinds, c.qubits)) if multi}
+    multiqubit = metric_weights([c for *_, c in versions])["multiqubit"]
     runtimes = []
     for base, compiler, c in versions:
         try:
@@ -323,10 +321,10 @@ def sweep_single_qubit_weight(
         block = grid[start:start + GRID_BLOCK]
         width = len(block)
         zeros, ones, ws = np.zeros(width), np.ones(width), np.array(block, dtype=float)
-        weights = defaultdict(lambda: ws, dict.fromkeys(multiqubit, ones), rz=zeros)
+        weights = {name: ones if multi else ws for name, multi in multiqubit.items()}
+        rule = increment_rule({**weights, "rz": zeros})
         with np.errstate(over="ignore"):  # a depth past the largest float is inf, checked below
-            depths = np.array([sweep(c, increments(c, "gateaware", weights), zero=zeros,
-                                     maximum=np.maximum, add=np.add)
+            depths = np.array([sweep(c, lower(c, [rule]), zero=zeros, maximum=np.maximum, add=np.add)
                                for *_, c in versions]).reshape(len(versions), width)
         if not np.isfinite(depths).all():
             v, k = np.argwhere(~np.isfinite(depths))[0]

@@ -1,10 +1,10 @@
 """Depth metrics computed by a single weighted critical-path sweep.
 
-Every metric is the same sweep over a different increments column. A rule
-gives one gate's increment: :func:`increment_rule` gives traditional
-depth's (1 per unitary or measure), multi-qubit depth's (1 per multi-qubit
-unitary) and gate-aware depth's (the gate name's weight); barriers and
-delays add 0. The runtime's rule is :func:`gatedepth.runtime.duration`.
+Every metric is gate-aware depth under its own weight map, which
+:func:`metric_weights` builds from the names of the circuits compared (a
+name's first gate decides whether it is multi-qubit). :func:`increment_rule`
+is the one rule of every map: a gate adds its name's weight, and barriers
+and delays add 0. The runtime's rule is :func:`gatedepth.runtime.duration`.
 :func:`lower` alone applies rules to a circuit, giving each gate a row of
 one increment per rule, and the sweep sets each gate's operands to
 ``max(operand depths) + row``. A row is a float under one rule and a tuple
@@ -158,29 +158,33 @@ def sweep(circuit: Circuit, increments: Sequence, barrier: str = BARRIER_SKIP,
     return reduce(maximum, depths.values(), zero)
 
 
-def increment_rule(metric: str, weights: Mapping | None = None):
-    """The rule of ``metric``: the increment one gate adds, as a function of
-    the gate's ``(name, kind, qubits, params, position=-1)``. Traditional
-    depth counts 1 per unitary or measure, multi-qubit depth 1 per
-    multi-qubit unitary, and gate-aware depth takes ``weights[name]``, a
-    float, or a numpy row on the w_s grid, raising
-    :class:`MissingWeightError` naming ``position`` for a name it lacks.
-    Barriers and delays add 0."""
-    if metric == "traditional":
-        return lambda name, kind, qubits, *_: 0.0 if kind in (BARRIER, DELAY) else 1.0
-    if metric == "multiqubit":
-        return lambda name, kind, qubits, *_: 1.0 if multi_qubit(kind, qubits) else 0.0
-    if metric != "gateaware":
-        raise ValueError(f"unknown metric {metric!r}")
+def metric_weights(circuits: Sequence[Circuit], weights: Mapping | None = None) -> dict:
+    """Each metric's weight map over the gate names of ``circuits``: 1.0 for
+    every name under ``"traditional"``; under ``"multiqubit"`` 1.0 for a
+    name whose first gate is a unitary on two or more qubits, else 0.0 (a
+    parsed name fixes its kind and arity); ``weights`` under ``"gateaware"``."""
+    first: dict = {}  # name -> (kind, qubits) of the name's first gate
+    for c in circuits:
+        for name in dict.fromkeys(c.names):  # a loop per distinct name, not per gate
+            i = c.names.index(name)
+            first.setdefault(name, (c.kinds[i], c.qubits[i]))
+    return {"traditional": dict.fromkeys(first, 1.0),
+            "multiqubit": {name: 1.0 if multi_qubit(*gate) else 0.0 for name, gate in first.items()},
+            "gateaware": weights}
 
-    def gate_aware(name, kind, qubits, params, position=-1):
+
+def increment_rule(weights: Mapping):
+    """The rule of the weight map ``weights``: a gate's ``(name, kind,
+    qubits, params, position=-1)`` adds ``weights[name]``, a float, or a
+    numpy row on the w_s grid, or raises :class:`MissingWeightError` naming
+    ``position``; barriers and delays add 0."""
+    def rule(name, kind, qubits, params, position=-1):
         if kind in (BARRIER, DELAY):
             return 0.0
-        try:
-            return weights[name]
-        except KeyError:
-            raise MissingWeightError(name, position) from None
-    return gate_aware
+        if name not in weights:
+            raise MissingWeightError(name, position)
+        return weights[name]
+    return rule
 
 
 def lower(circuit: Circuit, rules: Sequence, rows: dict | None = None) -> list:
@@ -222,26 +226,22 @@ def lower(circuit: Circuit, rules: Sequence, rows: dict | None = None) -> list:
     return lowered
 
 
-def increments(circuit: Circuit, metric: str, weights: Mapping | None = None) -> list:
-    """Each gate's increment under ``metric``, in gate order: :func:`lower`
-    under the metric's :func:`increment_rule`."""
-    return lower(circuit, [increment_rule(metric, weights)])
-
-
 def traditional_depth(circuit: Circuit, barrier: str = BARRIER_SKIP) -> int:
     """Length of the longest chain of logically dependent gates.
 
     Unitaries and measurements count 1; barriers and delays count 0.
     """
-    return int(round(sweep(circuit, increments(circuit, "traditional"), barrier)))
+    weight_map = WeightMap(metric_weights([circuit])["traditional"])
+    return int(round(gate_aware_depth(circuit, weight_map, barrier)))
 
 
 def multiqubit_depth(circuit: Circuit, barrier: str = BARRIER_SKIP) -> int:
-    """Depth counting only gates on two or more qubits.
+    """Depth counting only gates whose name :func:`metric_weights` finds multi-qubit.
 
     Single-qubit gates still propagate the running max without incrementing.
     """
-    return int(round(sweep(circuit, increments(circuit, "multiqubit"), barrier)))
+    weight_map = WeightMap(metric_weights([circuit])["multiqubit"])
+    return int(round(gate_aware_depth(circuit, weight_map, barrier)))
 
 
 def gate_aware_depth(circuit: Circuit, weight_map: WeightMap, barrier: str = BARRIER_SKIP) -> float:
@@ -250,4 +250,4 @@ def gate_aware_depth(circuit: Circuit, weight_map: WeightMap, barrier: str = BAR
     Every unitary and measure name must be present in the map; barriers and
     delays are exempt and contribute 0.
     """
-    return sweep(circuit, increments(circuit, "gateaware", weight_map.weights), barrier)
+    return sweep(circuit, lower(circuit, [increment_rule(weight_map.weights)]), barrier)

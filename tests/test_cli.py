@@ -25,6 +25,7 @@ import gatedepth.runtime
 from conftest import ONE_QUBIT, THREE_QUBIT, TWO_QUBIT, qasm_texts, random_circuit
 from gatedepth.calibration import DurationTable
 from gatedepth.cli import METRIC_NAMES, MAX_GRID_POINTS, CliError, _parse_grid, _sweep_values, main
+from gatedepth.compare import VersionRecord, all_pairs, sweep_single_qubit_weight
 from gatedepth.ir import DELAY, Circuit, Gate
 from gatedepth.metrics import WeightMap, gate_aware_depth, multiqubit_depth, traditional_depth
 from gatedepth.runtime import estimate_runtime
@@ -804,6 +805,36 @@ def test_compare_sweeps_each_circuit_once(compare_setup, tmp_path, swept, capsys
     assert code == 0
     assert len(swept) == len({id(c) for c in swept}) == 4
 
+
+
+def test_a_name_on_one_qubit_and_on_two_is_what_its_first_gate_is(monkeypatch, capsys):
+    """README's definition for circuits built in code: a name is
+    multi-qubit, and counts 1 at each of its gates, if its first gate in the
+    circuits is a unitary on two or more qubits, and counts 0 at each gate
+    otherwise. multiqubit_depth, `depth --metric multiqubit` and sweep's
+    w_s = 0 column all follow it. (Counting each gate on its own, as the
+    program did before every metric became a weight map, gives both mixed
+    circuits a multi-qubit depth of 1.)"""
+    mixed = Circuit(2, (Gate("g", (0, 1)), Gate("g", (0,)), Gate("g", (0,)), Gate("x", (1,))))
+    flipped = Circuit(2, (Gate("g", (0,)), Gate("g", (0, 1)), Gate("g", (0,)), Gate("x", (1,))))
+    assert (multiqubit_depth(mixed), multiqubit_depth(flipped)) == (3, 0)
+    # a parsed name fixes its arity, so only a stand-in parser reads these circuits
+    monkeypatch.setattr(gatedepth.cli, "parse_file",
+                        lambda path, *_: {"mixed.qasm": mixed, "flipped.qasm": flipped}[path])
+    code, out, _ = run(capsys, "depth", "--metric", "multiqubit", "mixed.qasm", "flipped.qasm")
+    assert code == 0
+    assert [json.loads(line) for line in out.splitlines()] == [
+        {"file": "mixed.qasm", "multiqubit_depth": 3}, {"file": "flipped.qasm", "multiqubit_depth": 0}]
+    # at w_s = 0 the sweep weighs g 1.0, as the first g of the versions, and x 0.0
+    single = Circuit(2, (Gate("g", (0, 1)),))
+    table = DurationTable("dev", "arch", {}, {"g": 1e-7, "x": 5e-8})
+    versions = [("b", "mixed", mixed), ("b", "single", single)]
+    [point] = sweep_single_qubit_weight(versions, [table], [0.0]).points
+    records = [VersionRecord(base, compiler, {"multiqubit": multiqubit_depth(c)},
+                             estimate_runtime(c, table)) for base, compiler, c in versions]
+    [pair] = all_pairs(records, "multiqubit")
+    assert (point.w_s, point.median_percent_re) == (0.0, pair.percent_re)
+    assert pair.delta_metric == (1 - 3) / 3
 
 NAMES = ONE_QUBIT + TWO_QUBIT + THREE_QUBIT + ("measure",)
 

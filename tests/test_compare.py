@@ -451,16 +451,16 @@ def test_sweep_equals_one_weight_map_per_point(monkeypatch):
 
 
 def test_sweep_builds_one_gateaware_column_per_version_per_block(monkeypatch):
-    """Each version's increments come from metrics.increments, once per
-    block of GRID_BLOCK grid values, and each is swept once per block;
-    its runtime on each device is one estimate_runtime call."""
+    """Each version is lowered by metrics.lower under the one gate-aware
+    rule, once per block of GRID_BLOCK grid values, and each is swept once
+    per block; its runtime on each device is one estimate_runtime call."""
     monkeypatch.setattr(compare, "GRID_BLOCK", 40)
     calls, sweeps, runtimes = [], [], []
-    increments, sweep, estimate = compare.increments, compare.sweep, compare.estimate_runtime
+    lower, sweep, estimate = compare.lower, compare.sweep, compare.estimate_runtime
 
-    def counted(c, metric, weights):
-        calls.append((id(c), metric))
-        return increments(c, metric, weights)
+    def counted(c, rules, rows=None):
+        calls.append((id(c), [rule.__qualname__ for rule in rules]))
+        return lower(c, rules, rows)
 
     def counted_sweep(c, rows, barrier="skip", zero=0.0, maximum=max, add=operator.add):
         sweeps.append((id(c), np.size(zero)))
@@ -470,14 +470,14 @@ def test_sweep_builds_one_gateaware_column_per_version_per_block(monkeypatch):
         runtimes.append((id(c), table.device))
         return estimate(c, table)
 
-    monkeypatch.setattr(compare, "increments", counted)
+    monkeypatch.setattr(compare, "lower", counted)
     monkeypatch.setattr(compare, "sweep", counted_sweep)
     monkeypatch.setattr(compare, "estimate_runtime", counted_estimate)
     versions, table = make_ratio_dataset(0.3, seed=1, n_bases=2)
     tables = [table, dataclasses.replace(table, device="other")]
     compare.sweep_single_qubit_weight(versions, tables, [round(0.01 * i, 2) for i in range(101)])
     ids = [id(c) for *_, c in versions]
-    assert sorted(calls) == sorted((v, "gateaware") for v in ids * 3)
+    assert sorted(calls) == sorted((v, ["increment_rule.<locals>.rule"]) for v in ids * 3)
     assert sorted(sweeps) == sorted((v, width) for v in ids for width in (40, 40, 21))
     assert sorted(runtimes) == sorted((v, device) for v in ids for device in ("synth", "other"))
 

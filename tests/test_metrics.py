@@ -11,10 +11,10 @@ from hypothesis import strategies as st
 from conftest import (ONE_QUBIT, REPEATS_TEXT, TWO_QUBIT, THREE_QUBIT, longest_path_oracle,
                       parsed_and_built, random_circuit)
 from gatedepth.calibration import DurationTable
-from gatedepth.ir import BARRIER, DELAY, MEASURE, UNITARY, Circuit, Gate, is_multi_qubit
+from gatedepth.ir import BARRIER, DELAY, MEASURE, UNITARY, Circuit, Gate, is_multi_qubit, multi_qubit
 from gatedepth.metrics import (BARRIER_SKIP, BARRIER_SYNC, MissingWeightError, WeightMap,
-                               gate_aware_depth, increment_rule, lower, multiqubit_depth, sweep,
-                               traditional_depth, tuple_add, tuple_max)
+                               gate_aware_depth, increment_rule, lower, metric_weights,
+                               multiqubit_depth, sweep, traditional_depth, tuple_add, tuple_max)
 from gatedepth.runtime import UnresolvedDurationError, duration, estimate_runtime
 
 REFERENCE = Circuit(3, (
@@ -355,7 +355,7 @@ def test_the_first_rule_that_fails_raises_at_its_first_failing_gate():
     rule comes first, so its error is raised, naming gate 3."""
     c = Circuit(2, (Gate("x", (0,)), Gate("cx", (1, 0)), Gate("x", (1,)), Gate("h", (0,)),
                     Gate("cx", (1, 0))))
-    weights = increment_rule("gateaware", {"x": 0.1, "cx": 1.0})
+    weights = increment_rule({"x": 0.1, "cx": 1.0})
     durations = partial(duration, DurationTable("dev", "arch", {("cx", (0, 1)): 3e-7},
                                                 {"x": 1e-7, "h": 1e-7}))
     with pytest.raises(MissingWeightError) as missing:
@@ -364,3 +364,87 @@ def test_the_first_rule_that_fails_raises_at_its_first_failing_gate():
     with pytest.raises(UnresolvedDurationError) as unresolved:
         lower(c, [durations, weights])
     assert (unresolved.value.gate_name, unresolved.value.position) == ("cx", 1)
+
+
+# --- one rule: every metric is a weight map -------------------------------
+
+def reference_rule(metric: str, weights=None):
+    """The rule of ``metric`` as the program gave it before every metric
+    became a weight map, kept as the reference: traditional depth counts 1
+    per unitary or measure, multi-qubit depth 1 per gate that is itself a
+    unitary on two or more qubits, and gate-aware depth takes
+    ``weights[name]``; barriers and delays add 0."""
+    if metric == "traditional":
+        return lambda name, kind, qubits, *_: 0.0 if kind in (BARRIER, DELAY) else 1.0
+    if metric == "multiqubit":
+        return lambda name, kind, qubits, *_: 1.0 if multi_qubit(kind, qubits) else 0.0
+
+    def gate_aware(name, kind, qubits, params, position=-1):
+        if kind in (BARRIER, DELAY):
+            return 0.0
+        try:
+            return weights[name]
+        except KeyError:
+            raise MissingWeightError(name, position) from None
+    return gate_aware
+
+
+@given(seed=st.integers(0, 10_000), barrier=st.sampled_from((BARRIER_SKIP, BARRIER_SYNC)),
+       metrics=st.lists(st.sampled_from(("traditional", "multiqubit", "gateaware")), min_size=1,
+                        max_size=4),
+       count=st.integers(1, 3))
+@settings(max_examples=200)
+def test_weight_maps_equal_the_reference_rules(seed, barrier, metrics, count):
+    """Under its metric_weights map the one rule gives every gate the row
+    the metric's reference rule gives, under ==, at one rule and at
+    several: each circuit alone, and circuits that share one row table, as
+    the versions of one base do. The sweeps and the public depth functions
+    then equal the reference too. A name of random_circuit fixes its arity,
+    as a parsed name does."""
+    rng = random.Random(seed)
+    circuits = [random_circuit(rng, directives=True) for _ in range(count)]
+    weights = {**random_weights(rng, high=2.0).weights, "measure": rng.uniform(0, 2)}
+    maps = metric_weights(circuits, weights)
+    rules = [increment_rule(maps[m]) for m in metrics]
+    references = [reference_rule(m, weights) for m in metrics]
+    rows: dict = {}
+    reference_rows: dict = {}
+    operations = () if len(metrics) == 1 else ((0.0,) * len(metrics), tuple_max, tuple_add)
+    for c in circuits:
+        got = lower(c, rules, rows)
+        expected = lower(c, references, reference_rows)
+        assert got == expected == lower(c, rules)
+        assert sweep(c, got, barrier, *operations) == sweep(c, expected, barrier, *operations)
+        alone = {"traditional": traditional_depth(c, barrier), "multiqubit": multiqubit_depth(c, barrier),
+                 "gateaware": gate_aware_depth(c, WeightMap(weights), barrier)}
+        for metric in metrics:
+            reference = sweep(c, lower(c, [reference_rule(metric, weights)]), barrier)
+            assert alone[metric] == (reference if metric == "gateaware" else int(round(reference)))
+
+
+def test_the_maps_of_a_circuit_name_each_of_its_gates():
+    """Every name of the circuits gets an entry in the traditional and
+    multi-qubit maps, directives' names too (the rule gives barriers and
+    delays 0 before it looks): a barrier over two qubits is not a
+    multi-qubit unitary, nor is a measure. Gate-aware depth's map is the
+    weights given, as they are."""
+    c = Circuit(3, (Gate("x", (0,)), Gate("cx", (0, 1)), Gate("barrier", (0, 1, 2), (), BARRIER),
+                    Gate("measure", (2,), (), MEASURE), Gate("delay", (1,), (1e-7,), DELAY),
+                    Gate("ccx", (0, 1, 2))))
+    weights = {"x": 0.5}
+    maps = metric_weights([c, Circuit(1, (Gate("sx", (0,)),))], weights)
+    assert maps["traditional"] == dict.fromkeys(["x", "cx", "barrier", "measure", "delay", "ccx", "sx"],
+                                                1.0)
+    assert maps["multiqubit"] == {"x": 0.0, "cx": 1.0, "barrier": 0.0, "measure": 0.0, "delay": 0.0,
+                                  "ccx": 1.0, "sx": 0.0}
+    assert maps["gateaware"] is weights
+    assert metric_weights([]) == {"traditional": {}, "multiqubit": {}, "gateaware": None}
+
+
+def test_a_name_is_what_its_first_gate_in_the_circuits_is():
+    """A name that built code applies to one qubit and to two is multi-qubit
+    if its first gate, in circuit order and then gate order, is."""
+    one, two = Circuit(2, (Gate("g", (0,)),)), Circuit(2, (Gate("g", (0, 1)), Gate("g", (1,))))
+    assert metric_weights([one, two])["multiqubit"] == {"g": 0.0}
+    assert metric_weights([two, one])["multiqubit"] == {"g": 1.0}
+    assert metric_weights([two])["traditional"] == {"g": 1.0}
