@@ -31,7 +31,7 @@ from .calibration import DurationTable, configure_weights, load_duration_table
 from .compare import (PairComparison, SweepPoint, VersionRecord, all_pairs,
                       identification_accuracy, summarize_distribution, sweep_single_qubit_weight)
 from .metrics import (MissingWeightError, WeightMap, increment_rule, lower, metric_weights,
-                      read_json, sweep, tuple_add, tuple_max, write_json)
+                      read_json, row_ops, sweep, write_json)
 from .qasm import QasmParseError, parse_file
 from .runtime import UnresolvedDurationError, duration
 # not called here: bench/tracing.py wraps these names in this module
@@ -129,10 +129,8 @@ def _sweep_values(path: str, circuit, metrics: tuple, weights, table, barrier: s
         lowered = lower(circuit, rules, rows)
     except (MissingWeightError, UnresolvedDurationError) as exc:
         raise CliError(EXIT_RESOLUTION, f"{path}: {exc.args[0]}")
-    if len(rules) == 1:
-        values = [sweep(circuit, lowered, barrier)]
-    else:
-        values = list(sweep(circuit, lowered, barrier, (0.0,) * len(rules), tuple_max, tuple_add))
+    swept = sweep(circuit, lowered, barrier, *row_ops(len(rules)))
+    values = list(swept) if len(rules) > 1 else [swept]
     for key, value in zip([DEPTH_KEYS[m] for m in metrics] + ["runtime_s"], values):
         if not math.isfinite(value):
             raise CliError(EXIT_RESOLUTION, f"{path}: {key} is {value}: a sum past the largest float")

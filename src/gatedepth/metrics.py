@@ -8,9 +8,11 @@ and delays add 0. The runtime's rule is :func:`gatedepth.runtime.duration`.
 :func:`lower` alone applies rules to a circuit, giving each gate a row of
 one increment per rule, and the sweep sets each gate's operands to
 ``max(operand depths) + row``. A row is a float under one rule and a tuple
-of floats under several, so one sweep of a circuit yields every metric and
-its runtime, bit for bit; the w_s grid alone sweeps numpy rows, one entry
-per grid value. This module imports no numpy.
+of floats under several; :func:`row_ops` gives each width's zero, max and
+``+``, written out entry by entry and generated once per width. So one
+sweep of a circuit yields every metric and its runtime, bit for bit; the
+w_s grid alone sweeps numpy rows, one entry per grid value, under numpy's
+ops. This module imports no numpy.
 """
 from __future__ import annotations
 
@@ -18,7 +20,7 @@ import json
 import math
 import operator
 from dataclasses import dataclass
-from functools import reduce
+from functools import cache, reduce
 from typing import Mapping, Sequence
 
 from .ir import BARRIER, DELAY, Circuit, multi_qubit
@@ -107,28 +109,45 @@ class MissingWeightError(KeyError):
         super().__init__(f"no weight for gate {gate_name!r} (gate position {position})")
 
 
-def tuple_max(a: tuple, b: tuple) -> tuple:
-    """The max of two tuple rows, entry by entry, as ``max(x, y)`` takes it:
-    x unless y > x."""
-    return tuple([y if y > x else x for x, y in zip(a, b)])
+def _float_max(a: float, b: float) -> float:
+    """``max(a, b)`` of two floats, bit for bit: ``a`` unless ``b > a``."""
+    return b if b > a else a
 
 
-def tuple_add(a: tuple, b: tuple) -> tuple:
-    """The sum of two tuple rows, entry by entry, as ``+`` of two floats."""
-    return tuple(map(operator.add, a, b))
+@cache
+def row_ops(width: int) -> tuple:
+    """The zero, max and ``+`` of sweep rows of ``width`` floats.
+
+    Width 1 rows are floats, under ``b if b > a else a`` (what ``max(a, b)``
+    returns) and ``operator.add``. Wider rows are tuples; each width's max
+    and ``+`` are generated once, as ``collections.namedtuple`` generates
+    its class, from a template that writes out every entry: ``(b[0] if
+    b[0] > a[0] else a[0], ...)`` and ``(a[0] + b[0], ...)``. Entry ``k``
+    is then the max and ``+`` of two floats, as a float sweep of column
+    ``k`` takes them. The source is built from ``range(width)`` alone, so
+    no input text reaches ``exec``.
+    """
+    if width == 1:
+        return 0.0, _float_max, operator.add
+    maximum = ", ".join(f"b[{k}] if b[{k}] > a[{k}] else a[{k}]" for k in range(width))
+    add = ", ".join(f"a[{k}] + b[{k}]" for k in range(width))
+    namespace: dict = {}
+    exec(f"def maximum(a, b):\n    return ({maximum},)\n"
+         f"def add(a, b):\n    return ({add},)\n", namespace)
+    return (0.0,) * width, namespace["maximum"], namespace["add"]
 
 
 def sweep(circuit: Circuit, increments: Sequence, barrier: str = BARRIER_SKIP,
-          zero=0.0, maximum=max, add=operator.add):
+          zero=0.0, maximum=_float_max, add=operator.add):
     """Run the critical-path sweep; ``increments[i]`` is gate ``i``'s row.
 
     ``zero``, ``maximum`` and ``add`` are the rows' zero, max and ``+``. The
-    defaults sweep float rows, and the result is the depth, a float. Tuple
-    rows of ``width`` floats take ``(0.0,) * width``, :func:`tuple_max` and
-    :func:`tuple_add`; the w_s grid's numpy rows take ``np.zeros(width)``,
-    ``np.maximum`` and ``np.add``. The result is then a row whose entry
-    ``k`` equals a float sweep of column ``k``: both take the same ``+``
-    and max in the same order. Rows are never changed in place, so gates
+    defaults, ``row_ops(1)``, sweep float rows, and the result is the depth,
+    a float. Tuple rows of ``width`` floats take ``row_ops(width)``; the w_s
+    grid's numpy rows take ``np.zeros(width)``, ``np.maximum`` and
+    ``np.add``. The result is then a row whose entry ``k`` equals a float
+    sweep of column ``k``: both take the same ``+`` and max in the same
+    order. Rows are never changed in place, so gates
     may share one row object. Only touched qubits keep a depth. A gate on
     one qubit adds its row to that qubit's depth, the ``+`` the general
     step takes on the same two values. Barriers never increment (their row

@@ -1,20 +1,26 @@
+import math
 import operator
+import os
 import random
+import subprocess
+import sys
 import tracemalloc
 from functools import partial
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import gatedepth
 from conftest import (ONE_QUBIT, REPEATS_TEXT, TWO_QUBIT, THREE_QUBIT, longest_path_oracle,
                       parsed_and_built, random_circuit)
 from gatedepth.calibration import DurationTable
 from gatedepth.ir import BARRIER, DELAY, MEASURE, UNITARY, Circuit, Gate, is_multi_qubit, multi_qubit
 from gatedepth.metrics import (BARRIER_SKIP, BARRIER_SYNC, MissingWeightError, WeightMap,
                                gate_aware_depth, increment_rule, lower, metric_weights,
-                               multiqubit_depth, sweep, traditional_depth, tuple_add, tuple_max)
+                               multiqubit_depth, row_ops, sweep, traditional_depth)
 from gatedepth.runtime import UnresolvedDurationError, duration, estimate_runtime
 
 REFERENCE = Circuit(3, (
@@ -225,16 +231,35 @@ def test_sweep_matches_brute_force_oracle(seed, barrier):
         assert got == pytest.approx(expected, rel=1e-12, abs=1e-15)
 
 
+def tuple_max(a: tuple, b: tuple) -> tuple:
+    """The reference max of two tuple rows, entry by entry, as ``max(x, y)``
+    takes it: x unless y > x."""
+    return tuple([y if y > x else x for x, y in zip(a, b)])
+
+
+def tuple_add(a: tuple, b: tuple) -> tuple:
+    """The reference sum of two tuple rows, entry by entry, as ``+`` of two floats."""
+    return tuple(map(operator.add, a, b))
+
+
+def reference_ops(width: int) -> tuple:
+    """The zero, max and ``+`` that ``row_ops(width)`` stands in for:
+    builtin ``max`` and ``operator.add`` on floats, the generic tuple forms
+    on wider rows."""
+    if width == 1:
+        return 0.0, max, operator.add
+    return (0.0,) * width, tuple_max, tuple_add
+
+
 def row_forms(width: int) -> list[tuple]:
     """Each row form the program sweeps at ``width`` columns, as (the row
     made from a tuple of floats, then sweep's zero, maximum and add): a
-    tuple (the CLI's metrics and runtime) and a numpy row (the w_s grid) at
-    any width, and a float at one column."""
-    forms = [(tuple, (0.0,) * width, tuple_max, tuple_add),
-             (np.array, np.zeros(width), np.maximum, np.add)]
-    if width == 1:
-        forms.append((lambda row: row[0], 0.0, max, operator.add))
-    return forms
+    float at one column and a tuple at more under ``row_ops`` (the CLI's
+    metrics and runtime), a numpy row (the w_s grid), and the reference
+    tuple form, at any width."""
+    return [(tuple if width > 1 else (lambda row: row[0]), *row_ops(width)),
+            (np.array, np.zeros(width), np.maximum, np.add),
+            (tuple, (0.0,) * width, tuple_max, tuple_add)]
 
 
 @given(seed=st.integers(0, 10_000), width=st.integers(1, 4),
@@ -260,10 +285,79 @@ def test_row_sweep_equals_each_column_swept_alone(seed, width, barrier):
 
 
 def test_sweep_of_no_gates_gives_a_zero_per_column():
+    assert sweep(Circuit(3), [], BARRIER_SKIP, *row_ops(3)) == (0.0, 0.0, 0.0)
     assert sweep(Circuit(3), [], BARRIER_SKIP, (0.0,) * 3, tuple_max, tuple_add) == (0.0, 0.0, 0.0)
     assert sweep(Circuit(3), [], BARRIER_SKIP, np.zeros(3), np.maximum,
                  np.add).tolist() == [0.0, 0.0, 0.0]
     assert sweep(Circuit(3), []) == 0.0
+
+
+# row entries where max and + are easy to get wrong: signed zeros that tie,
+# the least subnormal, sums that overflow to inf, and inf itself
+EDGE_FLOATS = (0.0, -0.0, 5e-324, 1.0, 1e308, math.inf)
+ENTRIES = st.one_of(st.sampled_from(EDGE_FLOATS), st.floats(min_value=0.0, allow_nan=False))
+
+
+def identical(a, b) -> bool:
+    """``a == b``, and the same floats bit for bit (``repr`` tells -0.0 from 0.0)."""
+    return a == b and repr(a) == repr(b)
+
+
+@given(width=st.integers(1, 6), data=st.data())
+@settings(max_examples=300)
+def test_row_ops_equal_the_reference_max_and_add(width, data):
+    """Each width's generated max and + give what the reference forms give,
+    in either operand order, ties (drawn entries copied from the other row)
+    included."""
+    row = st.lists(ENTRIES, min_size=width, max_size=width)
+    a, b = data.draw(row), data.draw(row)
+    ties = data.draw(st.lists(st.booleans(), min_size=width, max_size=width))
+    b = [x if tie else y for x, y, tie in zip(a, b, ties)]
+    a, b = (a[0], b[0]) if width == 1 else (tuple(a), tuple(b))
+    ops, reference = row_ops(width), reference_ops(width)
+    assert identical(ops[0], reference[0])
+    for x, y in ((a, b), (b, a)):
+        for op, reference_op in zip(ops[1:], reference[1:]):
+            assert identical(op(x, y), reference_op(x, y))
+
+
+@given(seed=st.integers(0, 10_000), width=st.integers(1, 6),
+       barrier=st.sampled_from((BARRIER_SKIP, BARRIER_SYNC)))
+@settings(max_examples=200)
+def test_sweep_under_row_ops_equals_the_reference_sweep(seed, width, barrier):
+    """A sweep under row_ops(width), and at width 1 under sweep's defaults,
+    is bit-identical to the sweep under the reference ops, on rows rich in
+    ties and edge floats."""
+    rng = random.Random(seed)
+    c = random_circuit(rng, directives=True)
+    rows = [tuple(rng.choice(EDGE_FLOATS) if rng.random() < 0.5 else rng.uniform(0, 2)
+                  for _ in range(width)) for _ in c.gates]
+    if width == 1:
+        rows = [row[0] for row in rows]
+    expected = sweep(c, rows, barrier, *reference_ops(width))
+    assert identical(sweep(c, rows, barrier, *row_ops(width)), expected)
+    if width == 1:
+        assert identical(sweep(c, rows, barrier), expected)
+
+
+# exits with the number of row widths whose ops were asked for: 0 if
+# importing the CLI generates no kernel
+IMPORT_CLI = """import sys
+import gatedepth.cli
+from gatedepth.metrics import row_ops
+sys.exit(row_ops.cache_info().currsize)
+"""
+
+
+def test_importing_the_cli_generates_no_kernel_and_each_width_once():
+    """Kernels cost no start-up: they are generated when a sweep first asks
+    for a width, and once per width."""
+    env = {**os.environ, "PYTHONPATH": str(Path(gatedepth.__file__).parents[1])}
+    proc = subprocess.run([sys.executable, "-c", IMPORT_CLI], env=env, capture_output=True,
+                          timeout=120)
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    for width in range(1, 7):
+        assert row_ops(width) is row_ops(width)
 
 
 def test_depths_kept_only_for_touched_qubits():
