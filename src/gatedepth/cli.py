@@ -30,8 +30,8 @@ from . import __version__
 from .calibration import DurationTable, configure_weights, load_duration_table
 from .compare import (PairComparison, SweepPoint, VersionRecord, all_pairs,
                       identification_accuracy, summarize_distribution, sweep_single_qubit_weight)
-from .metrics import (MissingWeightError, WeightMap, increment_rule, lower, metric_weights,
-                      read_json, row_ops, sweep, write_json)
+from .metrics import (BARRIER_SKIP, MissingWeightError, WeightMap, increment_rule, lower,
+                      metric_weights, read_json, row_ops, sweep, write_json)
 from .qasm import QasmParseError, parse_file
 from .runtime import UnresolvedDurationError, duration
 # not called here: bench/tracing.py wraps these names in this module
@@ -113,25 +113,25 @@ def _weights_for(metrics: tuple[str, ...], path: str | None) -> dict | None:
     return _read(path, EXIT_CONFIG, WeightMap.load, "invalid weight map: ").weights
 
 
-def _sweep_values(path: str, circuit, metrics: tuple, weights, table, barrier: str,
+def _sweep_values(path: str, circuit, metrics: tuple, weights, tables: list, barrier: str,
                   rows: dict | None = None) -> list:
-    """Each requested metric's value, in order, then the runtime if
-    ``table`` is given, from one sweep of the circuit's :func:`lower` rows.
-    ``rows`` is the row table of circuits lowered under these metrics,
-    weights and table, and gains this circuit's; None gives one for this
-    circuit alone. A missing weight or duration exits 3, naming the gate
-    :func:`lower` raises at; a value past the largest float exits 3 after."""
+    """Each requested metric's value, in order, then the runtime on each of
+    ``tables``, in order, from one sweep of the circuit's :func:`lower`
+    rows. ``rows`` is the row table of circuits lowered under these
+    metrics, weights and tables, and gains this circuit's; None gives one
+    for this circuit alone. A missing weight or duration exits 3, naming
+    the gate :func:`lower` raises at; a value past the largest float exits 3
+    after."""
     maps = metric_weights([circuit], weights) if metrics else {}
-    rules = [increment_rule(maps[m]) for m in metrics]
-    if table is not None:
-        rules.append(partial(duration, table))
+    rules = ([increment_rule(maps[m]) for m in metrics]
+             + [partial(duration, table) for table in tables])
     try:
         lowered = lower(circuit, rules, rows)
     except (MissingWeightError, UnresolvedDurationError) as exc:
         raise CliError(EXIT_RESOLUTION, f"{path}: {exc.args[0]}")
     swept = sweep(circuit, lowered, barrier, *row_ops(len(rules)))
     values = list(swept) if len(rules) > 1 else [swept]
-    for key, value in zip([DEPTH_KEYS[m] for m in metrics] + ["runtime_s"], values):
+    for key, value in zip([DEPTH_KEYS[m] for m in metrics] + ["runtime_s"] * len(tables), values):
         if not math.isfinite(value):
             raise CliError(EXIT_RESOLUTION, f"{path}: {key} is {value}: a sum past the largest float")
     return values
@@ -143,7 +143,7 @@ def cmd_depth(args) -> int:
     metrics = METRIC_NAMES if args.metric == "all" else (args.metric,)
     weights = _weights_for(metrics, args.weights)
     for path in args.files:
-        values = _sweep_values(path, _read(path, EXIT_PARSE, parse_file), metrics, weights, None,
+        values = _sweep_values(path, _read(path, EXIT_PARSE, parse_file), metrics, weights, [],
                                args.barrier)
         record = {"file": path, **{DEPTH_KEYS[m]: v if m == "gateaware" else int(round(v))
                                    for m, v in zip(metrics, values)}}
@@ -170,9 +170,9 @@ def cmd_weights(args) -> int:
 # ------------------------------------------------------------- estimate ---
 
 def cmd_estimate(args) -> int:
-    table = _read(args.durations, EXIT_CONFIG, load_duration_table)
+    tables = [_read(args.durations, EXIT_CONFIG, load_duration_table)]
     for path in args.files:
-        [runtime] = _sweep_values(path, _read(path, EXIT_PARSE, parse_file), (), None, table,
+        [runtime] = _sweep_values(path, _read(path, EXIT_PARSE, parse_file), (), None, tables,
                                   args.barrier)
         print(json.dumps({"file": path, "runtime_s": runtime}))
     return EXIT_OK
@@ -234,12 +234,12 @@ def cmd_compare(args) -> int:
         if metric in metrics[:i]:
             raise CliError(EXIT_CONFIG, f"metric {metric!r} repeated in --metrics")
     manifest = _read(args.manifest, EXIT_MANIFEST, _load_manifest)
-    table = _read(args.durations, EXIT_CONFIG, load_duration_table)
+    tables = [_read(args.durations, EXIT_CONFIG, load_duration_table)]
     weights = _weights_for(metrics, args.weights)
 
     records = []
     for base, compiler, path, circuit, rows in _parsed_versions(manifest):
-        *values, runtime = _sweep_values(path, circuit, metrics, weights, table, args.barrier, rows)
+        *values, runtime = _sweep_values(path, circuit, metrics, weights, tables, args.barrier, rows)
         records.append(VersionRecord(base, compiler, dict(zip(metrics, values)), runtime))
 
     pairs: list[dict] = []  # the rows of pairs.csv, and the pairs of report.json
@@ -310,11 +310,13 @@ def cmd_sweep(args) -> int:
     manifest = _read(args.manifest, EXIT_MANIFEST, _load_manifest)
     tables = _read_device_tables(args.durations)
     grid = _parse_grid(args.grid)
-    versions = [(base, compiler, circuit)
-                for base, compiler, _, circuit, _ in _parsed_versions(manifest)]
+    versions, runtimes = [], []
+    for base, compiler, path, circuit, rows in _parsed_versions(manifest):
+        versions.append((base, compiler, circuit))
+        runtimes.append(_sweep_values(path, circuit, (), None, tables, BARRIER_SKIP, rows))
     try:
-        result = sweep_single_qubit_weight(versions, tables, grid)
-    except (UnresolvedDurationError, OverflowError) as exc:
+        result = sweep_single_qubit_weight(versions, runtimes, [t.device for t in tables], grid)
+    except OverflowError as exc:  # a depth past the largest float
         raise CliError(EXIT_RESOLUTION, exc.args[0])
     except ValueError as exc:  # the grid is valid, so a point has no defined %RE
         raise CliError(EXIT_MANIFEST, str(exc))

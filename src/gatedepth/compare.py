@@ -14,12 +14,11 @@ from dataclasses import dataclass
 from itertools import compress
 from typing import TYPE_CHECKING, Mapping, NamedTuple, Sequence
 
-from .calibration import DurationTable
 from .ir import Circuit
 from .metrics import increment_rule, lower, metric_weights, nonnegative_number, sweep
-from .runtime import UnresolvedDurationError, estimate_runtime
-# not called here: bench/tracing.py wraps this name in this module
+# not called here: bench/tracing.py wraps these names in this module
 from .metrics import gate_aware_depth  # noqa: F401
+from .runtime import estimate_runtime  # noqa: F401
 
 if TYPE_CHECKING:
     import numpy as np
@@ -273,50 +272,40 @@ class SweepResult:
 
 def sweep_single_qubit_weight(
     versions: Sequence[tuple[str, str, Circuit]],
-    tables: Sequence[DurationTable],
+    runtimes: Sequence[Sequence[float]],
+    devices: Sequence[str],
     grid: Sequence[float],
 ) -> SweepResult:
     """Evaluate gate-aware depth accuracy for each single-qubit weight w_s,
-    over one (base name, compiler id, circuit) per compiled version.
+    over one (base name, compiler id, circuit) per compiled version, whose
+    runtime in seconds on each device of ``devices`` is its row of
+    ``runtimes`` (versions x devices), as :func:`estimate_runtime` gives it.
 
     A gate weighs 0.0 if it is an rz, barrier or delay, 1.0 where the
     versions' multi-qubit :func:`metric_weights` map gives 1.0, and w_s
     otherwise (measure included). Every float equals what :func:`all_pairs`
-    and :func:`summarize_distribution` give for the same weight map, but the
-    work is done per block of at most ``GRID_BLOCK`` grid values: each
-    version is swept once per block, one numpy column per w_s (depths do
-    not depend on the device), and each device's %RE is one pairs x block
-    array from :func:`_pair_errors`, with its column medians. This is the
-    only analysis that imports numpy.
-    The version pairs are formed once, and each version's runtime on each
-    device is its :func:`estimate_runtime`. Memory is per block. Ties in
-    the argmin go to the smallest w_s. A grid value that is not a finite
-    number >= 0, or a point where no pair has a defined %RE, raises
-    ``ValueError``; a gate without a duration raises
-    :class:`UnresolvedDurationError`, and a runtime or depth past the
-    largest float ``OverflowError``, naming the base and compiler id.
+    and :func:`summarize_distribution` give for the same weight map and
+    runtimes, but the work is done per block of at most ``GRID_BLOCK``
+    grid values: each version is swept once per block, one numpy column per
+    w_s (depths do not depend on the device), and each device's %RE is one
+    pairs x block array from :func:`_pair_errors`, with its column medians.
+    This is the only analysis that imports numpy.
+    The version pairs are formed once. Memory is per block. Ties in the
+    argmin go to the smallest w_s. A grid value that is not a finite number
+    >= 0, or a point where no pair has a defined %RE, raises
+    ``ValueError``; a depth past the largest float raises ``OverflowError``,
+    naming the base, the compiler id and w_s.
     """
     import numpy as np
 
     for w_s in grid:
         nonnegative_number(w_s, "w_s")
     multiqubit = metric_weights([c for *_, c in versions])["multiqubit"]
-    runtimes = []
-    for base, compiler, c in versions:
-        try:
-            runtime = [estimate_runtime(c, table) for table in tables]
-        except UnresolvedDurationError as exc:
-            exc.args = (f"base {base!r}, compiler {compiler!r}: {exc.args[0]}",)
-            raise
-        if not all(map(math.isfinite, runtime)):
-            raise OverflowError(f"base {base!r}, compiler {compiler!r}: runtime is inf: "
-                                f"a sum past the largest float")
-        runtimes.append(runtime)
     # one row per device; the reshape keeps that shape when there is no version
-    runtimes = np.array(runtimes).reshape(len(versions), len(tables)).T
+    runtimes = np.array(runtimes, dtype=float).reshape(len(versions), len(devices)).T
     c1, c2 = np.array(_oriented_pairs([(base, compiler) for base, compiler, _ in versions]),
                       dtype=np.intp).reshape(-1, 2).T
-    points: list[list[SweepPoint]] = [[] for _ in tables]
+    points: list[list[SweepPoint]] = [[] for _ in devices]
     for start in range(0, len(grid), GRID_BLOCK):
         block = grid[start:start + GRID_BLOCK]
         width = len(block)
@@ -331,13 +320,13 @@ def sweep_single_qubit_weight(
             base, compiler, _ = versions[v]
             raise OverflowError(f"base {base!r}, compiler {compiler!r}: gate-aware depth at "
                                 f"w_s={block[k]} is inf: a sum past the largest float")
-        for table, r, table_points in zip(tables, runtimes, points):
+        for device, r, device_points in zip(devices, runtimes, points):
             *_, percent_re = _pair_errors(depths, r, c1, c2)
             defined = np.isfinite(percent_re)
             undefined = ~defined.any(axis=0)
             if undefined.any():
                 w_s = block[int(np.argmax(undefined))]
-                raise ValueError(f"device {table.device!r}: no version pair has a defined %RE "
+                raise ValueError(f"device {device!r}: no version pair has a defined %RE "
                                  f"at w_s={w_s}")
             # np.percentile takes the same pairs in every column: one call per set of defined pairs
             groups: dict[bytes, list[int]] = {}
@@ -347,9 +336,8 @@ def sweep_single_qubit_weight(
             for columns in groups.values():
                 rows = defined[:, columns[0]]
                 medians[columns] = np.percentile(percent_re[rows][:, columns], 50.0, axis=0)
-            table_points.extend(SweepPoint(w_s, table.device, float(m))
-                                for w_s, m in zip(block, medians))
+            device_points.extend(SweepPoint(w_s, device, float(m)) for w_s, m in zip(block, medians))
     # min keeps the first of equal medians: the smallest w_s of an ascending grid
-    argmin = {table.device: min(ps, key=lambda p: p.median_percent_re).w_s
-              for table, ps in zip(tables, points)}
+    argmin = {device: min(ps, key=lambda p: p.median_percent_re).w_s
+              for device, ps in zip(devices, points)}
     return SweepResult(tuple(p for ps in points for p in ps), argmin)

@@ -175,7 +175,8 @@ def test_criterion_9_weight_sweep_recovery():
     recovered = {}
     for ratio in (0.1, 0.3, 0.5):
         versions, table = make_ratio_dataset(ratio, seed=int(ratio * 100))
-        result = sweep_single_qubit_weight(versions, [table], grid)
+        runtimes = [[estimate_runtime(c, table)] for *_, c in versions]
+        result = sweep_single_qubit_weight(versions, runtimes, [table.device], grid)
         argmin = result.argmin_w_s["synth"]
         assert abs(argmin - ratio) <= 0.02, f"ratio {ratio}: argmin {argmin}"
         recovered[ratio] = argmin

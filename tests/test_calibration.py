@@ -183,6 +183,15 @@ def test_all_zero_means_rejected():
         configure_weights([make_table(entries={("rz", (0,)): 0.0})])
 
 
+@pytest.mark.parametrize("tables, message", [
+    ([], "at least one duration table is required"),
+    ([make_table(), make_table(device="dev1")], "duration tables contain no gates"),
+], ids=["no-table", "no-gate"])
+def test_weights_need_a_table_and_a_gate(tables, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        configure_weights(tables)
+
+
 def test_gate_absent_from_one_device():
     # x only on dev1: its cross-device mean is dev1's mean alone
     tables = [

@@ -154,6 +154,19 @@ def test_malformed_qasm_exits_2(body, tmp_path, capsys):
     assert err.count("\n") == 1 and "Traceback" not in err
 
 
+@pytest.mark.parametrize("body, diagnostic", [
+    ("qreg q[0];", "2:8: error: register size must be positive, got 0"),
+    ("include;", "2:8: error: expected include file name, found ';'"),
+    ('include "qelib1.inc"', "3:1: error: expected ;, found end of input"),
+    ("qreg q[1];\ngate g {", "3:1: error: custom gate definitions unsupported"),
+], ids=["empty-register", "include-without-name", "include-without-semicolon",
+        "unterminated-gate-definition"])
+def test_malformed_statement_exits_2_at_its_position(body, diagnostic, tmp_path, capsys):
+    qasm = tmp_path / "bad.qasm"
+    qasm.write_text(f"OPENQASM 2.0;\n{body}\n")
+    assert run(capsys, "depth", "--metric", "traditional", str(qasm)) == (2, "", f"{qasm}:{diagnostic}\n")
+
+
 def test_broadcast_past_gate_limit_exits_2_at_the_gate_name(tmp_path, capsys):
     qasm = tmp_path / "huge.qasm"
     qasm.write_text("OPENQASM 2.0;\nqreg q[2147483647];\n  x q;\n")
@@ -330,6 +343,19 @@ def test_estimate_bad_table_exits_4(tmp_path, ref_qasm, capsys):
     assert code == 4
 
 
+@pytest.mark.parametrize("fields, message", [
+    ({"entries": {}}, "/entries: required array"),
+    ({"entries": [1]}, "/entries/0: entry must be an object"),
+    ({"entries": [{"qubits": [0], "duration_s": 1e-8}]}, "/entries/0/gate: required non-empty string"),
+    ({"entries": [], "defaults": []}, "/defaults: must be an object"),
+], ids=["entries-object", "entry-number", "entry-without-gate", "defaults-list"])
+def test_duration_table_schema_error_exits_4_naming_the_file(fields, message, tmp_path, ref_qasm,
+                                                            capsys):
+    table = tmp_path / "bad.json"
+    table.write_text(json.dumps({"device": "d", "architecture": "a", **fields}))
+    assert run(capsys, "estimate", "--durations", str(table), ref_qasm) == (4, "", f"{table}: {message}\n")
+
+
 # --- compare ------------------------------------------------------------
 
 def write_version(tmp_path, name, n, body):
@@ -424,6 +450,25 @@ def test_compare_bad_manifest_exits_5(tmp_path, compare_setup, capsys):
     assert "/bases" in err
 
 
+@pytest.mark.parametrize("bases, message", [
+    ([{"versions": [{"compiler": "qk", "file": "b0_qk.qasm"}]}], "/bases/0/name: required string"),
+    ([{"name": "b0", "versions": []}], "/bases/0/versions: required non-empty array"),
+    ([{"name": "b0", "versions": [{"file": "b0_qk.qasm"}]}],
+     "/bases/0/versions/0: requires compiler and file strings"),
+    ([{"name": "b0", "versions": [{"compiler": "qk"}]}],
+     "/bases/0/versions/0: requires compiler and file strings"),
+], ids=["no-name", "no-versions", "no-compiler", "no-file"])
+@pytest.mark.parametrize("command", ["compare", "sweep"])
+def test_manifest_schema_error_exits_5_naming_the_manifest(command, bases, message, compare_setup,
+                                                           tmp_path, capsys):
+    _, table, _ = compare_setup
+    manifest = tmp_path / "bad_manifest.json"
+    manifest.write_text(json.dumps({"bases": bases}))
+    extra = ["--metrics", "traditional", "--out", str(tmp_path / "out")] if command == "compare" else []
+    assert run(capsys, command, str(manifest), "--durations", str(table), *extra) == (
+        5, "", f"{manifest}: {message}\n")
+
+
 def test_compare_without_a_base_of_two_versions_exits_5_naming_the_manifest(tmp_path, compare_setup,
                                                                            capsys):
     _, table, _ = compare_setup
@@ -444,6 +489,14 @@ def test_compare_repeated_metric_exits_4(compare_setup, tmp_path, capsys):
                        "--durations", str(table), "--out", str(tmp_path / "out"))
     assert code == 4
     assert err == "metric 'traditional' repeated in --metrics\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_compare_unknown_metric_exits_4(compare_setup, tmp_path, capsys):
+    manifest, table, _ = compare_setup
+    assert run(capsys, "compare", str(manifest), "--metrics", "traditional,bogus",
+               "--durations", str(table), "--out", str(tmp_path / "out")) == (
+        4, "", f"unknown metric 'bogus'; choose from {METRIC_NAMES}\n")
     assert not (tmp_path / "out").exists()
 
 
@@ -527,6 +580,17 @@ def test_a_statement_out_of_range_in_a_later_version_exits_2_naming_it(command, 
 
 
 @pytest.mark.parametrize("command", ["compare", "sweep"])
+def test_an_earlier_missing_duration_exits_3_before_a_later_parse_error(command, tmp_path,
+                                                                       x_duration_files, capsys):
+    """compare and sweep read and evaluate the versions one by one."""
+    table, _ = x_duration_files
+    manifest = write_base(tmp_path, ["qreg q[1];\nsx q[0];", "qreg q[2];\nx q[2];"])
+    extra = ["--metrics", "traditional", "--out", str(tmp_path / "out")] if command == "compare" else []
+    assert run(capsys, command, str(manifest), "--durations", str(table), *extra) == (
+        3, "", f"{tmp_path / 'v0.qasm'}: no duration for gate 'sx' at qubits [0] (gate position 0)\n")
+
+
+@pytest.mark.parametrize("command", ["compare", "sweep"])
 def test_duplicate_compiler_id_exits_5(command, compare_setup, tmp_path, capsys):
     manifest, table, _ = compare_setup
     data = json.loads(manifest.read_text())
@@ -598,8 +662,8 @@ def test_sweep_missing_duration_exits_3_naming_the_version(compare_setup, tmp_pa
     code, out, err = run(capsys, "sweep", str(manifest), "--durations", str(table), str(other),
                          "--grid", "0:1:0.5")
     assert (code, out) == (3, "")
-    assert err == ("base 'b1', compiler 'tk': no duration for gate 'sx' at qubits [1] "
-                   "(gate position 1)\n")
+    assert err == (f"{tmp_path / 'b1_tk.qasm'}: no duration for gate 'sx' at qubits [1] "
+                   f"(gate position 1)\n")
 
 
 def test_sweep_rejects_two_tables_of_one_device_before_parsing_a_circuit(compare_setup, tmp_path,
@@ -641,6 +705,17 @@ def test_sweep_negative_grid_start_exits_4(compare_setup, capsys):
     assert err == "invalid grid '-0.5:1:0.5'; w_s must be >= 0\n"
 
 
+@pytest.mark.parametrize("spec, reason", [
+    ("1:2", "expected start:stop:step"),
+    ("0:1:0", "need step > 0 and stop >= start"),
+    ("1:0:0.1", "need step > 0 and stop >= start"),
+])
+def test_sweep_malformed_grid_exits_4(spec, reason, compare_setup, capsys):
+    manifest, table, _ = compare_setup
+    assert run(capsys, "sweep", str(manifest), "--durations", str(table), "--grid", spec) == (
+        4, "", f"invalid grid {spec!r}; {reason}\n")
+
+
 @pytest.mark.parametrize("spec", [
     "0:inf:1", "nan:1:0.1", "0:1:inf", "0:1:1e-9", "0:1:1e-6", "-1e308:1e308:1e-300",
     "0:1e-11:1e-13", "1000000:1000000.000000001:1e-12",
@@ -671,7 +746,7 @@ def test_a_runtime_past_the_largest_float_exits_3_and_writes_nothing(compare_set
                                                                      capsys):
     """Two gates of 1e308 s in a row take longer than the largest float:
     JSON has no Infinity, so every command that sweeps runtimes stops,
-    with one line naming the file, or the base and the compiler id."""
+    with one line naming the file."""
     manifest, table, weights = compare_setup
     huge = tmp_path / "huge.json"
     huge.write_text(json.dumps({"device": "huge", "architecture": "a", "entries": [],
@@ -682,8 +757,7 @@ def test_a_runtime_past_the_largest_float_exits_3_and_writes_nothing(compare_set
         (("compare", str(manifest), "--durations", str(huge), "--weights", str(weights),
           "--out", str(tmp_path / "report")), f"{first}: runtime_s {PAST_MAX_FLOAT}"),
         (("sweep", str(manifest), "--durations", str(table), str(huge), "--grid", "0:1:0.5",
-          "--out", str(tmp_path / "sweep.csv")),
-         f"base 'b0', compiler 'qk': runtime {PAST_MAX_FLOAT}"),
+          "--out", str(tmp_path / "sweep.csv")), f"{first}: runtime_s {PAST_MAX_FLOAT}"),
     ]
     for argv, message in runs:
         assert run_without_warnings(capsys, *argv) == (3, "", message + "\n")
@@ -806,6 +880,54 @@ def test_compare_sweeps_each_circuit_once(compare_setup, tmp_path, swept, capsys
     assert len(swept) == len({id(c) for c in swept}) == 4
 
 
+def test_sweep_lowers_each_version_once_for_its_runtimes(compare_setup, tmp_path, monkeypatch,
+                                                         capsys):
+    """sweep gets a version's runtime on every device from one lower call
+    with one duration rule per table, as compare gets its one runtime; the
+    w_s grid then lowers the version once per block under its one rule."""
+    manifest, table, _ = compare_setup
+    other = tmp_path / "other.json"
+    other.write_text(json.dumps({**json.loads(table.read_text()), "device": "other"}))
+    lowered, lower = [], gatedepth.metrics.lower
+
+    def counted(circuit, rules, rows=None):
+        lowered.append((id(circuit), [getattr(rule, "func", rule).__qualname__ for rule in rules]))
+        return lower(circuit, rules, rows)
+
+    for module in (gatedepth.cli, gatedepth.compare):
+        monkeypatch.setattr(module, "lower", counted)
+    monkeypatch.setattr(gatedepth.compare, "GRID_BLOCK", 2)
+    code, _, _ = run(capsys, "sweep", str(manifest), "--durations", str(table), str(other),
+                     "--grid", "0:1:0.25")  # 5 points: 3 blocks
+    assert code == 0
+    versions = list(dict.fromkeys(v for v, _ in lowered))
+    assert len(versions) == 4
+    assert lowered == ([(v, ["duration", "duration"]) for v in versions]
+                       + [(v, ["increment_rule.<locals>.rule"]) for _ in range(3) for v in versions])
+
+
+@pytest.mark.parametrize("fault", ["missing-duration", "runtime-past-the-largest-float"])
+def test_sweep_and_compare_print_one_line_for_one_runtime_fault(fault, compare_setup, tmp_path,
+                                                                capsys):
+    """sweep reads a version's runtimes as compare does, so one missing
+    duration, or a table of 1e308 s gates, stops both with the same line,
+    naming the .qasm file."""
+    manifest, table, _ = compare_setup
+    if fault == "missing-duration":
+        (tmp_path / "b1_tk.qasm").write_text("OPENQASM 2.0;\nqreg q[2];\nx q[0];\nsx q[1];\n")
+        expected = (f"{tmp_path / 'b1_tk.qasm'}: no duration for gate 'sx' at qubits [1] "
+                    f"(gate position 1)\n")
+    else:
+        table.write_text(json.dumps({"device": "huge", "architecture": "a", "entries": [],
+                                     "defaults": {"cz": 1e308, "x": 1e308}}))
+        expected = f"{tmp_path / 'b0_qk.qasm'}: runtime_s {PAST_MAX_FLOAT}\n"
+    compared = run_without_warnings(capsys, "compare", str(manifest), "--metrics", "traditional",
+                                    "--durations", str(table), "--out", str(tmp_path / "out"))
+    swept = run_without_warnings(capsys, "sweep", str(manifest), "--durations", str(table),
+                                 "--grid", "0:1:0.5")
+    assert compared == swept == (3, "", expected)
+
+
 
 def test_a_name_on_one_qubit_and_on_two_is_what_its_first_gate_is(monkeypatch, capsys):
     """README's definition for circuits built in code: a name is
@@ -829,9 +951,10 @@ def test_a_name_on_one_qubit_and_on_two_is_what_its_first_gate_is(monkeypatch, c
     single = Circuit(2, (Gate("g", (0, 1)),))
     table = DurationTable("dev", "arch", {}, {"g": 1e-7, "x": 5e-8})
     versions = [("b", "mixed", mixed), ("b", "single", single)]
-    [point] = sweep_single_qubit_weight(versions, [table], [0.0]).points
-    records = [VersionRecord(base, compiler, {"multiqubit": multiqubit_depth(c)},
-                             estimate_runtime(c, table)) for base, compiler, c in versions]
+    runtimes = [estimate_runtime(c, table) for *_, c in versions]
+    [point] = sweep_single_qubit_weight(versions, [[r] for r in runtimes], ["dev"], [0.0]).points
+    records = [VersionRecord(base, compiler, {"multiqubit": multiqubit_depth(c)}, runtime)
+               for (base, compiler, c), runtime in zip(versions, runtimes)]
     [pair] = all_pairs(records, "multiqubit")
     assert (point.w_s, point.median_percent_re) == (0.0, pair.percent_re)
     assert pair.delta_metric == (1 - 3) / 3
@@ -840,38 +963,40 @@ NAMES = ONE_QUBIT + TWO_QUBIT + THREE_QUBIT + ("measure",)
 
 
 @given(seed=st.integers(0, 10_000), barrier=st.sampled_from(("skip", "sync")),
-       metrics=st.lists(st.sampled_from(METRIC_NAMES), unique=True), timed=st.booleans())
+       metrics=st.lists(st.sampled_from(METRIC_NAMES), unique=True), devices=st.integers(0, 2))
 @settings(max_examples=200)
-def test_one_sweep_equals_each_metric_and_runtime_alone(seed, barrier, metrics, timed):
+def test_one_sweep_equals_each_metric_and_runtime_alone(seed, barrier, metrics, devices):
     """Every value of a circuit's one sweep, in any order and at any width,
-    is exactly what its own public function gives."""
-    assume(metrics or timed)
+    is exactly what its own public function gives, the runtime on each of
+    up to two devices' tables included."""
+    assume(metrics or devices)
     rng = random.Random(seed)
     c = random_circuit(rng, directives=True)
     wmap = WeightMap({name: rng.uniform(0, 2) for name in NAMES})
-    table = DurationTable("dev", "arch", {}, {name: rng.uniform(0, 1e-6) for name in NAMES})
+    tables = [DurationTable(f"dev{d}", "arch", {}, {name: rng.uniform(0, 1e-6) for name in NAMES})
+              for d in range(devices)]
     alone = {"traditional": traditional_depth(c, barrier), "multiqubit": multiqubit_depth(c, barrier),
              "gateaware": gate_aware_depth(c, wmap, barrier)}
-    expected = [alone[m] for m in metrics] + ([estimate_runtime(c, table, barrier)] if timed else [])
-    got = _sweep_values("c.qasm", c, tuple(metrics), wmap.weights, table if timed else None, barrier)
+    expected = [alone[m] for m in metrics] + [estimate_runtime(c, t, barrier) for t in tables]
+    got = _sweep_values("c.qasm", c, tuple(metrics), wmap.weights, tables, barrier)
     assert got == expected
     assert all(type(v) is float for v in got)
 
 
-def column_path_values(path, circuit, metrics, weights, table, barrier):
+def column_path_values(path, circuit, metrics, weights, tables, barrier):
     """What the column path gives: each requested metric's public function,
-    in order, then the runtime. The first missing weight or duration exits
-    3, as does a value past the largest float, each with its message."""
+    in order, then the runtime on each table. The first missing weight or
+    duration exits 3, as does a value past the largest float, each with its
+    message."""
     alone = {"traditional": lambda: traditional_depth(circuit, barrier),
              "multiqubit": lambda: multiqubit_depth(circuit, barrier),
              "gateaware": lambda: gate_aware_depth(circuit, WeightMap(weights), barrier)}
     try:
         values = [alone[m]() for m in metrics]
-        if table is not None:
-            values.append(estimate_runtime(circuit, table, barrier))
+        values += [estimate_runtime(circuit, table, barrier) for table in tables]
     except (gatedepth.metrics.MissingWeightError, gatedepth.runtime.UnresolvedDurationError) as exc:
         raise CliError(3, f"{path}: {exc.args[0]}")
-    keys = [gatedepth.cli.DEPTH_KEYS[m] for m in metrics] + ["runtime_s"]
+    keys = [gatedepth.cli.DEPTH_KEYS[m] for m in metrics] + ["runtime_s"] * len(tables)
     for key, value in zip(keys, values):
         if not math.isfinite(value):
             raise CliError(3, f"{path}: {key} is {value}: a sum past the largest float")
@@ -900,30 +1025,34 @@ def odd_circuit(rng: random.Random) -> Circuit:
 
 
 @given(seed=st.integers(0, 10_000), barrier=st.sampled_from(("skip", "sync")),
-       metrics=st.lists(st.sampled_from(METRIC_NAMES), unique=True), timed=st.booleans())
+       metrics=st.lists(st.sampled_from(METRIC_NAMES), unique=True), devices=st.integers(0, 2))
 @settings(max_examples=200)
-def test_circuits_sharing_a_row_table_sweep_as_the_column_path(seed, barrier, metrics, timed):
-    """Circuits swept one after another with one row table, as compare
-    sweeps the versions of one base, give under == what a fresh table
+def test_circuits_sharing_a_row_table_sweep_as_the_column_path(seed, barrier, metrics, devices):
+    """Circuits swept one after another with one row table, as compare and
+    sweep sweep the versions of one base, give under == what a fresh table
     gives and what the public functions give. A circuit that fails gives
     the column path's exit code and message: a missing weight before a
-    missing duration, each at its first gate. Weights and the table lack
-    some names; durations may be 0, a two-qubit gate has entries in one
-    direction only, and a weight may be 1e308, whose sums overflow."""
-    assume(metrics or timed)
+    missing duration, each at its first gate, and an earlier device's
+    missing duration before a later one's. Weights and each device's table
+    lack some names; durations may be 0, a two-qubit gate has entries in
+    one direction only, and a weight may be 1e308, whose sums overflow."""
+    assume(metrics or devices)
     rng = random.Random(seed)
     weights = {name: rng.choice((0.0, rng.uniform(0, 2), 1e308 if rng.random() < 0.1 else 1.0))
                for name in NAMES if rng.random() < 0.9}
-    entries = {(name, qubits): rng.choice((0.0, rng.uniform(0, 1e-6)))
-               for name in NAMES for qubits in ((0,), (1,), (0, 1), (1, 2), (0, 1, 2))
-               if rng.random() < 0.5}
-    defaults = {name: rng.choice((0.0, rng.uniform(0, 1e-6))) for name in NAMES if rng.random() < 0.8}
-    table = DurationTable("dev", "arch", entries, defaults) if timed else None
+    tables = []
+    for d in range(devices):
+        entries = {(name, qubits): rng.choice((0.0, rng.uniform(0, 1e-6)))
+                   for name in NAMES for qubits in ((0,), (1,), (0, 1), (1, 2), (0, 1, 2))
+                   if rng.random() < 0.5}
+        defaults = {name: rng.choice((0.0, rng.uniform(0, 1e-6)))
+                    for name in NAMES if rng.random() < 0.8}
+        tables.append(DurationTable(f"dev{d}", "arch", entries, defaults))
     requested = weights if "gateaware" in metrics else None
     rows: dict = {}
     for k in range(4):
         c = odd_circuit(rng)
-        args = (f"c{k}.qasm", c, tuple(metrics), requested, table, barrier)
+        args = (f"c{k}.qasm", c, tuple(metrics), requested, tables, barrier)
         shared = outcome(_sweep_values, *args, rows)
         assert shared == outcome(_sweep_values, *args) == outcome(column_path_values, *args)
         if isinstance(shared, list):

@@ -296,6 +296,12 @@ def test_identify_runtime_tie_tolerance():
     assert res.runtime_argmin == ("A", "B")
 
 
+def test_identify_rejects_records_of_two_bases():
+    records = [rec("b", "A", 10, 1e-4), rec("a", "B", 12, 2e-4)]
+    with pytest.raises(ValueError, match=r"^records span multiple base circuits: \['a', 'b'\]$"):
+        identify_optimal(records, "m")
+
+
 def test_identify_requires_two_versions():
     with pytest.raises(ValueError):
         identify_optimal([rec("b", "A", 1, 1e-4)], "m")
@@ -390,24 +396,30 @@ def make_ratio_dataset(ratio: float, seed: int = 0, n_bases: int = 6):
     return versions, table
 
 
+def sweep_tables(versions, tables, grid) -> SweepResult:
+    """The w_s grid over each version's estimate_runtime on each table."""
+    runtimes = [[estimate_runtime(c, table) for table in tables] for *_, c in versions]
+    return sweep_single_qubit_weight(versions, runtimes, [t.device for t in tables], grid)
+
+
 @pytest.mark.parametrize("ratio", [0.1, 0.3, 0.5])
 def test_sweep_recovers_duration_ratio(ratio):
     versions, table = make_ratio_dataset(ratio, seed=int(ratio * 10))
     grid = [round(0.01 * i, 2) for i in range(101)]
-    result = sweep_single_qubit_weight(versions, [table], grid)
+    result = sweep_tables(versions, [table], grid)
     assert abs(result.argmin_w_s["synth"] - ratio) <= 0.02
 
 
 def test_sweep_grid_size():
     versions, table = make_ratio_dataset(0.3, seed=1, n_bases=2)
     grid = [round(0.01 * i, 2) for i in range(101)]
-    result = sweep_single_qubit_weight(versions, [table], grid)
+    result = sweep_tables(versions, [table], grid)
     assert len(result.points) == 101
 
 
 def test_sweep_single_point():
     versions, table = make_ratio_dataset(0.0, seed=2, n_bases=2)
-    result = sweep_single_qubit_weight(versions, [table], [0.0])
+    result = sweep_tables(versions, [table], [0.0])
     assert len(result.points) == 1
     assert result.argmin_w_s["synth"] == 0.0
     # all single-qubit durations zero: w_s = 0 predicts perfectly
@@ -446,17 +458,16 @@ def test_sweep_equals_one_weight_map_per_point(monkeypatch):
     _, slow = make_ratio_dataset(0.6, seed=3, n_bases=4)
     tables = [fast, dataclasses.replace(slow, device="synth-slow")]
     grid = [round(0.01 * i, 2) for i in range(101)]
-    assert (sweep_single_qubit_weight(versions, tables, grid)
-            == reference_sweep(versions, tables, grid))
+    assert sweep_tables(versions, tables, grid) == reference_sweep(versions, tables, grid)
 
 
 def test_sweep_builds_one_gateaware_column_per_version_per_block(monkeypatch):
     """Each version is lowered by metrics.lower under the one gate-aware
     rule, once per block of GRID_BLOCK grid values, and each is swept once
-    per block; its runtime on each device is one estimate_runtime call."""
+    per block; its runtimes are data, so no duration is looked up."""
     monkeypatch.setattr(compare, "GRID_BLOCK", 40)
-    calls, sweeps, runtimes = [], [], []
-    lower, sweep, estimate = compare.lower, compare.sweep, compare.estimate_runtime
+    calls, sweeps = [], []
+    lower, sweep = compare.lower, compare.sweep
 
     def counted(c, rules, rows=None):
         calls.append((id(c), [rule.__qualname__ for rule in rules]))
@@ -466,27 +477,23 @@ def test_sweep_builds_one_gateaware_column_per_version_per_block(monkeypatch):
         sweeps.append((id(c), np.size(zero)))
         return sweep(c, rows, barrier, zero, maximum, add)
 
-    def counted_estimate(c, table):
-        runtimes.append((id(c), table.device))
-        return estimate(c, table)
-
+    versions, table = make_ratio_dataset(0.3, seed=1, n_bases=2)
+    runtimes = [[estimate_runtime(c, table)] * 2 for *_, c in versions]
     monkeypatch.setattr(compare, "lower", counted)
     monkeypatch.setattr(compare, "sweep", counted_sweep)
-    monkeypatch.setattr(compare, "estimate_runtime", counted_estimate)
-    versions, table = make_ratio_dataset(0.3, seed=1, n_bases=2)
-    tables = [table, dataclasses.replace(table, device="other")]
-    compare.sweep_single_qubit_weight(versions, tables, [round(0.01 * i, 2) for i in range(101)])
+    monkeypatch.setattr(DurationTable, "lookup", None)
+    compare.sweep_single_qubit_weight(versions, runtimes, ["synth", "other"],
+                                      [round(0.01 * i, 2) for i in range(101)])
     ids = [id(c) for *_, c in versions]
     assert sorted(calls) == sorted((v, ["increment_rule.<locals>.rule"]) for v in ids * 3)
     assert sorted(sweeps) == sorted((v, width) for v in ids for width in (40, 40, 21))
-    assert sorted(runtimes) == sorted((v, device) for v in ids for device in ("synth", "other"))
 
 
 @pytest.mark.parametrize("w_s", [-0.5, math.inf, math.nan, "0.5", True])
 def test_sweep_rejects_a_bad_grid_value(w_s):
     versions, table = make_ratio_dataset(0.3, seed=1, n_bases=2)
     with pytest.raises(ValueError, match="w_s must be"):
-        sweep_single_qubit_weight(versions, [table], [0.0, w_s])
+        sweep_tables(versions, [table], [0.0, w_s])
 
 
 def test_sweep_without_a_defined_percent_re_names_device_and_w_s():
@@ -494,15 +501,14 @@ def test_sweep_without_a_defined_percent_re_names_device_and_w_s():
     versions = [("b0", "alpha", c), ("b0", "beta", c)]  # equal runtimes: dR = 0
     table = DurationTable("dev", "arch", {}, {"x": 1e-7})
     with pytest.raises(ValueError, match=r"device 'dev': .* at w_s=0.5"):
-        sweep_single_qubit_weight(versions, [table], [0.5])
+        sweep_tables(versions, [table], [0.5])
 
 
 def test_sweep_without_versions_names_device_and_w_s():
     """No version, so no pair: the runtimes stay one row per device."""
-    table = DurationTable("dev", "arch", {}, {"x": 1e-7})
     with pytest.raises(ValueError, match=r"^device 'dev': no version pair has a defined %RE "
                                          r"at w_s=0\.5$"):
-        sweep_single_qubit_weight([], [table], [0.5])
+        sweep_single_qubit_weight([], [], ["dev"], [0.5])
 
 
 def test_sweep_names_the_first_w_s_without_a_defined_percent_re():
@@ -511,7 +517,7 @@ def test_sweep_names_the_first_w_s_without_a_defined_percent_re():
                 ("b0", "beta", Circuit(2, (Gate("cx", (0, 1)),)))]
     table = DurationTable("dev", "arch", {}, {"x": 1e-7, "cx": 3e-7})
     with pytest.raises(ValueError, match=r"device 'dev': .* at w_s=0.0$"):
-        sweep_single_qubit_weight(versions, [table], [0.5, 0.25, 0.0, 1.0])
+        sweep_tables(versions, [table], [0.5, 0.25, 0.0, 1.0])
 
 
 # Small draws for the differential test below. Durations come from a
@@ -558,9 +564,9 @@ def test_array_sweep_equals_reference_sweep(versions, durations, grid, block):
             expected = reference_sweep(versions, tables, grid)
         except ValueError:  # summarize_distribution: some point has no defined %RE
             with pytest.raises(ValueError, match="no version pair has a defined %RE"):
-                sweep_single_qubit_weight(versions, tables, grid)
+                sweep_tables(versions, tables, grid)
             return
-        result = sweep_single_qubit_weight(versions, tables, grid)
+        result = sweep_tables(versions, tables, grid)
     assert result == expected
     for table in tables:
         medians = {p.w_s: p.median_percent_re for p in result.points if p.device == table.device}
@@ -573,4 +579,4 @@ def test_array_sweep_rejects_a_duplicate_compiler_id_across_entries():
     versions = [("b", "alpha", c), ("b", "alpha", c)]
     table = DurationTable("dev", "arch", {}, {"cx": 3e-7})
     with pytest.raises(ValueError, match="duplicate compiler ids for base 'b'"):
-        sweep_single_qubit_weight(versions, [table], [0.0, 0.5])
+        sweep_tables(versions, [table], [0.0, 0.5])

@@ -55,3 +55,15 @@ def test_structural_equality():
 def test_unknown_kind_rejected():
     with pytest.raises(ValueError):
         Gate("x", (0,), (), "classical")
+
+
+def test_from_columns_rejects_columns_of_unequal_length():
+    with pytest.raises(ValueError, match="^circuit columns differ in length$"):
+        Circuit.from_columns(1, ["x", "x"], ["unitary"], [(0,), (0,)], [(), ()])
+
+
+def test_validate_no_qubits_and_a_gate_without_operands():
+    assert [(v.gate_index, v.message) for v in validate(Circuit(0))] == [
+        (-1, "num_qubits must be positive, got 0")]
+    assert [(v.gate_index, v.message) for v in validate(Circuit(1, (Gate("x", ()),)))] == [
+        (0, "gate 'x' has no qubit operands")]
