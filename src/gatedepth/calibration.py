@@ -8,8 +8,7 @@ average, so the slowest gate gets weight exactly 1.0 and virtual gates
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from .metrics import WeightMap, nonnegative_number, read_json, write_json
 
@@ -18,23 +17,27 @@ class DurationTableError(ValueError):
     """Schema or content violation in a duration-table document."""
 
 
-@dataclass(frozen=True)
-class DurationTable:
+class _DurationTableFields(NamedTuple):
+    device: str
+    architecture: str
+    entries: dict[tuple[str, tuple[int, ...]], float]
+    defaults: dict[str, float]
+
+
+class DurationTable(_DurationTableFields):
     """Per-device map from (gate name, qubit tuple) to seconds.
 
     Qubit tuples are direction-sensitive: ("ecr", (0, 1)) and ("ecr", (1, 0))
     are distinct entries. ``defaults`` supplies a per-gate fallback duration
-    when a location entry is absent.
+    when a location entry is absent. Both mappings are copied into dicts.
     """
 
-    device: str
-    architecture: str
-    entries: Mapping[tuple[str, tuple[int, ...]], float]
-    defaults: Mapping[str, float] = field(default_factory=dict)
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "entries", dict(self.entries))
-        object.__setattr__(self, "defaults", dict(self.defaults))
+    def __new__(cls, device: str, architecture: str,
+                entries: Mapping[tuple[str, tuple[int, ...]], float],
+                defaults: Mapping[str, float] = {}):
+        return tuple.__new__(cls, (device, architecture, dict(entries), dict(defaults)))
 
     def lookup(self, gate_name: str, qubits: tuple[int, ...]) -> float | None:
         """Exact-location entry first, then the per-gate default."""
@@ -98,8 +101,7 @@ def load_duration_table(path) -> DurationTable:
     return duration_table_from_dict(read_json(path, DurationTableError))
 
 
-@dataclass(frozen=True)
-class GateStats:
+class GateStats(NamedTuple):
     """Per-gate duration statistics over one device's table."""
 
     mean: float

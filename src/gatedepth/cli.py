@@ -20,7 +20,6 @@ import math
 import os
 import sys
 from contextlib import nullcontext
-from dataclasses import fields
 from functools import partial
 from itertools import groupby
 from operator import itemgetter
@@ -255,22 +254,22 @@ def cmd_compare(args) -> int:
             accuracy, idents = identification_accuracy(records, metric)
         except ValueError as exc:  # no base has two versions
             raise CliError(EXIT_MANIFEST, f"{args.manifest}: {exc}")
-        pairs += ({**vars(c), "flags": ";".join(c.flags)} for c in comparisons)
+        pairs += ({**c._asdict(), "flags": ";".join(c.flags)} for c in comparisons)
         summary["metrics"][metric] = {
             "pair_count": len(comparisons),
             "excluded_pairs": len(comparisons) - len(res),
-            "percent_re": vars(summarize_distribution(res)) if res else None,
+            "percent_re": summarize_distribution(res)._asdict() if res else None,
             "identification_accuracy_percent": accuracy,
-            "identifications": [{k: v for k, v in vars(r).items() if k != "metric"}
+            "identifications": [{k: v for k, v in r._asdict().items() if k != "metric"}
                                 for r in idents],
         }
 
     out_dir = Path(args.out)
     _write(args.out, os.makedirs, exist_ok=True)
-    _write(out_dir / "pairs.csv", _save_csv, [f.name for f in fields(PairComparison)],
+    _write(out_dir / "pairs.csv", _save_csv, PairComparison._fields,
            [row.values() for row in pairs])
     _write(out_dir / "report.json", write_json,
-           {"records": [vars(r) for r in records], "pairs": pairs})
+           {"records": [r._asdict() for r in records], "pairs": pairs})
     _write(out_dir / "summary.json", write_json, summary)
 
     for metric in metrics:

@@ -10,7 +10,6 @@ grid sweep imports numpy; every other analysis runs on Python floats.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import compress
 from typing import TYPE_CHECKING, Mapping, NamedTuple, Sequence
 
@@ -40,17 +39,21 @@ FLAG_OVERFLOW = "overflow"
 GRID_BLOCK = 256
 
 
-@dataclass(frozen=True)
-class VersionRecord:
-    """One compiled version of a base circuit with its metric values."""
-
+class _VersionRecordFields(NamedTuple):
     base: str
     compiler: str
-    metrics: Mapping[str, float]
+    metrics: dict[str, float]
     runtime_s: float
 
-    def __post_init__(self):
-        object.__setattr__(self, "metrics", dict(self.metrics))
+
+class VersionRecord(_VersionRecordFields):
+    """One compiled version of a base circuit with its metric values, which
+    are copied into a dict."""
+
+    __slots__ = ()
+
+    def __new__(cls, base: str, compiler: str, metrics: Mapping[str, float], runtime_s: float):
+        return tuple.__new__(cls, (base, compiler, dict(metrics), runtime_s))
 
 
 def relative_difference(a: float, b: float) -> float:
@@ -67,8 +70,7 @@ def percent_relative_error(delta_metric: float, delta_runtime: float) -> float:
     return abs(delta_metric - delta_runtime) / abs(delta_runtime) * 100.0
 
 
-@dataclass(frozen=True)
-class PairComparison:
+class PairComparison(NamedTuple):
     """One pairwise prediction: compiler_a is C1, compiler_b the base C2."""
 
     base: str
@@ -160,8 +162,7 @@ def all_pairs(records: Sequence[VersionRecord], metric: str) -> list[PairCompari
     return comparisons
 
 
-@dataclass(frozen=True)
-class IdentificationResult:
+class IdentificationResult(NamedTuple):
     base: str
     metric: str
     correct: bool
@@ -214,8 +215,7 @@ def identification_accuracy(records: Sequence[VersionRecord], metric: str) -> tu
     return accuracy, results
 
 
-@dataclass(frozen=True)
-class DistributionSummary:
+class DistributionSummary(NamedTuple):
     """Boxplot-style summary: quartiles by linear interpolation, Tukey fences."""
 
     n: int
@@ -261,13 +261,18 @@ class SweepPoint(NamedTuple):
     median_percent_re: float
 
 
-@dataclass(frozen=True)
-class SweepResult:
+class _SweepResultFields(NamedTuple):
     points: tuple[SweepPoint, ...]
-    argmin_w_s: Mapping[str, float]  # device -> w_s minimizing median %RE
+    argmin_w_s: dict[str, float]  # device -> w_s minimizing median %RE
 
-    def __post_init__(self):
-        object.__setattr__(self, "argmin_w_s", dict(self.argmin_w_s))
+
+class SweepResult(_SweepResultFields):
+    """The sweep's points, and each device's argmin copied into a dict."""
+
+    __slots__ = ()
+
+    def __new__(cls, points: tuple[SweepPoint, ...], argmin_w_s: Mapping[str, float]):
+        return tuple.__new__(cls, (points, dict(argmin_w_s)))
 
 
 def sweep_single_qubit_weight(

@@ -7,9 +7,8 @@ gate, which the parser appends to without building an object per gate.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
-from typing import Iterable, Sequence
+from functools import cached_property, partial
+from typing import Iterable, NamedTuple, Sequence
 
 UNITARY = "unitary"
 MEASURE = "measure"
@@ -19,8 +18,14 @@ DELAY = "delay"
 KINDS = (UNITARY, MEASURE, BARRIER, DELAY)
 
 
-@dataclass(frozen=True)
-class Gate:
+class _GateFields(NamedTuple):
+    name: str
+    qubits: tuple[int, ...]
+    params: tuple[float, ...]
+    kind: str
+
+
+class Gate(_GateFields):
     """A named operation applied to an ordered tuple of qubit indices.
 
     ``params`` holds real numbers (radians for rotation angles, seconds for
@@ -28,16 +33,13 @@ class Gate:
     the barrier/delay directives, which the metrics treat specially.
     """
 
-    name: str
-    qubits: tuple[int, ...]
-    params: tuple[float, ...] = ()
-    kind: str = UNITARY
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "qubits", tuple(self.qubits))
-        object.__setattr__(self, "params", tuple(float(p) for p in self.params))
-        if self.kind not in KINDS:
-            raise ValueError(f"unknown gate kind {self.kind!r}")
+    def __new__(cls, name: str, qubits: Iterable[int], params: Iterable[float] = (),
+                kind: str = UNITARY):
+        if kind not in KINDS:
+            raise ValueError(f"unknown gate kind {kind!r}")
+        return tuple.__new__(cls, (name, tuple(qubits), tuple(float(p) for p in params), kind))
 
 
 def multi_qubit(kind: str, qubits: tuple[int, ...]) -> bool:
@@ -54,14 +56,6 @@ def is_multi_qubit(gate: Gate) -> bool:
     return multi_qubit(gate.kind, gate.qubits)
 
 
-def _view_gate(name: str, qubits: tuple[int, ...], params: tuple[float, ...], kind: str) -> Gate:
-    """A Gate of fields already in their stored form, without re-checking them."""
-    gate = object.__new__(Gate)
-    gate.__dict__.update(name=name, qubits=qubits, params=params, kind=kind)
-    return gate
-
-
-@dataclass(frozen=True, init=False, repr=False)
 class Circuit:
     """An ordered gate list over ``num_qubits`` qubits, stored as columns.
 
@@ -71,7 +65,8 @@ class Circuit:
     :meth:`from_columns` builds one from its columns, as the parser does.
     ``gates`` is a read-only tuple of Gates: those given, or, for a circuit
     built from columns, Gates built once on first access. Equality and hash
-    are those of the columns, repr that of ``(num_qubits, gates)``.
+    are those of ``num_qubits`` and the columns, repr that of
+    ``(num_qubits, gates)``; no attribute can be assigned or deleted.
     """
 
     num_qubits: int
@@ -101,14 +96,32 @@ class Circuit:
 
     @cached_property
     def gates(self) -> tuple[Gate, ...]:
-        return tuple(map(_view_gate, self.names, self.qubits, self.params, self.kinds))
+        # the columns hold each field in its stored form, so no Gate is re-checked
+        fields = zip(self.names, self.qubits, self.params, self.kinds)
+        return tuple(map(partial(tuple.__new__, Gate), fields))
+
+    def _columns(self) -> tuple:
+        return self.num_qubits, self.names, self.kinds, self.qubits, self.params
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._columns() == other._columns()
+
+    def __hash__(self):
+        return hash(self._columns())
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
 
     def __repr__(self):
         return f"{self.__class__.__qualname__}(num_qubits={self.num_qubits!r}, gates={self.gates!r})"
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(NamedTuple):
     """One invariant violation found by :func:`validate`."""
 
     gate_index: int

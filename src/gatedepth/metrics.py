@@ -19,7 +19,6 @@ from __future__ import annotations
 import json
 import math
 import operator
-from dataclasses import dataclass
 from functools import cache, reduce
 from typing import Mapping, Sequence
 
@@ -64,21 +63,40 @@ def write_json(path, document) -> None:
         fh.write("\n")
 
 
-@dataclass(frozen=True)
 class WeightMap:
-    """Gate-name -> dimensionless weight in [0, 1] for one architecture."""
+    """Gate-name -> dimensionless weight in [0, 1] for one architecture.
 
-    weights: Mapping[str, float]
-    architecture: str | None = None
+    ``weights`` is a dict of floats, each a finite number >= 0. Equality is
+    that of ``(weights, architecture)``, and a map, holding a dict, is
+    unhashable; no attribute can be assigned or deleted.
+    """
 
-    def __post_init__(self):
-        object.__setattr__(self, "weights", {
+    weights: dict[str, float]
+    architecture: str | None
+
+    def __init__(self, weights: Mapping[str, float], architecture: str | None = None):
+        self.__dict__.update(weights={
             name: nonnegative_number(w, f"/weights/{name}: weight")
-            for name, w in self.weights.items()
-        })
+            for name, w in weights.items()
+        }, architecture=architecture)
 
     def __getitem__(self, name: str) -> float:
         return self.weights[name]
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.weights, self.architecture) == (other.weights, other.architecture)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __repr__(self):
+        return (f"{self.__class__.__qualname__}(weights={self.weights!r}, "
+                f"architecture={self.architecture!r})")
 
     def to_dict(self) -> dict:
         return {"architecture": self.architecture or "",

@@ -32,7 +32,6 @@ from __future__ import annotations
 import bisect
 import math
 import re
-from dataclasses import dataclass, field
 from typing import Callable, Iterator, NamedTuple, NoReturn
 
 from .ir import BARRIER, DELAY, MEASURE, UNITARY, Circuit
@@ -70,8 +69,7 @@ _REJECTED_KEYWORDS = {
 }
 
 
-@dataclass(frozen=True)
-class ParseDiagnostic:
+class ParseDiagnostic(NamedTuple):
     line: int
     column: int
     message: str
@@ -81,12 +79,18 @@ class ParseDiagnostic:
         return f"{self.line}:{self.column}: {self.severity}: {self.message}"
 
 
-@dataclass
-class ParseResult:
+class _ParseResultFields(NamedTuple):
+    circuit: Circuit | None
+    diagnostics: list[ParseDiagnostic]
+
+
+class ParseResult(_ParseResultFields):
     """Outcome of a parse: a circuit on success, diagnostics either way."""
 
-    circuit: Circuit | None
-    diagnostics: list[ParseDiagnostic] = field(default_factory=list)
+    __slots__ = ()
+
+    def __new__(cls, circuit: Circuit | None, diagnostics: list[ParseDiagnostic] | None = None):
+        return tuple.__new__(cls, (circuit, [] if diagnostics is None else diagnostics))
 
     @property
     def ok(self) -> bool:

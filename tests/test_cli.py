@@ -1208,6 +1208,18 @@ def test_every_command_but_sweep_runs_without_numpy(command, tmp_path):
     assert bool(proc.stdout) == (command != "import")
 
 
+def test_importing_the_cli_loads_no_dataclasses_nor_what_it_imports():
+    """dataclasses loads inspect, ast, dis and tokenize, and builds each
+    class's methods from source text: milliseconds at every start."""
+    script = ("import sys, gatedepth.cli\n"
+              "print(*(m for m in ('dataclasses', 'inspect', 'ast', 'dis', 'tokenize')"
+              " if m in sys.modules))")
+    env = {**os.environ, "PYTHONPATH": str(Path(gatedepth.cli.__file__).parents[1])}
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert (proc.returncode, proc.stderr, proc.stdout) == (0, "", "\n")
+
+
 # --- byte identity on the bundled demo ------------------------------------
 
 # sha256 of the demo outputs; a change to any of them changes a reported number

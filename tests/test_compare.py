@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import operator
 import random
@@ -456,7 +455,7 @@ def test_sweep_equals_one_weight_map_per_point(monkeypatch):
     monkeypatch.setattr(compare, "GRID_BLOCK", 7)
     versions, fast = make_ratio_dataset(0.2, seed=3, n_bases=4)
     _, slow = make_ratio_dataset(0.6, seed=3, n_bases=4)
-    tables = [fast, dataclasses.replace(slow, device="synth-slow")]
+    tables = [fast, slow._replace(device="synth-slow")]
     grid = [round(0.01 * i, 2) for i in range(101)]
     assert sweep_tables(versions, tables, grid) == reference_sweep(versions, tables, grid)
 

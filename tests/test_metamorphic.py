@@ -1,0 +1,126 @@
+"""Metamorphic checks on the bundled demo, exact in floats: an input change
+that must scale or keep every number, and the outputs compared byte for
+byte before and after it."""
+import json
+from pathlib import Path
+
+import pytest
+
+from gatedepth.cli import main
+
+DEMO = Path(__file__).resolve().parents[1] / "demo"
+TABLES = [DEMO / f"durations_device{d}.json" for d in range(3)]
+COMPARE_OUTPUTS = ("pairs.csv", "report.json", "summary.json")
+
+
+def run(capsys, *argv) -> str:
+    code = main([str(arg) for arg in argv])
+    out, err = capsys.readouterr()
+    assert (code, err) == (0, "")
+    return out
+
+
+def write_table(data: dict, path: Path) -> Path:
+    path.write_text(json.dumps(data), encoding="utf-8")
+    return path
+
+
+def demo_table(path: Path, defaults: bool) -> dict:
+    """The demo table at ``path``; with ``defaults``, the x and sx gates are
+    timed by a per-gate default (the duration of their first entry) in place
+    of their location entries."""
+    data = json.loads(path.read_text(encoding="utf-8"))
+    if defaults:
+        for entry in data["entries"]:
+            data["defaults"].setdefault(entry["gate"], entry["duration_s"])
+        data["defaults"] = {gate: data["defaults"][gate] for gate in ("sx", "x")}
+        data["entries"] = [e for e in data["entries"] if e["gate"] not in data["defaults"]]
+    return data
+
+
+def doubled(data: dict) -> dict:
+    """``data`` with every duration, entries and defaults both, doubled:
+    a power of two, so every sum, mean and runtime doubles exactly."""
+    return {**data, "entries": [{**e, "duration_s": 2 * e["duration_s"]} for e in data["entries"]],
+            "defaults": {gate: 2 * d for gate, d in data["defaults"].items()}}
+
+
+def read_outputs(out_dir: Path) -> dict:
+    return {name: (out_dir / name).read_bytes() for name in COMPARE_OUTPUTS}
+
+
+@pytest.mark.parametrize("defaults", [False, True], ids=["entries", "defaults"])
+@pytest.mark.parametrize("pooled", [[], ["--pooled"]], ids=["device_means", "pooled"])
+def test_doubling_every_duration_keeps_the_weights(defaults, pooled, tmp_path, capsys):
+    written = []
+    for name, scale in (("once", lambda d: d), ("twice", doubled)):
+        tables = [write_table(scale(demo_table(t, defaults)), tmp_path / f"{name}_{t.name}")
+                  for t in TABLES]
+        out = tmp_path / f"weights_{name}.json"
+        run(capsys, "weights", *pooled, *tables, "--out", out)
+        written.append(out.read_bytes())
+    assert written[0] == written[1]
+    assert len(json.loads(written[0])["weights"]) == 4
+
+
+@pytest.mark.parametrize("defaults", [False, True], ids=["entries", "defaults"])
+@pytest.mark.parametrize("table", TABLES, ids=lambda t: t.stem)
+def test_doubling_every_duration_doubles_each_runtime_and_keeps_every_other_byte(
+        table, defaults, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(DEMO)
+    outputs = []
+    for name, scale in (("once", lambda d: d), ("twice", doubled)):
+        durations = write_table(scale(demo_table(table, defaults)), tmp_path / f"{name}.json")
+        run(capsys, "compare", "manifest.json", "--durations", durations,
+            "--weights", "weights.json", "--out", tmp_path / name)
+        outputs.append(read_outputs(tmp_path / name))
+    once, twice = outputs
+    assert once["pairs.csv"] == twice["pairs.csv"]
+    assert once["summary.json"] == twice["summary.json"]
+    lines = [o["report.json"].decode().splitlines(keepends=True) for o in outputs]
+    assert len(lines[0]) == len(lines[1])
+    runtimes = 0
+    for old, new in zip(*lines):
+        if old.strip().startswith('"runtime_s": '):
+            key, old_value = old.rstrip(",\n").split(": ")
+            new_key, new_value = new.rstrip(",\n").split(": ")
+            assert new_key == key and float(new_value) == 2 * float(old_value)
+            assert new.endswith(",\n") == old.endswith(",\n")
+            runtimes += 1
+        else:
+            assert new == old
+    assert runtimes == len(json.loads(once["report.json"])["records"]) == 30
+
+
+def with_barriers(tmp_path: Path) -> Path:
+    """A copy of the demo manifest whose every circuit has ``barrier q;``
+    after its register declaration and after each of its statements."""
+    manifest = json.loads((DEMO / "manifest.json").read_text(encoding="utf-8"))
+    for base in manifest["bases"]:
+        for version in base["versions"]:
+            lines = (DEMO / version["file"]).read_text(encoding="utf-8").splitlines()
+            qreg = next(i for i, line in enumerate(lines) if line.startswith("qreg "))
+            body = [s for line in lines[qreg:] for s in (line, "barrier q;")]
+            path = tmp_path / Path(version["file"]).name
+            path.write_text("\n".join(lines[:qreg] + body) + "\n", encoding="utf-8")
+            version["file"] = str(path)
+    path = tmp_path / "manifest.json"
+    path.write_text(json.dumps(manifest), encoding="utf-8")
+    return path
+
+
+def test_a_barrier_after_every_statement_changes_no_compare_byte_under_skip(
+        tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(DEMO)
+    barriered = with_barriers(tmp_path)
+    outputs = {}
+    for name, manifest, barrier in (("plain", "manifest.json", "skip"),
+                                    ("skip", barriered, "skip"),
+                                    ("sync", barriered, "sync")):
+        printed = run(capsys, "compare", manifest, "--durations", "durations_device0.json",
+                      "--weights", "weights.json", "--barrier", barrier,
+                      "--out", tmp_path / name)
+        outputs[name] = (printed, read_outputs(tmp_path / name))
+    assert outputs["skip"] == outputs["plain"]
+    # the barriers are read: synchronizing on them moves the report
+    assert outputs["sync"][1]["report.json"] != outputs["plain"][1]["report.json"]
