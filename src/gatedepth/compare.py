@@ -107,18 +107,6 @@ def _oriented_pairs(keys: Sequence[tuple[str, str]]) -> list[tuple[int, int]]:
     return pairs
 
 
-def _divide(a: float, b: float) -> float:
-    """``a / b`` of two floats as numpy gives it, with no exception: a zero
-    ``b`` gives nan where ``a`` is 0 or nan, else inf of the quotient's
-    sign. CPython's ``/`` already gives inf for a quotient past the largest
-    float."""
-    if b == 0:
-        if a == 0 or math.isnan(a):
-            return math.nan
-        return math.copysign(math.inf, a) * math.copysign(1.0, b)
-    return a / b
-
-
 def _pair_errors(values: np.ndarray, runtimes: np.ndarray, c1: np.ndarray, c2: np.ndarray):
     """The %RE of each version pair (C1, C2) = (``c1[k]``, ``c2[k]``) for each
     column of ``values`` (versions x columns), against ``runtimes`` (one per
@@ -144,15 +132,17 @@ def all_pairs(records: Sequence[VersionRecord], metric: str) -> list[PairCompari
     Orientation is deterministic: the lexicographically smaller compiler id
     is the denominator C2. A base with k versions yields k*(k-1)/2 pairs.
     Each value takes the float operations of :func:`_pair_errors`, the
-    grid's kernel. A value that is not finite is None; a pair without a %RE
-    is flagged with each zero flag that applies, or else ``FLAG_OVERFLOW``."""
+    grid's kernel, where its denominator is nonzero. A value with a zero
+    denominator, or that is not finite, is None; a pair without a %RE is
+    flagged with each zero flag that applies, or else ``FLAG_OVERFLOW``."""
     comparisons = []
     for i, j in _oriented_pairs([(rec.base, rec.compiler) for rec in records]):
         rec1, rec2 = records[i], records[j]
         m2, r2 = float(rec2.metrics[metric]), float(rec2.runtime_s)
-        delta_metric = _divide(float(rec1.metrics[metric]) - m2, m2)
-        delta_runtime = _divide(float(rec1.runtime_s) - r2, r2)
-        percent_re = _divide(abs(delta_metric - delta_runtime), abs(delta_runtime)) * 100.0
+        delta_metric = (float(rec1.metrics[metric]) - m2) / m2 if m2 else math.nan
+        delta_runtime = (float(rec1.runtime_s) - r2) / r2 if r2 else math.nan
+        percent_re = (abs(delta_metric - delta_runtime) / abs(delta_runtime) * 100.0
+                      if delta_runtime else math.nan)
         delta_metric, delta_runtime, percent_re = (
             v if math.isfinite(v) else None for v in (delta_metric, delta_runtime, percent_re))
         flags = (tuple(compress(ZERO_FLAGS, (m2 == 0, r2 == 0, delta_runtime == 0 and m2 != 0)))
@@ -290,11 +280,13 @@ def sweep_single_qubit_weight(
     versions' multi-qubit :func:`metric_weights` map gives 1.0, and w_s
     otherwise (measure included). Every float equals what :func:`all_pairs`
     and :func:`summarize_distribution` give for the same weight map and
-    runtimes, but the work is done per block of at most ``GRID_BLOCK``
-    grid values: each version is swept once per block, one numpy column per
-    w_s (depths do not depend on the device), and each device's %RE is one
-    pairs x block array from :func:`_pair_errors`, with its column medians.
-    This is the only analysis that imports numpy.
+    runtimes. Each version is lowered once, each gate's row naming one of
+    those three weights; the rest is done per block of at most
+    ``GRID_BLOCK`` grid values: each version is swept once per block, its
+    rows read as numpy columns of one entry per w_s (depths do not depend
+    on the device), and each device's %RE is one pairs x block array from
+    :func:`_pair_errors`, each column's median taken by
+    :func:`_percentile`'s rule. This is the only analysis that imports numpy.
     The version pairs are formed once. Memory is per block. Ties in the
     argmin go to the smallest w_s. A grid value that is not a finite number
     >= 0, or a point where no pair has a defined %RE, raises
@@ -306,6 +298,11 @@ def sweep_single_qubit_weight(
     for w_s in grid:
         nonnegative_number(w_s, "w_s")
     multiqubit = metric_weights([c for *_, c in versions])["multiqubit"]
+    # each gate's row is its weight's column in a block: 0 for rz, barriers
+    # and delays (the rule's 0.0), 1 for a weight of 1.0, 2 for w_s
+    column = {name: 1 if multi else 2 for name, multi in multiqubit.items()}
+    rule = increment_rule({**column, "rz": 0})
+    lowered = [(c, lower(c, [rule])) for *_, c in versions]
     # one row per device; the reshape keeps that shape when there is no version
     runtimes = np.array(runtimes, dtype=float).reshape(len(versions), len(devices)).T
     c1, c2 = np.array(_oriented_pairs([(base, compiler) for base, compiler, _ in versions]),
@@ -314,12 +311,12 @@ def sweep_single_qubit_weight(
     for start in range(0, len(grid), GRID_BLOCK):
         block = grid[start:start + GRID_BLOCK]
         width = len(block)
-        zeros, ones, ws = np.zeros(width), np.ones(width), np.array(block, dtype=float)
-        weights = {name: ones if multi else ws for name, multi in multiqubit.items()}
-        rule = increment_rule({**weights, "rz": zeros})
+        zeros = np.zeros(width)
+        columns = {0: zeros, 1: np.ones(width), 2: np.array(block, dtype=float)}
         with np.errstate(over="ignore"):  # a depth past the largest float is inf, checked below
-            depths = np.array([sweep(c, lower(c, [rule]), zero=zeros, maximum=np.maximum, add=np.add)
-                               for *_, c in versions]).reshape(len(versions), width)
+            depths = np.array([sweep(c, map(columns.__getitem__, rows), zero=zeros,
+                                     maximum=np.maximum, add=np.add)
+                               for c, rows in lowered]).reshape(len(versions), width)
         if not np.isfinite(depths).all():
             v, k = np.argwhere(~np.isfinite(depths))[0]
             base, compiler, _ = versions[v]
@@ -328,19 +325,16 @@ def sweep_single_qubit_weight(
         for device, r, device_points in zip(devices, runtimes, points):
             *_, percent_re = _pair_errors(depths, r, c1, c2)
             defined = np.isfinite(percent_re)
-            undefined = ~defined.any(axis=0)
-            if undefined.any():
-                w_s = block[int(np.argmax(undefined))]
+            n = defined.sum(axis=0)
+            if not n.all():
+                w_s = block[int(np.argmin(n))]
                 raise ValueError(f"device {device!r}: no version pair has a defined %RE "
                                  f"at w_s={w_s}")
-            # np.percentile takes the same pairs in every column: one call per set of defined pairs
-            groups: dict[bytes, list[int]] = {}
-            for k in range(width):
-                groups.setdefault(defined[:, k].tobytes(), []).append(k)
-            medians = np.empty(width)
-            for columns in groups.values():
-                rows = defined[:, columns[0]]
-                medians[columns] = np.percentile(percent_re[rows][:, columns], 50.0, axis=0)
+            # _percentile's median of each column's n defined values, sorted
+            # first: a and b are one value where n is odd, so b - 0.0 is a
+            ordered = np.sort(np.where(defined, percent_re, np.inf), axis=0)
+            a, b = ordered[[(n - 1) // 2, n // 2], np.arange(width)]
+            medians = b - (b - a) * 0.5
             device_points.extend(SweepPoint(w_s, device, float(m)) for w_s, m in zip(block, medians))
     # min keeps the first of equal medians: the smallest w_s of an ascending grid
     argmin = {device: min(ps, key=lambda p: p.median_percent_re).w_s

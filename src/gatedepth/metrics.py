@@ -212,9 +212,9 @@ def metric_weights(circuits: Sequence[Circuit], weights: Mapping | None = None) 
 
 def increment_rule(weights: Mapping):
     """The rule of the weight map ``weights``: a gate's ``(name, kind,
-    qubits, params, position=-1)`` adds ``weights[name]``, a float, or a
-    numpy row on the w_s grid, or raises :class:`MissingWeightError` naming
-    ``position``; barriers and delays add 0."""
+    qubits, params, position=-1)`` adds ``weights[name]``, or raises
+    :class:`MissingWeightError` naming ``position``; barriers and delays add
+    0.0. The w_s grid's map gives a column index in place of a weight."""
     def rule(name, kind, qubits, params, position=-1):
         if kind in (BARRIER, DELAY):
             return 0.0

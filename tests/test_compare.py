@@ -462,8 +462,8 @@ def test_sweep_equals_one_weight_map_per_point(monkeypatch):
 
 def test_sweep_builds_one_gateaware_column_per_version_per_block(monkeypatch):
     """Each version is lowered by metrics.lower under the one gate-aware
-    rule, once per block of GRID_BLOCK grid values, and each is swept once
-    per block; its runtimes are data, so no duration is looked up."""
+    rule once, and swept once per block of GRID_BLOCK grid values; its
+    runtimes are data, so no duration is looked up."""
     monkeypatch.setattr(compare, "GRID_BLOCK", 40)
     calls, sweeps = [], []
     lower, sweep = compare.lower, compare.sweep
@@ -484,7 +484,7 @@ def test_sweep_builds_one_gateaware_column_per_version_per_block(monkeypatch):
     compare.sweep_single_qubit_weight(versions, runtimes, ["synth", "other"],
                                       [round(0.01 * i, 2) for i in range(101)])
     ids = [id(c) for *_, c in versions]
-    assert sorted(calls) == sorted((v, ["increment_rule.<locals>.rule"]) for v in ids * 3)
+    assert calls == [(v, ["increment_rule.<locals>.rule"]) for v in ids]
     assert sorted(sweeps) == sorted((v, width) for v in ids for width in (40, 40, 21))
 
 
@@ -517,6 +517,20 @@ def test_sweep_names_the_first_w_s_without_a_defined_percent_re():
     table = DurationTable("dev", "arch", {}, {"x": 1e-7, "cx": 3e-7})
     with pytest.raises(ValueError, match=r"device 'dev': .* at w_s=0.0$"):
         sweep_tables(versions, [table], [0.5, 0.25, 0.0, 1.0])
+
+
+def test_sweep_median_takes_both_branches_of_the_interpolation(monkeypatch):
+    """At w_s = 0 b0's base alpha has depth 0, so 3 pairs are defined (odd
+    n: the middle value); at every other w_s 4 are (even n: between the two
+    middle values). Blocks of 2 put both counts in one block."""
+    monkeypatch.setattr(compare, "GRID_BLOCK", 2)
+    x, cx = Gate("x", (0,)), Gate("cx", (0, 1))
+    versions = [("b0", "alpha", Circuit(2, (x,))), ("b0", "beta", Circuit(2, (cx, x))),
+                ("b1", "alpha", Circuit(2, (cx,))), ("b1", "beta", Circuit(2, (x, cx, x))),
+                ("b1", "gamma", Circuit(2, (cx, cx)))]
+    tables = [DurationTable("dev", "arch", {}, {"x": 1e-7, "cx": 3e-7})]
+    grid = [0.0, 0.25, 0.5, 0.75, 1.0]
+    assert sweep_tables(versions, tables, grid) == reference_sweep(versions, tables, grid)
 
 
 # Small draws for the differential test below. Durations come from a

@@ -92,6 +92,39 @@ def test_doubling_every_duration_doubles_each_runtime_and_keeps_every_other_byte
     assert runtimes == len(json.loads(once["report.json"])["records"]) == 30
 
 
+@pytest.mark.parametrize("factor", [2.0, 0.5])
+def test_scaling_every_weight_by_a_power_of_two_scales_only_the_gateaware_depths(
+        factor, tmp_path, monkeypatch, capsys):
+    """A gate-aware depth is a max of sums of weights, so it scales exactly
+    with them; every relative difference, %RE and argmin stays as it was."""
+    monkeypatch.chdir(DEMO)
+    data = json.loads((DEMO / "weights.json").read_text(encoding="utf-8"))
+    scaled = {**data, "weights": {gate: factor * w for gate, w in data["weights"].items()}}
+    outputs = []
+    for name, weights in (("once", DEMO / "weights.json"),
+                          ("scaled", write_table(scaled, tmp_path / "weights.json"))):
+        printed = run(capsys, "compare", "manifest.json", "--durations", "durations_device0.json",
+                      "--weights", weights, "--out", tmp_path / name)
+        outputs.append((printed, read_outputs(tmp_path / name)))
+    (printed, once), (scaled_printed, scaled) = outputs
+    assert printed == scaled_printed
+    assert once["pairs.csv"] == scaled["pairs.csv"]
+    assert once["summary.json"] == scaled["summary.json"]
+    lines = [o["report.json"].decode().splitlines(keepends=True) for o in (once, scaled)]
+    assert len(lines[0]) == len(lines[1])
+    depths = 0
+    for old, new in zip(*lines):
+        if old.strip().startswith('"gateaware": '):
+            key, old_value = old.rstrip(",\n").split(": ")
+            new_key, new_value = new.rstrip(",\n").split(": ")
+            assert new_key == key and float(new_value) == factor * float(old_value)
+            assert new.endswith(",\n") == old.endswith(",\n")
+            depths += 1
+        else:
+            assert new == old
+    assert depths == len(json.loads(once["report.json"])["records"]) == 30
+
+
 def with_barriers(tmp_path: Path) -> Path:
     """A copy of the demo manifest whose every circuit has ``barrier q;``
     after its register declaration and after each of its statements."""
