@@ -8,8 +8,8 @@ Subcommands:
     sweep     sweep the single-qubit weight w_s over a grid
 
 Exit codes: 0 ok, 2 parse error, 3 unresolved weight/duration or a depth or
-runtime past the largest float, 4 configuration error or unwritable output,
-5 manifest error.
+runtime past the largest float, 4 configuration error, unwritable output or
+(sweep) numpy that cannot be imported, 5 manifest error.
 """
 from __future__ import annotations
 
@@ -315,6 +315,8 @@ def cmd_sweep(args) -> int:
         runtimes.append(_sweep_values(path, circuit, (), None, tables, BARRIER_SKIP, rows))
     try:
         result = sweep_single_qubit_weight(versions, runtimes, [t.device for t in tables], grid)
+    except ImportError:  # the grid is the one analysis that imports numpy
+        raise CliError(EXIT_CONFIG, "sweep needs numpy, which cannot be imported")
     except OverflowError as exc:  # a depth past the largest float
         raise CliError(EXIT_RESOLUTION, exc.args[0])
     except ValueError as exc:  # the grid is valid, so a point has no defined %RE

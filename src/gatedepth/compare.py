@@ -10,7 +10,8 @@ grid sweep imports numpy; every other analysis runs on Python floats.
 from __future__ import annotations
 
 import math
-from itertools import compress
+from functools import partial
+from itertools import chain, compress, repeat
 from typing import TYPE_CHECKING, Mapping, NamedTuple, Sequence
 
 from .ir import Circuit
@@ -35,7 +36,11 @@ ZERO_FLAGS = (FLAG_ZERO_METRIC_BASE, FLAG_ZERO_RUNTIME_BASE, FLAG_ZERO_DELTA_RUN
 # an undefined %RE without a zero flag: a quotient past the largest float
 FLAG_OVERFLOW = "overflow"
 
-# most grid values one weight-sweep pass carries; bounds the per-qubit rows
+# most grid values one sweep pass carries; bounds each touched qubit's depth
+# row and the versions x width depth matrix (8 KB per version)
+SWEEP_BLOCK = 1024
+# most grid values scored at once; bounds the pairs x width %RE temporaries.
+# A divisor of SWEEP_BLOCK, so a scoring block starts every GRID_BLOCK values
 GRID_BLOCK = 256
 
 
@@ -281,24 +286,28 @@ def sweep_single_qubit_weight(
     otherwise (measure included). Every float equals what :func:`all_pairs`
     and :func:`summarize_distribution` give for the same weight map and
     runtimes. Each version is lowered once, each gate's row naming one of
-    those three weights; the rest is done per block of at most
-    ``GRID_BLOCK`` grid values: each version is swept once per block, its
-    rows read as numpy columns of one entry per w_s (depths do not depend
-    on the device), and each device's %RE is one pairs x block array from
-    :func:`_pair_errors`, each column's median taken by
-    :func:`_percentile`'s rule. This is the only analysis that imports numpy.
-    The version pairs are formed once. Memory is per block. Ties in the
-    argmin go to the smallest w_s. A grid value that is not a finite number
-    >= 0, or a point where no pair has a defined %RE, raises
-    ``ValueError``; a depth past the largest float raises ``OverflowError``,
-    naming the base, the compiler id and w_s.
+    those three weights, and swept once per ``SWEEP_BLOCK`` grid values,
+    its rows read as numpy columns of one entry per w_s (depths do not
+    depend on the device), into a versions x width depth matrix. Each
+    ``GRID_BLOCK`` of its columns is scored on its own: each device's %RE
+    is one pairs x block array from :func:`_pair_errors`, each column's
+    median taken by :func:`_percentile`'s rule. Each column is computed
+    elementwise, so neither block size changes a float. This is the only
+    analysis that imports numpy. The version pairs are formed once. Memory
+    is per block. Ties in the argmin go to the smallest w_s. A grid value
+    that is not a finite number >= 0, or a point where no pair has a
+    defined %RE, raises ``ValueError``; a depth past the largest float
+    raises ``OverflowError``, naming the base, the compiler id and w_s.
+    The first scoring block with such a point raises: an inf depth before
+    a %RE, naming the first version inf in the block, else the first
+    device without a defined %RE, at its first such w_s.
     """
     import numpy as np
 
     for w_s in grid:
         nonnegative_number(w_s, "w_s")
     multiqubit = metric_weights([c for *_, c in versions])["multiqubit"]
-    # each gate's row is its weight's column in a block: 0 for rz, barriers
+    # each gate's row is its weight's column in a sweep: 0 for rz, barriers
     # and delays (the rule's 0.0), 1 for a weight of 1.0, 2 for w_s
     column = {name: 1 if multi else 2 for name, multi in multiqubit.items()}
     rule = increment_rule({**column, "rz": 0})
@@ -307,36 +316,40 @@ def sweep_single_qubit_weight(
     runtimes = np.array(runtimes, dtype=float).reshape(len(versions), len(devices)).T
     c1, c2 = np.array(_oriented_pairs([(base, compiler) for base, compiler, _ in versions]),
                       dtype=np.intp).reshape(-1, 2).T
-    points: list[list[SweepPoint]] = [[] for _ in devices]
-    for start in range(0, len(grid), GRID_BLOCK):
-        block = grid[start:start + GRID_BLOCK]
-        width = len(block)
+    medians: list[list[float]] = [[] for _ in devices]
+    for start in range(0, len(grid), SWEEP_BLOCK):
+        swept = grid[start:start + SWEEP_BLOCK]
+        width = len(swept)
         zeros = np.zeros(width)
-        columns = {0: zeros, 1: np.ones(width), 2: np.array(block, dtype=float)}
+        columns = {0: zeros, 1: np.ones(width), 2: np.array(swept, dtype=float)}
         with np.errstate(over="ignore"):  # a depth past the largest float is inf, checked below
-            depths = np.array([sweep(c, map(columns.__getitem__, rows), zero=zeros,
-                                     maximum=np.maximum, add=np.add)
-                               for c, rows in lowered]).reshape(len(versions), width)
-        if not np.isfinite(depths).all():
-            v, k = np.argwhere(~np.isfinite(depths))[0]
-            base, compiler, _ = versions[v]
-            raise OverflowError(f"base {base!r}, compiler {compiler!r}: gate-aware depth at "
-                                f"w_s={block[k]} is inf: a sum past the largest float")
-        for device, r, device_points in zip(devices, runtimes, points):
-            *_, percent_re = _pair_errors(depths, r, c1, c2)
-            defined = np.isfinite(percent_re)
-            n = defined.sum(axis=0)
-            if not n.all():
-                w_s = block[int(np.argmin(n))]
-                raise ValueError(f"device {device!r}: no version pair has a defined %RE "
-                                 f"at w_s={w_s}")
-            # _percentile's median of each column's n defined values, sorted
-            # first: a and b are one value where n is odd, so b - 0.0 is a
-            ordered = np.sort(np.where(defined, percent_re, np.inf), axis=0)
-            a, b = ordered[[(n - 1) // 2, n // 2], np.arange(width)]
-            medians = b - (b - a) * 0.5
-            device_points.extend(SweepPoint(w_s, device, float(m)) for w_s, m in zip(block, medians))
-    # min keeps the first of equal medians: the smallest w_s of an ascending grid
-    argmin = {device: min(ps, key=lambda p: p.median_percent_re).w_s
-              for device, ps in zip(devices, points)}
-    return SweepResult(tuple(p for ps in points for p in ps), argmin)
+            swept_depths = np.array([sweep(c, map(columns.__getitem__, rows), zero=zeros,
+                                           maximum=np.maximum, add=np.add)
+                                     for c, rows in lowered]).reshape(len(versions), width)
+        for offset in range(0, width, GRID_BLOCK):
+            block = swept[offset:offset + GRID_BLOCK]
+            depths = swept_depths[:, offset:offset + GRID_BLOCK]
+            if not np.isfinite(depths).all():
+                v, k = np.argwhere(~np.isfinite(depths))[0]
+                base, compiler, _ = versions[v]
+                raise OverflowError(f"base {base!r}, compiler {compiler!r}: gate-aware depth at "
+                                    f"w_s={block[k]} is inf: a sum past the largest float")
+            for device, r, device_medians in zip(devices, runtimes, medians):
+                *_, percent_re = _pair_errors(depths, r, c1, c2)
+                defined = np.isfinite(percent_re)
+                n = defined.sum(axis=0)
+                if not n.all():
+                    w_s = block[int(np.argmin(n))]
+                    raise ValueError(f"device {device!r}: no version pair has a defined %RE "
+                                     f"at w_s={w_s}")
+                # _percentile's median of each column's n defined values, sorted
+                # first: a and b are one value where n is odd, so b - 0.0 is a
+                ordered = np.sort(np.where(defined, percent_re, np.inf), axis=0)
+                a, b = ordered[[(n - 1) // 2, n // 2], np.arange(len(block))]
+                device_medians.extend((b - (b - a) * 0.5).tolist())
+    point = partial(tuple.__new__, SweepPoint)  # SweepPoint(*row) without its Python __new__
+    points = tuple(chain.from_iterable(map(point, zip(grid, repeat(device), ms))
+                                       for device, ms in zip(devices, medians)))
+    # index finds the first of equal medians: the smallest w_s of an ascending grid
+    argmin = {device: grid[ms.index(min(ms))] for device, ms in zip(devices, medians)}
+    return SweepResult(points, argmin)

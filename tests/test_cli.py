@@ -697,6 +697,17 @@ def test_sweep_stdout_quotes_a_device_name_as_the_file_does(compare_setup, tmp_p
         assert list(csv.reader(fh)) == rows
 
 
+def test_sweep_without_numpy_exits_4_with_one_line(compare_setup, tmp_path, monkeypatch, capsys):
+    """numpy is a dependency, but only the grid imports it: without it sweep
+    exits 4 naming numpy, not with a ModuleNotFoundError traceback."""
+    manifest, table, _ = compare_setup
+    monkeypatch.setitem(sys.modules, "numpy", None)  # every import of numpy now fails
+    out_csv = tmp_path / "sweep.csv"
+    assert run(capsys, "sweep", str(manifest), "--durations", str(table), "--grid", "0:1:0.5",
+               "--out", str(out_csv)) == (4, "", "sweep needs numpy, which cannot be imported\n")
+    assert not out_csv.exists()
+
+
 def test_sweep_negative_grid_start_exits_4(compare_setup, capsys):
     manifest, table, _ = compare_setup
     code, _, err = run(capsys, "sweep", str(manifest), "--durations", str(table),

@@ -462,8 +462,10 @@ def test_sweep_equals_one_weight_map_per_point(monkeypatch):
 
 def test_sweep_builds_one_gateaware_column_per_version_per_block(monkeypatch):
     """Each version is lowered by metrics.lower under the one gate-aware
-    rule once, and swept once per block of GRID_BLOCK grid values; its
-    runtimes are data, so no duration is looked up."""
+    rule once, and swept once per block of SWEEP_BLOCK grid values, however
+    many GRID_BLOCK scoring blocks that holds; its runtimes are data, so no
+    duration is looked up."""
+    monkeypatch.setattr(compare, "SWEEP_BLOCK", 80)
     monkeypatch.setattr(compare, "GRID_BLOCK", 40)
     calls, sweeps = [], []
     lower, sweep = compare.lower, compare.sweep
@@ -485,7 +487,7 @@ def test_sweep_builds_one_gateaware_column_per_version_per_block(monkeypatch):
                                       [round(0.01 * i, 2) for i in range(101)])
     ids = [id(c) for *_, c in versions]
     assert calls == [(v, ["increment_rule.<locals>.rule"]) for v in ids]
-    assert sorted(sweeps) == sorted((v, width) for v in ids for width in (40, 40, 21))
+    assert sorted(sweeps) == sorted((v, width) for v in ids for width in (80, 21))
 
 
 @pytest.mark.parametrize("w_s", [-0.5, math.inf, math.nan, "0.5", True])
@@ -517,6 +519,32 @@ def test_sweep_names_the_first_w_s_without_a_defined_percent_re():
     table = DurationTable("dev", "arch", {}, {"x": 1e-7, "cx": 3e-7})
     with pytest.raises(ValueError, match=r"device 'dev': .* at w_s=0.0$"):
         sweep_tables(versions, [table], [0.5, 0.25, 0.0, 1.0])
+
+
+def test_sweep_overflow_names_the_first_block_then_the_first_version_in_it():
+    """beta (the later version) passes the largest float from w_s = 6e307,
+    in the second 256-value block; alpha only from 1e308, in the third.
+    The first block holding an inf names the first version inf in it."""
+    cx, x = Gate("cx", (0, 1)), Gate("x", (0,))
+    versions = [("b0", "alpha", Circuit(2, (cx, x, x))), ("b0", "beta", Circuit(2, (cx, x, x, x)))]
+    grid = [float(i) for i in range(256)] + [6e307] * 256 + [1e308]
+    with pytest.raises(OverflowError) as err:
+        sweep_single_qubit_weight(versions, [[2e-7], [3e-7]], ["dev"], grid)
+    assert err.value.args == ("base 'b0', compiler 'beta': gate-aware depth at w_s=6e+307 is "
+                              "inf: a sum past the largest float",)
+
+
+def test_sweep_without_a_defined_percent_re_names_the_first_device_that_loses_it():
+    """beta's depth is 1 + w_s over alpha's 1, so dM = w_s. dev0's dR is
+    2**-50 and its %RE passes the largest float from w_s = 1e292; dev1's
+    is 2**-52 and passes it already at 1e291. Both w_s are in one block:
+    the first device in order is named, at its own first such w_s."""
+    cx, x = Gate("cx", (0, 1)), Gate("x", (0,))
+    versions = [("b0", "alpha", Circuit(2, (cx,))), ("b0", "beta", Circuit(2, (cx, x)))]
+    runtimes = [[1.0, 1.0], [1.0 + 2.0 ** -50, 1.0 + 2.0 ** -52]]
+    with pytest.raises(ValueError) as err:
+        sweep_single_qubit_weight(versions, runtimes, ["dev0", "dev1"], [0.5, 1e291, 1e292])
+    assert err.value.args == ("device 'dev0': no version pair has a defined %RE at w_s=1e+292",)
 
 
 def test_sweep_median_takes_both_branches_of_the_interpolation(monkeypatch):
@@ -585,6 +613,30 @@ def test_array_sweep_equals_reference_sweep(versions, durations, grid, block):
         medians = {p.w_s: p.median_percent_re for p in result.points if p.device == table.device}
         lowest = min(medians.values())
         assert result.argmin_w_s[table.device] == min(w for w, m in medians.items() if m == lowest)
+
+
+@given(versions=VERSIONS, durations=st.lists(DURATIONS, min_size=1, max_size=2),
+       grid=st.lists(st.sampled_from((0.0, 0.125, 0.25, 0.5, 1.0, 2.0)), min_size=2,
+                     max_size=12).map(sorted),
+       block=st.integers(1, 3), per_sweep=st.integers(1, 3))
+@settings(max_examples=200)
+def test_array_sweep_across_both_block_edges_equals_reference_sweep(versions, durations, grid,
+                                                                   block, per_sweep):
+    """Sweep blocks of ``per_sweep`` scoring blocks of ``block`` grid values
+    each: most grids cross both a sweep edge and a scoring edge inside a
+    sweep block, and the floats, the argmin and every ValueError are still
+    the reference's."""
+    tables = [DurationTable(f"dev{i}", "arch", {}, d) for i, d in enumerate(durations)]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(compare, "GRID_BLOCK", block)
+        mp.setattr(compare, "SWEEP_BLOCK", block * per_sweep)
+        try:
+            expected = reference_sweep(versions, tables, grid)
+        except ValueError:  # summarize_distribution: some point has no defined %RE
+            with pytest.raises(ValueError, match="no version pair has a defined %RE"):
+                sweep_tables(versions, tables, grid)
+            return
+        assert sweep_tables(versions, tables, grid) == expected
 
 
 def test_array_sweep_rejects_a_duplicate_compiler_id_across_entries():

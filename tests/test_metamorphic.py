@@ -157,3 +157,40 @@ def test_a_barrier_after_every_statement_changes_no_compare_byte_under_skip(
     assert outputs["skip"] == outputs["plain"]
     # the barriers are read: synchronizing on them moves the report
     assert outputs["sync"][1]["report.json"] != outputs["plain"][1]["report.json"]
+
+
+def sweep_blocks(capsys, out: Path, tables, grid: str) -> tuple[list[list[bytes]], str]:
+    """``sweep`` on the demo over ``tables``: the rows of ``out`` (its CSV)
+    in one block per device, in the order of ``tables``, and the argmin
+    line it prints."""
+    printed = run(capsys, "sweep", "manifest.json", "--durations", *tables, "--grid", grid,
+                  "--out", out)
+    header, *rows = out.read_bytes().splitlines(keepends=True)
+    assert header == b"w_s,device,median_percent_re\r\n"
+    size = len(rows) // len(tables)
+    blocks = [rows[i:i + size] for i in range(0, len(rows), size)]
+    assert [{row.split(b",")[1] for row in block} for block in blocks] == [
+        {json.loads(t.read_text(encoding="utf-8"))["device"].encode()} for t in tables]
+    return blocks, printed
+
+
+def test_a_longer_grid_starts_with_the_shorter_grids_rows(tmp_path, monkeypatch, capsys):
+    """0:2:0.001 crosses the edge of the first 1,024-value sweep block, which
+    0:1:0.001 does not reach; each device's first 1,001 rows are still the
+    shorter grid's, byte for byte."""
+    monkeypatch.chdir(DEMO)
+    short, _ = sweep_blocks(capsys, tmp_path / "short.csv", TABLES, "0:1:0.001")
+    long, _ = sweep_blocks(capsys, tmp_path / "long.csv", TABLES, "0:2:0.001")
+    assert [len(block) for block in short + long] == [1001] * 3 + [2001] * 3
+    assert [block[:1001] for block in long] == short
+
+
+def test_reversing_the_tables_reverses_the_device_blocks(tmp_path, monkeypatch, capsys):
+    """Each device is scored on its own: the order of --durations orders the
+    CSV's device blocks and changes no row and no argmin."""
+    monkeypatch.chdir(DEMO)
+    forward, printed = sweep_blocks(capsys, tmp_path / "forward.csv", TABLES, "0:1:0.001")
+    backward, reversed_printed = sweep_blocks(capsys, tmp_path / "backward.csv", TABLES[::-1],
+                                              "0:1:0.001")
+    assert backward == forward[::-1]
+    assert reversed_printed == printed
