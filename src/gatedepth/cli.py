@@ -21,7 +21,7 @@ import os
 import sys
 from contextlib import nullcontext
 from functools import partial
-from itertools import groupby
+from itertools import groupby, repeat
 from operator import itemgetter
 from pathlib import Path
 
@@ -50,6 +50,9 @@ DEPTH_KEYS = {"traditional": "traditional_depth", "multiqubit": "multiqubit_dept
               "gateaware": "gate_aware_depth"}
 # most points a --grid may have; a larger grid is rejected before it is built
 MAX_GRID_POINTS = 1_000_000
+# rows of a CSV report formatted, joined and written at a time; bounds the
+# field texts and the line text held at once
+CSV_CHUNK = 1024
 
 
 class CliError(Exception):
@@ -85,12 +88,67 @@ def _write(path, write, *args, **kwargs) -> None:
         raise CliError(EXIT_CONFIG, f"{path}: {exc.strerror or exc}")
 
 
-def _save_csv(path, header, rows) -> None:
-    """``None`` is written as an empty field; a ``None`` path is stdout."""
+class _Line:
+    """A file whose ``write`` returns the text it is given, so that
+    ``csv.writer(_Line).writerow(row)`` returns the row's line."""
+
+    write = str
+
+
+def _field_texts(values, quote) -> list[str]:
+    """Each of ``values`` as ``csv.writer`` writes it in a row of two or more
+    fields: "" for None, else its str, as ``quote`` gives it. A float's str
+    is its repr, which csv never quotes, so a column of floats and None is
+    not quoted; any other column calls ``quote`` once per distinct text."""
+    kinds = set(map(type, values))
+    if kinds <= {float}:
+        return list(map(float.__repr__, values))
+    if kinds <= {float, type(None)}:
+        return ["" if v is None else float.__repr__(v) for v in values]
+    texts = ["" if v is None else str(v) for v in values]
+    quoted = {text: quote(text) for text in set(texts)}
+    return list(map(quoted.__getitem__, texts))
+
+
+def _save_csv(path, header, blocks) -> None:
+    """Write ``header`` (two or more fields), then the rows of each block,
+    byte for byte as ``csv.writer`` writes them: ``\\r\\n`` line ends, or
+    ``\\n`` on stdout, the ``None`` path. A block gives each field, in
+    header order, as a list of its value in each row, or as one value of
+    another type that fills the field in every row; each block has a list.
+    Fields are made a column at a time: a list that recurs in blocks is
+    formatted once, a one-value field once per block, and csv.writer quotes
+    each distinct text once per chunk under the stream's line end, on which
+    its quoting depends. The rows are joined and written ``CSV_CHUNK`` at a
+    time, so the text held is one chunk's."""
+    end = "\r\n" if path else "\n"
+    line = csv.writer(_Line, lineterminator=end).writerow
+    cut = len(end) + 1
+
+    def quote(text: str) -> str:
+        return line((text, ""))[:-cut]  # "<field>,<end>" less its ",<end>"
+
+    lists = [id(f) for block in blocks for f in block if type(f) is list]
+    recurring = {key: None for key in lists if lists.count(key) > 1}  # id -> its texts, once made
     with open(path, "w", newline="", encoding="utf-8") if path else nullcontext(sys.stdout) as fh:
-        writer = csv.writer(fh, lineterminator="\r\n" if path else "\n")
-        writer.writerow(header)
-        writer.writerows(rows)
+        fh.write(",".join(map(quote, header)) + end)
+        for block in blocks:
+            # per field: its texts, made once for the block, or None to make them per chunk
+            made = []
+            for f in block:
+                if type(f) is not list:
+                    made.append(repeat(_field_texts([f], quote)[0]))
+                elif id(f) in recurring:
+                    recurring[id(f)] = recurring[id(f)] or _field_texts(f, quote)
+                    made.append(recurring[id(f)])
+                else:
+                    made.append(None)
+            for start in range(0, len(next(f for f in block if type(f) is list)), CSV_CHUNK):
+                chunk = slice(start, start + CSV_CHUNK)
+                columns = [_field_texts(f[chunk], quote) if texts is None
+                           else texts if type(texts) is repeat else texts[chunk]
+                           for f, texts in zip(block, made)]
+                fh.write(end.join([*map(",".join, zip(*columns)), ""]))
 
 
 def _read_device_tables(paths: list[str]) -> list[DurationTable]:
@@ -267,7 +325,7 @@ def cmd_compare(args) -> int:
     out_dir = Path(args.out)
     _write(args.out, os.makedirs, exist_ok=True)
     _write(out_dir / "pairs.csv", _save_csv, PairComparison._fields,
-           [row.values() for row in pairs])
+           [[list(map(itemgetter(field), pairs)) for field in PairComparison._fields]])
     _write(out_dir / "report.json", write_json,
            {"records": [r._asdict() for r in records], "pairs": pairs})
     _write(out_dir / "summary.json", write_json, summary)
@@ -313,8 +371,9 @@ def cmd_sweep(args) -> int:
     for base, compiler, path, circuit, rows in _parsed_versions(manifest):
         versions.append((base, compiler, circuit))
         runtimes.append(_sweep_values(path, circuit, (), None, tables, BARRIER_SKIP, rows))
+    devices = [t.device for t in tables]
     try:
-        result = sweep_single_qubit_weight(versions, runtimes, [t.device for t in tables], grid)
+        result = sweep_single_qubit_weight(versions, runtimes, devices, grid)
     except ImportError:  # the grid is the one analysis that imports numpy
         raise CliError(EXIT_CONFIG, "sweep needs numpy, which cannot be imported")
     except OverflowError as exc:  # a depth past the largest float
@@ -322,11 +381,14 @@ def cmd_sweep(args) -> int:
     except ValueError as exc:  # the grid is valid, so a point has no defined %RE
         raise CliError(EXIT_MANIFEST, str(exc))
 
-    header = SweepPoint._fields
+    # each device's points, in grid order, are one block, so the grid's texts are made once
+    medians = list(map(itemgetter(2), result.points))
+    blocks = [(grid, device, medians[k * len(grid):(k + 1) * len(grid)])
+              for k, device in enumerate(devices)]
     if args.out:
-        _write(args.out, _save_csv, header, result.points)
+        _write(args.out, _save_csv, SweepPoint._fields, blocks)
     else:
-        _save_csv(None, header, result.points)
+        _save_csv(None, SweepPoint._fields, blocks)
     print(json.dumps({"argmin_w_s": dict(result.argmin_w_s)}, sort_keys=True))
     return EXIT_OK
 
@@ -390,11 +452,12 @@ def main(argv=None) -> int:
     except CliError as exc:
         print(str(exc), file=sys.stderr)
         return exc.code
-    except BrokenPipeError:  # the reader closed stdout; the flush at exit then writes nowhere
+    except OSError as exc:  # stdout cannot be written (a closed pipe, a full disk): every
+        # other file goes through _read or _write. The flush at exit then writes nowhere
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
-        print("<stdout>: Broken pipe", file=sys.stderr)
+        print(f"<stdout>: {exc.strerror or exc}", file=sys.stderr)
         return EXIT_CONFIG
 
 

@@ -262,7 +262,8 @@ class _SweepResultFields(NamedTuple):
 
 
 class SweepResult(_SweepResultFields):
-    """The sweep's points, and each device's argmin copied into a dict."""
+    """The sweep's points, device by device in ``devices`` order, each
+    device's in grid order; and each device's argmin copied into a dict."""
 
     __slots__ = ()
 

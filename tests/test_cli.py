@@ -1,5 +1,6 @@
 import contextlib
 import csv
+import errno
 import hashlib
 import importlib
 import importlib.util
@@ -1187,6 +1188,23 @@ def test_closed_stdout_exits_4_with_one_line():
     assert proc.returncode == 4
     assert b"Traceback" not in err and b"Exception ignored" not in err
     assert err == b"<stdout>: Broken pipe\n"
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full to write to")
+@pytest.mark.parametrize("command", ["sweep", "depth", "compare"])
+def test_a_full_stdout_exits_4_with_one_line(command, tmp_path):
+    """sweep's 3,004 CSV lines fill the stdout buffer, so its write fails
+    while it writes; depth's and compare's few lines fail at main's flush."""
+    argv = {"sweep": ["sweep", "manifest.json", "--durations",
+                      *(f"durations_device{d}.json" for d in range(3)), "--grid", "0:1:0.001"],
+            "depth": ["depth", "--weights", "weights.json", "circuits/base00_qfirst.qasm"],
+            "compare": ["compare", "manifest.json", "--durations", "durations_device0.json",
+                        "--weights", "weights.json", "--out", str(tmp_path / "report")]}[command]
+    env = {**os.environ, "PYTHONPATH": str(Path(gatedepth.cli.__file__).parents[1])}
+    with open("/dev/full", "wb") as full:
+        proc = subprocess.run([sys.executable, "-m", "gatedepth.cli", *argv], cwd=DEMO, env=env,
+                              stdout=full, stderr=subprocess.PIPE, timeout=120)
+    assert (proc.returncode, proc.stderr) == (4, f"<stdout>: {os.strerror(errno.ENOSPC)}\n".encode())
 
 
 # runs gatedepth.cli.main on its arguments, or, with none, imports gatedepth
