@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import Mapping, NamedTuple, Sequence
 
-from .metrics import WeightMap, nonnegative_number, read_json, write_json
+from .metrics import WeightMap, nonnegative_number, read_json, utf8_text, write_json
 
 
 class DurationTableError(ValueError):
@@ -68,6 +68,7 @@ def duration_table_from_dict(data: dict) -> DurationTable:
     for key in ("device", "architecture"):
         if not isinstance(data.get(key), str) or not data[key]:
             raise DurationTableError(f"/{key}: required non-empty string")
+        utf8_text(data[key], f"/{key}: {key}", DurationTableError)
     raw_entries = data.get("entries")
     if not isinstance(raw_entries, list):
         raise DurationTableError("/entries: required array")
@@ -79,6 +80,7 @@ def duration_table_from_dict(data: dict) -> DurationTable:
         gate = item.get("gate")
         if not isinstance(gate, str) or not gate:
             raise DurationTableError(f"{ptr}/gate: required non-empty string")
+        utf8_text(gate, f"{ptr}/gate: gate", DurationTableError)
         qubits = item.get("qubits")
         if not isinstance(qubits, list) or not all(isinstance(q, int) and not isinstance(q, bool) and q >= 0 for q in qubits):
             raise DurationTableError(f"{ptr}/qubits: required array of non-negative integers")
@@ -93,6 +95,7 @@ def duration_table_from_dict(data: dict) -> DurationTable:
     if not isinstance(raw_defaults, dict):
         raise DurationTableError("/defaults: must be an object")
     for name, value in raw_defaults.items():
+        utf8_text(name, "/defaults: gate", DurationTableError)
         defaults[name] = nonnegative_number(value, f"/defaults/{name}: duration", DurationTableError)
     return DurationTable(data["device"], data["architecture"], entries, defaults)
 

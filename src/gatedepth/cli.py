@@ -16,21 +16,24 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import marshal
 import math
 import os
 import sys
-from contextlib import nullcontext
+import threading
+from contextlib import nullcontext, suppress
 from functools import partial
 from itertools import groupby, repeat
 from operator import itemgetter
 from pathlib import Path
 
 from . import __version__
-from .calibration import DurationTable, configure_weights, load_duration_table
+from .calibration import (ArchitectureMismatchError, DurationTable, configure_weights,
+                          load_duration_table)
 from .compare import (PairComparison, SweepPoint, VersionRecord, all_pairs,
                       identification_accuracy, summarize_distribution, sweep_single_qubit_weight)
 from .metrics import (BARRIER_SKIP, MissingWeightError, WeightMap, increment_rule, lower,
-                      metric_weights, read_json, row_ops, sweep, write_json)
+                      metric_weights, read_json, row_ops, sweep, utf8_text, write_json)
 from .qasm import QasmParseError, parse_file
 from .runtime import UnresolvedDurationError, duration
 # not called here: bench/tracing.py wraps these names in this module
@@ -53,6 +56,12 @@ MAX_GRID_POINTS = 1_000_000
 # rows of a CSV report formatted, joined and written at a time; bounds the
 # field texts and the line text held at once
 CSV_CHUNK = 1024
+# compare forks workers only for a manifest whose circuit files total at
+# least this many bytes. A fork and its reap cost about 3 ms; on 2 CPUs the
+# demo's 26.7 KB took 12.8 ms in process against 15.7 ms forked, 8 bases
+# of the benchmark's corpus (200 KB) were about even, and its 40 bases
+# (1.15 MB) went from 150 to 102 ms
+PARALLEL_MIN_BYTES = 256 * 1024
 
 
 class CliError(Exception):
@@ -214,8 +223,13 @@ def cmd_weights(args) -> int:
     tables = _read_device_tables(args.tables)
     try:
         wmap = configure_weights(tables, pooled=args.pooled)
-    except ValueError as exc:  # includes ArchitectureMismatchError
-        raise CliError(EXIT_CONFIG, str(exc))
+    except ArchitectureMismatchError:
+        path, table = next((p, t) for p, t in zip(args.tables, tables)
+                           if t.architecture != tables[0].architecture)
+        raise CliError(EXIT_CONFIG, f"{path}: architecture {table.architecture!r} is not "
+                                    f"{tables[0].architecture!r}, that of {args.tables[0]}")
+    except ValueError as exc:  # no gate, or no gate time above 0, in any table
+        raise CliError(EXIT_CONFIG, f"{', '.join(args.tables)}: {exc}")
     if args.out:
         _write(args.out, wmap.save)
     print(f"architecture: {wmap.architecture}")
@@ -250,6 +264,7 @@ def _load_manifest(path: str) -> list[tuple[str, str, str]]:
     for i, base in enumerate(bases):
         if not isinstance(base, dict) or not isinstance(base.get("name"), str):
             raise ValueError(f"/bases/{i}/name: required string")
+        utf8_text(base["name"], f"/bases/{i}/name: base name")
         versions = base.get("versions")
         if not isinstance(versions, list) or not versions:
             raise ValueError(f"/bases/{i}/versions: required non-empty array")
@@ -257,6 +272,7 @@ def _load_manifest(path: str) -> list[tuple[str, str, str]]:
             if (not isinstance(ver, dict) or not isinstance(ver.get("compiler"), str)
                     or not isinstance(ver.get("file"), str)):
                 raise ValueError(f"/bases/{i}/versions/{j}: requires compiler and file strings")
+            utf8_text(ver["compiler"], f"/bases/{i}/versions/{j}/compiler: compiler id")
             key = (base["name"], ver["compiler"])
             if key in seen:
                 raise ValueError(f"/bases/{i}/versions/{j}/compiler: "
@@ -281,6 +297,137 @@ def _parsed_versions(manifest: list[tuple[str, str, str]]):
                    rows)
 
 
+def _version_results(versions, metrics: tuple, weights, tables: list, barrier: str):
+    """``(results, error)`` of manifest entries ``versions``, whole base
+    groups of it: ``(base, compiler, values, runtime)`` of each version, in
+    order, up to the first that fails, and that failure's ``(code,
+    message)``, or None. Forked children run it as this process does."""
+    results = []
+    try:
+        for base, compiler, path, circuit, rows in _parsed_versions(versions):
+            *values, runtime = _sweep_values(path, circuit, metrics, weights, tables, barrier, rows)
+            results.append((base, compiler, values, runtime))
+    except CliError as exc:
+        return results, (exc.code, str(exc))
+    return results, None
+
+
+def _file_bytes(path: str) -> int:
+    try:
+        return os.stat(path).st_size
+    except (OSError, ValueError):  # its parse reports it
+        return 0
+
+
+def _shares(manifest: list[tuple[str, str, str]]) -> list[list[tuple[str, str, str]]]:
+    """``manifest`` cut into one run of whole base groups per process to
+    use, in order, of about equal file bytes: one run, unless this process
+    can fork, has one thread and more than one usable CPU, and the manifest
+    has two or more base groups whose files total ``PARALLEL_MIN_BYTES``."""
+    if not hasattr(os, "fork") or threading.active_count() != 1:
+        return [manifest]
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+    groups = [list(versions) for _, versions in groupby(manifest, key=itemgetter(0))]
+    if cpus < 2 or len(groups) < 2:
+        return [manifest]
+    sizes = [sum(_file_bytes(path) for *_, path in group) for group in groups]
+    total = sum(sizes)
+    if total < PARALLEL_MIN_BYTES:
+        return [manifest]
+    n = min(cpus, len(groups))
+    shares: list[list] = [[] for _ in range(n)]
+    done = 0
+    for group, size in zip(groups, sizes):  # a group goes to the share its middle byte falls in
+        shares[min(n - 1, (2 * done + size) * n // (2 * total))] += group
+        done += size
+    return [share for share in shares if share]
+
+
+def _fork(work, share) -> tuple[int, int] | None:
+    """The pid of a forked child that sends ``marshal.dumps(work(share))``
+    down a pipe, and the pipe's read end, or None if no process can be
+    started. The child writes nothing else, flushes no buffer it inherited
+    and exits by ``os._exit``: 0 once it has sent the result, 1 on any
+    exception."""
+    read, write = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:  # a process limit, or no memory for one
+        os.close(read)
+        os.close(write)
+        return None
+    if pid == 0:
+        code = 1
+        try:
+            os.close(read)
+            with open(write, "wb") as pipe:
+                pipe.write(marshal.dumps(work(share)))
+            code = 0
+        finally:
+            os._exit(code)
+    os.close(write)
+    return pid, read
+
+
+def _loaded(data: bytes, status: int):
+    """The result a child sent as ``data``, or None if it exited nonzero
+    (``status``), was killed or sent a truncated result."""
+    if status != 0:
+        return None
+    try:
+        return marshal.loads(data)
+    except (EOFError, ValueError, TypeError):
+        return None
+
+
+def _compared_versions(manifest, metrics: tuple, weights, tables: list, barrier: str) -> list:
+    """``(base, compiler, values, runtime)`` of each version of ``manifest``,
+    in order, from :func:`_version_results` on each of :func:`_shares`: the
+    first share in this process, each other in a forked child. A share
+    whose child cannot be started or sends no result runs here. The first
+    failing version in manifest order raises its CliError; no child
+    outlives the call."""
+    work = partial(_version_results, metrics=metrics, weights=weights, tables=tables,
+                   barrier=barrier)
+    shares = _shares(manifest)
+    children: list = []  # (pid, read end) or None of shares[1:], in order
+    reaped: set[int] = set()
+    try:
+        for share in shares[1:]:
+            children.append(_fork(work, share))
+        outcomes = [work(shares[0])]
+        for child, share in zip(children, shares[1:]):
+            if outcomes[-1][1] is not None:  # later shares cannot hold the first failure
+                break
+            outcome = None
+            if child is not None:
+                pid, read = child
+                with open(read, "rb", closefd=False) as pipe:
+                    data = pipe.read()
+                try:
+                    status = os.waitpid(pid, 0)[1]
+                except ChildProcessError:  # reaped already, where SIGCHLD is ignored
+                    status = 0  # so the result alone tells
+                reaped.add(pid)
+                outcome = _loaded(data, status)
+            outcomes.append(outcome or work(share))
+    finally:
+        for pid, read in filter(None, children):
+            os.close(read)
+            if pid not in reaped:
+                from signal import SIGKILL  # only when a child may still run
+                with suppress(ProcessLookupError, ChildProcessError):  # gone, SIGCHLD ignored
+                    os.kill(pid, SIGKILL)
+                    os.waitpid(pid, 0)
+    results = []
+    for done, error in outcomes:
+        results += done
+        if error is not None:
+            raise CliError(*error)
+    return results
+
+
 # -------------------------------------------------------------- compare ---
 
 def cmd_compare(args) -> int:
@@ -294,10 +441,9 @@ def cmd_compare(args) -> int:
     tables = [_read(args.durations, EXIT_CONFIG, load_duration_table)]
     weights = _weights_for(metrics, args.weights)
 
-    records = []
-    for base, compiler, path, circuit, rows in _parsed_versions(manifest):
-        *values, runtime = _sweep_values(path, circuit, metrics, weights, tables, args.barrier, rows)
-        records.append(VersionRecord(base, compiler, dict(zip(metrics, values)), runtime))
+    records = [VersionRecord(base, compiler, dict(zip(metrics, values)), runtime)
+               for base, compiler, values, runtime
+               in _compared_versions(manifest, metrics, weights, tables, args.barrier)]
 
     pairs: list[dict] = []  # the rows of pairs.csv, and the pairs of report.json
     summary: dict = {

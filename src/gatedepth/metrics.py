@@ -44,6 +44,19 @@ def nonnegative_number(value, label: str, error: type[ValueError] = ValueError) 
     return num
 
 
+def utf8_text(value: str, label: str, error: type[ValueError] = ValueError) -> None:
+    """Raise ``error("<label> <value!r> is not UTF-8 text: ...")`` unless
+    ``value`` can be written as UTF-8. A JSON ``\\ud800`` escape gives a str
+    a lone surrogate, which no UTF-8 file or stream can hold, so a name
+    that may be written is checked when it is read, before anything is
+    written."""
+    try:
+        value.encode("utf-8")
+    except UnicodeEncodeError as exc:
+        raise error(f"{label} {value!r} is not UTF-8 text: "
+                    f"a lone surrogate at character {exc.start}") from None
+
+
 def read_json(path, error: type[ValueError] = ValueError):
     """The JSON document in the UTF-8 file ``path``. Text that does not
     decode, or is nested too deep to, raises ``error("invalid JSON: ...")``;
@@ -108,6 +121,8 @@ class WeightMap:
             raise ValueError("/: weight map must be a JSON object")
         if not isinstance(data.get("weights"), dict):
             raise ValueError("/weights: required object")
+        for name in data["weights"]:
+            utf8_text(name, "/weights: gate")
         return cls(weights=data["weights"], architecture=data.get("architecture") or None)
 
     def save(self, path) -> None:
