@@ -56,12 +56,13 @@ MAX_GRID_POINTS = 1_000_000
 # rows of a CSV report formatted, joined and written at a time; bounds the
 # field texts and the line text held at once
 CSV_CHUNK = 1024
-# compare forks workers only for a manifest whose circuit files total at
-# least this many bytes. A fork and its reap cost about 3 ms; on 2 CPUs the
-# demo's 26.7 KB took 12.8 ms in process against 15.7 ms forked, 8 bases
-# of the benchmark's corpus (200 KB) were about even, and its 40 bases
-# (1.15 MB) went from 150 to 102 ms
-PARALLEL_MIN_BYTES = 256 * 1024
+# compare runs in one process per this many bytes of circuit files, up to
+# one per usable CPU, and in one process below two. A fork and its reap
+# cost about 3 ms; on 2 CPUs the demo's 26.7 KB took 12.8 ms in process
+# against 15.7 ms forked, 8 bases of the benchmark's corpus (200 KB, so
+# 100 KB a process) were about even, and its 40 bases (1.15 MB) went from
+# 150 to 102 ms. Counts above 2 processes were not measured
+SHARE_MIN_BYTES = 128 * 1024
 
 
 class CliError(Exception):
@@ -321,21 +322,19 @@ def _file_bytes(path: str) -> int:
 
 def _shares(manifest: list[tuple[str, str, str]]) -> list[list[tuple[str, str, str]]]:
     """``manifest`` cut into one run of whole base groups per process to
-    use, in order, of about equal file bytes: one run, unless this process
-    can fork, has one thread and more than one usable CPU, and the manifest
-    has two or more base groups whose files total ``PARALLEL_MIN_BYTES``."""
+    use, in order, of about equal file bytes: min(usable CPUs, base groups,
+    file bytes // ``SHARE_MIN_BYTES``) runs, or one if that is below two or
+    this process cannot fork or has more than one thread."""
     if not hasattr(os, "fork") or threading.active_count() != 1:
         return [manifest]
     cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
             else os.cpu_count() or 1)
     groups = [list(versions) for _, versions in groupby(manifest, key=itemgetter(0))]
-    if cpus < 2 or len(groups) < 2:
-        return [manifest]
     sizes = [sum(_file_bytes(path) for *_, path in group) for group in groups]
     total = sum(sizes)
-    if total < PARALLEL_MIN_BYTES:
+    n = min(cpus, len(groups), total // SHARE_MIN_BYTES)
+    if n < 2:
         return [manifest]
-    n = min(cpus, len(groups))
     shares: list[list] = [[] for _ in range(n)]
     done = 0
     for group, size in zip(groups, sizes):  # a group goes to the share its middle byte falls in
@@ -350,7 +349,10 @@ def _fork(work, share) -> tuple[int, int] | None:
     started. The child writes nothing else, flushes no buffer it inherited
     and exits by ``os._exit``: 0 once it has sent the result, 1 on any
     exception."""
-    read, write = os.pipe()
+    try:
+        read, write = os.pipe()
+    except OSError:  # no descriptor left
+        return None
     try:
         pid = os.fork()
     except OSError:  # a process limit, or no memory for one

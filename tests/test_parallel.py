@@ -1,6 +1,6 @@
 """compare's forked workers against the same run in process.
 
-``PARALLEL_MIN_BYTES`` is patched to 0, so every manifest of two or more
+``SHARE_MIN_BYTES`` is patched to 1, so every manifest of two or more
 bases forks, and ``os.sched_getaffinity`` to four CPUs, whatever the
 machine: the demo's ten bases go to four processes, the parent's share and
 three children's. Each forked run must give the in-process run's exit code,
@@ -44,10 +44,10 @@ def forks(monkeypatch):
 
 def compare(capfd, argv, out, threshold, monkeypatch):
     """(exit code, stdout, stderr, report files) of ``compare`` with
-    ``PARALLEL_MIN_BYTES`` at ``threshold``. Unflushed text waits in
+    ``SHARE_MIN_BYTES`` at ``threshold``. Unflushed text waits in
     stdout's buffer, so a child that flushed what it inherited would
     write it twice. No child may be left, running or unreaped."""
-    monkeypatch.setattr(gatedepth.cli, "PARALLEL_MIN_BYTES", threshold)
+    monkeypatch.setattr(gatedepth.cli, "SHARE_MIN_BYTES", threshold)
     sys.stdout.write("unflushed ")
     code = main([*argv, "--out", str(out)])
     stdout, stderr = capfd.readouterr()
@@ -62,7 +62,7 @@ def forked_and_in_process(capfd, monkeypatch, forks, argv, tmp_path, children=No
     run's; ``children`` is the number of forks the forked run must make."""
     alone = compare(capfd, argv, tmp_path / "alone", sys.maxsize, monkeypatch)
     assert forks == []
-    forked = compare(capfd, argv, tmp_path / "forked", 0, monkeypatch)
+    forked = compare(capfd, argv, tmp_path / "forked", 1, monkeypatch)
     assert forked == alone
     if children is not None:
         assert len(forks) == children
@@ -109,7 +109,7 @@ def test_drawn_corpora_forked_are_byte_identical(seed, barrier, capfd, monkeypat
 
 def shares_of(manifest: Path, monkeypatch) -> list[list[str]]:
     """The version file names of each share of the manifest, forked."""
-    monkeypatch.setattr(gatedepth.cli, "PARALLEL_MIN_BYTES", 0)
+    monkeypatch.setattr(gatedepth.cli, "SHARE_MIN_BYTES", 1)
     shares = _shares(gatedepth.cli._load_manifest(str(manifest)))
     return [[Path(path).name for *_, path in share] for share in shares]
 
@@ -179,7 +179,7 @@ def test_an_interrupt_reaps_every_child(capfd, monkeypatch, forks, tmp_path):
         return work(*args, **kwargs)
 
     monkeypatch.setattr(gatedepth.cli, "_version_results", interrupted)
-    monkeypatch.setattr(gatedepth.cli, "PARALLEL_MIN_BYTES", 0)
+    monkeypatch.setattr(gatedepth.cli, "SHARE_MIN_BYTES", 1)
     with pytest.raises(KeyboardInterrupt):
         main([*demo_argv(DEMO / "manifest.json"), "--out", str(tmp_path / "out")])
     assert len(forks) == 3
@@ -192,11 +192,11 @@ def test_an_interrupt_reaps_every_child(capfd, monkeypatch, forks, tmp_path):
 def test_no_fork_without_two_cpus_the_bytes_and_two_bases(case, capfd, monkeypatch, forks,
                                                           tmp_path):
     manifest = DEMO / "manifest.json"
-    threshold = 0
+    threshold = 1
     if case == "one CPU":
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
     elif case == "below the threshold":
-        threshold = gatedepth.cli.PARALLEL_MIN_BYTES  # the demo's files are 27 KB
+        threshold = gatedepth.cli.SHARE_MIN_BYTES  # the demo's files are 27 KB
     else:
         data = json.loads(manifest.read_text())
         manifest = tmp_path / "one.json"
@@ -258,9 +258,34 @@ def test_an_ignored_sigchld_changes_nothing(how, capfd, monkeypatch, forks, tmp_
                 return results
 
             monkeypatch.setattr(gatedepth.cli, "_version_results", late)
-            monkeypatch.setattr(gatedepth.cli, "PARALLEL_MIN_BYTES", 0)
+            monkeypatch.setattr(gatedepth.cli, "SHARE_MIN_BYTES", 1)
             with pytest.raises(KeyboardInterrupt):
                 main([*demo_argv(DEMO / "manifest.json"), "--out", str(tmp_path / "out")])
             assert len(forks) == 3
     finally:
         signal.signal(signal.SIGCHLD, previous)
+
+
+@pytest.mark.parametrize("processes", [2, 3])
+def test_each_process_gets_share_min_bytes(processes, monkeypatch, forks):
+    """With four usable CPUs, the demo's files make as many runs as they
+    hold ``SHARE_MIN_BYTES``, not one per CPU."""
+    manifest = gatedepth.cli._load_manifest(str(DEMO / "manifest.json"))
+    total = sum(os.stat(path).st_size for *_, path in manifest)
+    monkeypatch.setattr(gatedepth.cli, "SHARE_MIN_BYTES", total // processes)
+    shares = _shares(manifest)
+    assert len(shares) == processes
+    assert [v for share in shares for v in share] == manifest
+
+
+def test_a_pipe_that_fails_leaves_its_share_to_this_process(capfd, monkeypatch, forks,
+                                                            tmp_path):
+    """With no descriptor left for a pipe, compare forks no child and runs
+    every share itself, with the in-process bytes and exit code."""
+    def no_descriptor():
+        raise OSError(errno.EMFILE, "Too many open files")
+
+    monkeypatch.setattr(os, "pipe", no_descriptor)
+    code, _, stderr, files = forked_and_in_process(capfd, monkeypatch, forks,
+                                                   demo_argv(DEMO / "manifest.json"), tmp_path, 0)
+    assert (code, stderr, sorted(files)) == (0, "", sorted(REPORTS))
