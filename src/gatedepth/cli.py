@@ -91,11 +91,24 @@ def _read(path: str, code: int, load, what: str = ""):
 
 
 def _write(path, write, *args, **kwargs) -> None:
-    """``write(path, *args, **kwargs)``; a path that cannot be written exits 4."""
+    """``write(path, *args, **kwargs)``; a path that cannot be written exits
+    4. The path None is stdout (a closed pipe, a full disk), which then
+    points at the null device, so that the flush at exit writes nowhere."""
     try:
         write(path, *args, **kwargs)
     except OSError as exc:
+        if path is None:
+            path = "<stdout>"
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
         raise CliError(EXIT_CONFIG, f"{path}: {exc.strerror or exc}")
+
+
+def _stdout(write, *args) -> None:
+    """``write(*args)``, a ``print`` or ``sys.stdout.flush``, as :func:`_write`
+    writes the path None."""
+    _write(None, lambda _: write(*args))
 
 
 class _Line:
@@ -214,7 +227,7 @@ def cmd_depth(args) -> int:
                                args.barrier)
         record = {"file": path, **{DEPTH_KEYS[m]: v if m == "gateaware" else int(round(v))
                                    for m, v in zip(metrics, values)}}
-        print(json.dumps(record))
+        _stdout(print, json.dumps(record))
     return EXIT_OK
 
 
@@ -233,9 +246,9 @@ def cmd_weights(args) -> int:
         raise CliError(EXIT_CONFIG, f"{', '.join(args.tables)}: {exc}")
     if args.out:
         _write(args.out, wmap.save)
-    print(f"architecture: {wmap.architecture}")
+    _stdout(print, f"architecture: {wmap.architecture}")
     for name in sorted(wmap.weights):
-        print(f"  {name:>10s}  {wmap.weights[name]:.6g}")
+        _stdout(print, f"  {name:>10s}  {wmap.weights[name]:.6g}")
     return EXIT_OK
 
 
@@ -246,7 +259,7 @@ def cmd_estimate(args) -> int:
     for path in args.files:
         [runtime] = _sweep_values(path, _read(path, EXIT_PARSE, parse_file), (), None, tables,
                                   args.barrier)
-        print(json.dumps({"file": path, "runtime_s": runtime}))
+        _stdout(print, json.dumps({"file": path, "runtime_s": runtime}))
     return EXIT_OK
 
 
@@ -298,19 +311,15 @@ def _parsed_versions(manifest: list[tuple[str, str, str]]):
                    rows)
 
 
-def _version_results(versions, metrics: tuple, weights, tables: list, barrier: str):
-    """``(results, error)`` of manifest entries ``versions``, whole base
-    groups of it: ``(base, compiler, values, runtime)`` of each version, in
-    order, up to the first that fails, and that failure's ``(code,
-    message)``, or None. Forked children run it as this process does."""
+def _version_results(versions, metrics: tuple, weights, tables: list, barrier: str) -> list:
+    """``(base, compiler, values, runtime)`` of each of manifest entries
+    ``versions``, whole base groups of it, in order; the first failing
+    version raises its CliError. Forked children run it as this process does."""
     results = []
-    try:
-        for base, compiler, path, circuit, rows in _parsed_versions(versions):
-            *values, runtime = _sweep_values(path, circuit, metrics, weights, tables, barrier, rows)
-            results.append((base, compiler, values, runtime))
-    except CliError as exc:
-        return results, (exc.code, str(exc))
-    return results, None
+    for base, compiler, path, circuit, rows in _parsed_versions(versions):
+        *values, runtime = _sweep_values(path, circuit, metrics, weights, tables, barrier, rows)
+        results.append((base, compiler, values, runtime))
+    return results
 
 
 def _file_bytes(path: str) -> int:
@@ -344,11 +353,12 @@ def _shares(manifest: list[tuple[str, str, str]]) -> list[list[tuple[str, str, s
 
 
 def _fork(work, share) -> tuple[int, int] | None:
-    """The pid of a forked child that sends ``marshal.dumps(work(share))``
-    down a pipe, and the pipe's read end, or None if no process can be
-    started. The child writes nothing else, flushes no buffer it inherited
-    and exits by ``os._exit``: 0 once it has sent the result, 1 on any
-    exception."""
+    """The pid of a forked child that sends ``marshal.dumps`` of
+    ``work(share)``, a list, or of the ``(code, message)`` tuple of the
+    CliError it raises, down a pipe, and the pipe's read end, or None if no
+    process can be started. The child writes nothing else, flushes no
+    buffer it inherited and exits by ``os._exit``: 0 once it has sent the
+    result, 1 on any other exception."""
     try:
         read, write = os.pipe()
     except OSError:  # no descriptor left
@@ -363,8 +373,12 @@ def _fork(work, share) -> tuple[int, int] | None:
         code = 1
         try:
             os.close(read)
+            try:
+                result = work(share)
+            except CliError as exc:
+                result = (exc.code, str(exc))
             with open(write, "wb") as pipe:
-                pipe.write(marshal.dumps(work(share)))
+                pipe.write(marshal.dumps(result))
             code = 0
         finally:
             os._exit(code)
@@ -388,8 +402,8 @@ def _compared_versions(manifest, metrics: tuple, weights, tables: list, barrier:
     in order, from :func:`_version_results` on each of :func:`_shares`: the
     first share in this process, each other in a forked child. A share
     whose child cannot be started or sends no result runs here. The first
-    failing version in manifest order raises its CliError; no child
-    outlives the call."""
+    failing version in manifest order raises its CliError, as the share
+    that holds it is reached; no child outlives the call."""
     work = partial(_version_results, metrics=metrics, weights=weights, tables=tables,
                    barrier=barrier)
     shares = _shares(manifest)
@@ -398,10 +412,8 @@ def _compared_versions(manifest, metrics: tuple, weights, tables: list, barrier:
     try:
         for share in shares[1:]:
             children.append(_fork(work, share))
-        outcomes = [work(shares[0])]
+        results = work(shares[0])
         for child, share in zip(children, shares[1:]):
-            if outcomes[-1][1] is not None:  # later shares cannot hold the first failure
-                break
             outcome = None
             if child is not None:
                 pid, read = child
@@ -413,7 +425,9 @@ def _compared_versions(manifest, metrics: tuple, weights, tables: list, barrier:
                     status = 0  # so the result alone tells
                 reaped.add(pid)
                 outcome = _loaded(data, status)
-            outcomes.append(outcome or work(share))
+            if type(outcome) is tuple:  # a child's CliError
+                raise CliError(*outcome)
+            results += work(share) if outcome is None else outcome
     finally:
         for pid, read in filter(None, children):
             os.close(read)
@@ -422,11 +436,6 @@ def _compared_versions(manifest, metrics: tuple, weights, tables: list, barrier:
                 with suppress(ProcessLookupError, ChildProcessError):  # gone, SIGCHLD ignored
                     os.kill(pid, SIGKILL)
                     os.waitpid(pid, 0)
-    results = []
-    for done, error in outcomes:
-        results += done
-        if error is not None:
-            raise CliError(*error)
     return results
 
 
@@ -482,8 +491,8 @@ def cmd_compare(args) -> int:
         m = summary["metrics"][metric]
         med = (f"median %RE {m['percent_re']['median']:.6g}" if m["percent_re"]
                else "no defined %RE")
-        print(f"{metric:>12s}: {m['pair_count']} pairs, {med}, "
-              f"identification accuracy {m['identification_accuracy_percent']:.6g}%")
+        _stdout(print, f"{metric:>12s}: {m['pair_count']} pairs, {med}, "
+                       f"identification accuracy {m['identification_accuracy_percent']:.6g}%")
     return EXIT_OK
 
 
@@ -525,19 +534,16 @@ def cmd_sweep(args) -> int:
     except ImportError:  # the grid is the one analysis that imports numpy
         raise CliError(EXIT_CONFIG, "sweep needs numpy, which cannot be imported")
     except OverflowError as exc:  # a depth past the largest float
-        raise CliError(EXIT_RESOLUTION, exc.args[0])
+        raise CliError(EXIT_RESOLUTION, f"{args.manifest}: {exc.args[0]}")
     except ValueError as exc:  # the grid is valid, so a point has no defined %RE
-        raise CliError(EXIT_MANIFEST, str(exc))
+        raise CliError(EXIT_MANIFEST, f"{args.manifest}: {exc}")
 
     # each device's points, in grid order, are one block, so the grid's texts are made once
     medians = list(map(itemgetter(2), result.points))
     blocks = [(grid, device, medians[k * len(grid):(k + 1) * len(grid)])
               for k, device in enumerate(devices)]
-    if args.out:
-        _write(args.out, _save_csv, SweepPoint._fields, blocks)
-    else:
-        _save_csv(None, SweepPoint._fields, blocks)
-    print(json.dumps({"argmin_w_s": dict(result.argmin_w_s)}, sort_keys=True))
+    _write(args.out or None, _save_csv, SweepPoint._fields, blocks)
+    _stdout(print, json.dumps({"argmin_w_s": dict(result.argmin_w_s)}, sort_keys=True))
     return EXIT_OK
 
 
@@ -595,18 +601,11 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         code = args.func(args)
-        sys.stdout.flush()
+        _stdout(sys.stdout.flush)
         return code
     except CliError as exc:
         print(str(exc), file=sys.stderr)
         return exc.code
-    except OSError as exc:  # stdout cannot be written (a closed pipe, a full disk): every
-        # other file goes through _read or _write. The flush at exit then writes nowhere
-        devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, sys.stdout.fileno())
-        os.close(devnull)
-        print(f"<stdout>: {exc.strerror or exc}", file=sys.stderr)
-        return EXIT_CONFIG
 
 
 if __name__ == "__main__":

@@ -123,7 +123,12 @@ class WeightMap:
             raise ValueError("/weights: required object")
         for name in data["weights"]:
             utf8_text(name, "/weights: gate")
-        return cls(weights=data["weights"], architecture=data.get("architecture") or None)
+        architecture = data.get("architecture")
+        if not isinstance(architecture, (str, type(None))):
+            raise ValueError("/architecture: must be a string or null")
+        if architecture:
+            utf8_text(architecture, "/architecture: architecture")
+        return cls(weights=data["weights"], architecture=architecture or None)
 
     def save(self, path) -> None:
         write_json(path, self.to_dict())

@@ -272,6 +272,19 @@ def test_weights_mixed_architectures_exit_4(tmp_path, capsys):
     assert "architecture" in err
 
 
+@pytest.mark.parametrize("means, reason", [
+    ({}, "duration tables contain no gates"),
+    ({"cz": 0.0}, "all gate-time means are zero; no normalization anchor"),
+], ids=["no gate", "no time above 0"])
+def test_weights_without_a_gate_time_above_0_exit_4_led_by_every_table(means, reason, tmp_path,
+                                                                       capsys):
+    tables = [_write_table(tmp_path / f"t{i}.json", f"dev{i}", "eagle", means) for i in range(2)]
+    out_path = tmp_path / "wmap.json"
+    assert run(capsys, "weights", *tables, "--out", str(out_path)) == (
+        4, "", f"{tables[0]}, {tables[1]}: {reason}\n")
+    assert not out_path.exists()
+
+
 def test_weights_rejects_two_tables_of_one_device(tmp_path, capsys):
     """A device's table given twice would count its means twice in the
     cross-device mean; it exits 4 as in sweep, and writes nothing."""
@@ -652,7 +665,7 @@ def test_sweep_without_a_defined_percent_re_exits_5(compare_setup, tmp_path, cap
                          "--grid", "0:1:0.5")
     assert code == 5
     assert out == ""
-    assert err == "device 'dev': no version pair has a defined %RE at w_s=0.0\n"
+    assert err == f"{manifest}: device 'dev': no version pair has a defined %RE at w_s=0.0\n"
 
 
 def test_sweep_missing_duration_exits_3_naming_the_version(compare_setup, tmp_path, capsys):
@@ -788,7 +801,8 @@ def test_a_depth_past_the_largest_float_exits_3(compare_setup, tmp_path, capsys)
                                     str(twice)) == (3, "", f"{twice}: gate_aware_depth {PAST_MAX_FLOAT}\n")
     assert run_without_warnings(capsys, "sweep", str(manifest), "--durations", str(table),
                                 "--grid", "0:1e308:1e307") == (
-        3, "", f"base 'b1', compiler 'qk': gate-aware depth at w_s=9e+307 {PAST_MAX_FLOAT}\n")
+        3, "", f"{manifest}: base 'b1', compiler 'qk': gate-aware depth at w_s=9e+307 "
+               f"{PAST_MAX_FLOAT}\n")
 
 
 def strict_json(text, **kwargs):
@@ -851,7 +865,7 @@ def test_sweep_without_a_finite_percent_re_exits_5(overflow_setup, capsys):
     manifest, table = overflow_setup
     assert run_without_warnings(capsys, "sweep", str(manifest), "--durations", str(table),
                                 "--grid", "0.5:1:0.5") == (
-        5, "", "device 'd': no version pair has a defined %RE at w_s=0.5\n")
+        5, "", f"{manifest}: device 'd': no version pair has a defined %RE at w_s=0.5\n")
 
 
 # --- one sweep per circuit ---------------------------------------------
@@ -1173,15 +1187,23 @@ def test_the_cli_looks_up_each_traced_name_when_it_calls_it(monkeypatch, tmp_pat
     assert [name for name, n in calls.items() if n == 0] == []
 
 
+def buffered_env() -> dict:
+    """The environment of a CLI subprocess whose stdout is block-buffered,
+    as on a file or pipe by default: under PYTHONUNBUFFERED each print
+    writes at once, and main's flush and the flush at exit have nothing
+    left to fail on."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    return {**env, "PYTHONPATH": str(Path(gatedepth.cli.__file__).parents[1])}
+
+
 def test_closed_stdout_exits_4_with_one_line():
     """30,003 CSV rows overflow a pipe buffer, so sweep is still writing when
     its reader closes the pipe after one line."""
     tables = [str(DEMO / f"durations_device{d}.json") for d in range(3)]
-    env = {**os.environ, "PYTHONPATH": str(Path(gatedepth.cli.__file__).parents[1])}
     proc = subprocess.Popen([sys.executable, "-m", "gatedepth.cli", "sweep",
                              str(DEMO / "manifest.json"), "--durations", *tables,
                              "--grid", "0:1:0.0001"],
-                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=buffered_env())
     assert proc.stdout.readline() == b"w_s,device,median_percent_re\n"
     proc.stdout.close()
     _, err = proc.communicate(timeout=120)
@@ -1200,10 +1222,9 @@ def test_a_full_stdout_exits_4_with_one_line(command, tmp_path):
             "depth": ["depth", "--weights", "weights.json", "circuits/base00_qfirst.qasm"],
             "compare": ["compare", "manifest.json", "--durations", "durations_device0.json",
                         "--weights", "weights.json", "--out", str(tmp_path / "report")]}[command]
-    env = {**os.environ, "PYTHONPATH": str(Path(gatedepth.cli.__file__).parents[1])}
     with open("/dev/full", "wb") as full:
-        proc = subprocess.run([sys.executable, "-m", "gatedepth.cli", *argv], cwd=DEMO, env=env,
-                              stdout=full, stderr=subprocess.PIPE, timeout=120)
+        proc = subprocess.run([sys.executable, "-m", "gatedepth.cli", *argv], cwd=DEMO,
+                              env=buffered_env(), stdout=full, stderr=subprocess.PIPE, timeout=120)
     assert (proc.returncode, proc.stderr) == (4, f"<stdout>: {os.strerror(errno.ENOSPC)}\n".encode())
 
 

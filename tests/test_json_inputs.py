@@ -168,6 +168,29 @@ def test_a_weight_map_name_that_is_not_utf8_exits_4(tmp_path, capsys):
                               "UTF-8 text: a lone surrogate at character 1\n")
 
 
+def test_a_manifest_of_one_version_per_base_exits_5_naming_it(tmp_path, capsys):
+    """No single mutation of the demo's manifest leaves every base one
+    version, so the fuzzer above never reaches the exit 5 of a manifest
+    without a version pair; in each command its one line starts with the
+    manifest's path."""
+    manifest = demo_document("manifest.json")
+    for base in manifest["bases"]:
+        del base["versions"][1:]
+    path = tmp_path / "manifest.json"
+    path.write_text(json.dumps(manifest))
+    for argv in commands("manifest.json", str(path), tmp_path):
+        code, err = rejected(capsys, argv, tmp_path / "report")
+        assert (code, err.count("\n")) == (5, 1) and err.startswith(f"{path}: ")
+
+
+def test_a_weight_map_architecture_that_is_not_a_string_exits_4(tmp_path, capsys):
+    path = tmp_path / "weights.json"
+    path.write_text(json.dumps({"architecture": [1], "weights": {"x": 0.5}}))
+    code, err = rejected(capsys, ["depth", "--weights", str(path), *CIRCUITS], tmp_path / "out")
+    assert (code, err) == (4, f"{path}: invalid weight map: /architecture: "
+                              "must be a string or null\n")
+
+
 def test_tables_of_two_architectures_exit_4_led_by_the_table_that_differs(tmp_path, capsys):
     tables = []
     for d, architecture in enumerate(("eagle-demo", "eagle-demo", "heron")):

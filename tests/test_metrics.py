@@ -1,3 +1,4 @@
+import json
 import math
 import operator
 import os
@@ -141,6 +142,30 @@ def test_weight_map_saves_names_sorted(tmp_path):
         '{\n  "architecture": "eagle",\n  "weights": {\n    "ecr": 1.0,\n'
         '    "rz": 0.0,\n    "x": 0.1\n  }\n}\n')
     assert WeightMap.load(path) == WeightMap({"ecr": 1.0, "rz": 0.0, "x": 0.1}, "eagle")
+
+
+@pytest.mark.parametrize("document, loaded", [
+    ({"architecture": "eagle"}, "eagle"), ({"architecture": ""}, None),
+    ({"architecture": None}, None), ({}, None)])
+def test_weight_map_architecture_is_a_string_or_null(document, loaded, tmp_path):
+    path = tmp_path / "weights.json"
+    path.write_text(json.dumps({**document, "weights": {"x": 0.5}}))
+    assert WeightMap.load(path).architecture == loaded
+
+
+@pytest.mark.parametrize("architecture, message", [
+    ([1], "/architecture: must be a string or null"),
+    (1, "/architecture: must be a string or null"),
+    ({}, "/architecture: must be a string or null"),
+    ("a\ud800", "/architecture: architecture 'a\\ud800' is not UTF-8 text: "
+                "a lone surrogate at character 1"),
+])
+def test_weight_map_architecture_of_another_type_is_rejected(architecture, message, tmp_path):
+    path = tmp_path / "weights.json"
+    path.write_text(json.dumps({"architecture": architecture, "weights": {"x": 0.5}}))
+    with pytest.raises(ValueError) as err:
+        WeightMap.load(path)
+    assert err.value.args == (message,)
 
 
 def test_weight_map_nested_document_is_invalid_json(tmp_path):

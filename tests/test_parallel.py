@@ -14,6 +14,7 @@ import shutil
 import signal
 import subprocess
 import sys
+import threading
 import time
 from pathlib import Path
 
@@ -114,8 +115,9 @@ def shares_of(manifest: Path, monkeypatch) -> list[list[str]]:
     return [[Path(path).name for *_, path in share] for share in shares]
 
 
-# a parse error (exit 2), and a gate with no weight (exit 3), after the first gate
-PLANTED = {"parse": "\nx q[0]\n", "weight": "\ny q[0];\n"}
+# a parse error (exit 2), and a gate with no weight (exit 3), after the first gate, or
+# the file deleted (exit 2), which also leaves its bytes uncounted in the shares
+PLANTED = {"parse": "\nx q[0]\n", "weight": "\ny q[0];\n", "missing": None}
 
 
 @pytest.mark.parametrize("kind", sorted(PLANTED))
@@ -130,14 +132,20 @@ def test_the_first_failure_in_manifest_order_exits(kind, where, capfd, monkeypat
     assert len(shares) == 4
     planted = {"parent": shares[0][-1], "child": shares[1][1], "last child": shares[3][0]}
     for name in (planted[w] for w in where):
+        if PLANTED[kind] is None:
+            os.remove(manifest.parent / "circuits" / name)
+            continue
         with open(manifest.parent / "circuits" / name, "a") as fh:
             fh.write(PLANTED[kind])
     code, stdout, stderr, files = forked_and_in_process(
         capfd, monkeypatch, forks, demo_argv(manifest, root=manifest.parent), tmp_path)
-    first = planted[where[0]]
-    assert (code, stdout, files) == ({"parse": 2, "weight": 3}[kind], "unflushed ", {})
-    assert stderr.startswith(str(manifest.parent / "circuits" / first) + ":")
+    first = manifest.parent / "circuits" / planted[where[0]]
+    assert (code, stdout, files) == ({"parse": 2, "weight": 3, "missing": 2}[kind],
+                                     "unflushed ", {})
+    assert stderr.startswith(f"{first}:")
     assert len(stderr.splitlines()) == 1
+    if kind == "missing":
+        assert stderr == f"{first}: file not found\n"
 
 
 @pytest.mark.parametrize("how", ["raise", "kill", "truncate"])
@@ -188,24 +196,62 @@ def test_an_interrupt_reaps_every_child(capfd, monkeypatch, forks, tmp_path):
     assert capfd.readouterr() == ("", "")
 
 
-@pytest.mark.parametrize("case", ["one CPU", "below the threshold", "one base"])
+def test_an_os_error_not_of_stdout_propagates_as_itself(capfd, monkeypatch, forks, tmp_path):
+    """An OSError that no input or output file gives (here a
+    ProcessLookupError in the parent's share) leaves main as itself: it is
+    not reported as stdout's, and fd 1 still writes."""
+    parent, work = os.getpid(), gatedepth.cli._version_results
+
+    def lost(*args, **kwargs):
+        if os.getpid() == parent:
+            raise ProcessLookupError(errno.ESRCH, os.strerror(errno.ESRCH))
+        return work(*args, **kwargs)
+
+    monkeypatch.setattr(gatedepth.cli, "_version_results", lost)
+    monkeypatch.setattr(gatedepth.cli, "SHARE_MIN_BYTES", 1)
+    with pytest.raises(ProcessLookupError):
+        main([*demo_argv(DEMO / "manifest.json"), "--out", str(tmp_path / "out")])
+    assert len(forks) == 3
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    os.write(1, b"fd 1 still writes\n")
+    assert capfd.readouterr() == ("fd 1 still writes\n", "")
+
+
+@pytest.mark.parametrize("case", ["one CPU", "below the threshold", "one base",
+                                  "another thread"])
 def test_no_fork_without_two_cpus_the_bytes_and_two_bases(case, capfd, monkeypatch, forks,
                                                           tmp_path):
+    """Nor while another thread runs, which a forked child would lack: the
+    run forks nothing and gives the in-process bytes."""
     manifest = DEMO / "manifest.json"
     threshold = 1
+    thread = None
     if case == "one CPU":
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
     elif case == "below the threshold":
         threshold = gatedepth.cli.SHARE_MIN_BYTES  # the demo's files are 27 KB
-    else:
+    elif case == "one base":
         data = json.loads(manifest.read_text())
         manifest = tmp_path / "one.json"
         manifest.write_text(json.dumps({"bases": [{
             "name": "base00", "versions": [{**v, "file": str(DEMO / v["file"])}
                                            for v in data["bases"][0]["versions"]]}]}))
-    code, _, stderr, _ = compare(capfd, demo_argv(manifest), tmp_path / "out", threshold,
+    else:
+        release = threading.Event()
+        thread = threading.Thread(target=release.wait)
+        thread.start()
+    try:
+        result = compare(capfd, demo_argv(manifest), tmp_path / "out", threshold, monkeypatch)
+    finally:
+        if thread is not None:
+            release.set()
+            thread.join(timeout=60)
+            assert not thread.is_alive()
+    assert (result[0], result[2], forks) == (0, "", [])
+    if thread is not None:
+        assert result == compare(capfd, demo_argv(manifest), tmp_path / "alone", sys.maxsize,
                                  monkeypatch)
-    assert (code, stderr, forks) == (0, "", [])
 
 
 def test_importing_the_cli_loads_no_process_pool_nor_pickle():
