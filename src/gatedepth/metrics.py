@@ -20,6 +20,8 @@ import json
 import math
 import operator
 from functools import cache, reduce
+from itertools import chain, repeat
+from json.encoder import encode_basestring_ascii
 from typing import Mapping, Sequence
 
 from .ir import BARRIER, DELAY, Circuit, multi_qubit
@@ -69,11 +71,135 @@ def read_json(path, error: type[ValueError] = ValueError):
         raise error(f"invalid JSON: {exc}") from exc
 
 
+# parts of JSON text that write_json joins and writes at a time; bounds the
+# text held at once
+JSON_CHUNK = 4096
+# entries write_json keeps in each of its stores of texts to reuse (float
+# texts, and per depth the key texts of each dict shape); a full store is
+# emptied
+JSON_MEMO = 4096
+_JSON_CONTAINERS = {dict, list, tuple}
+_JSON_CONSTANTS = {None: "null", True: "true", False: "false"}
+_JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}  # json's spelling
+
+
+class _JsonDepth:
+    """The texts of ``json.dump(indent=2)`` at one depth of nesting:
+    ``indent`` starts the line a container at this depth ends on, ``sep``
+    comes before each item in it but a list's first, ``first`` before that
+    one, and ``shapes`` maps the keys of a dict, a tuple of str, to the text
+    before each of its values."""
+
+    def __init__(self, depth: int):
+        self.indent = "  " * depth
+        self.inner = self.indent + "  "
+        self.sep = ",\n" + self.inner
+        self.first = "[\n" + self.inner
+        self.end_dict = "\n" + self.indent + "}"
+        self.end_list = "\n" + self.indent + "]"
+        self.shapes: dict[tuple, list[str]] = {}
+
+    def key_texts(self, keys: tuple) -> list[str]:
+        texts = [self.sep + encode_basestring_ascii(key) + ": " for key in keys]
+        texts[0] = "{" + texts[0][1:]
+        return texts
+
+
+def _dumps_at(value, indent: str) -> str:
+    """``json.dumps(value, indent=2)`` for a value that starts on a line
+    indented ``indent``: json escapes every newline in a string, so each
+    newline in the text starts a line."""
+    return json.dumps(value, indent=2).replace("\n", "\n" + indent)
+
+
 def write_json(path, document) -> None:
-    """Write ``document`` to ``path`` as JSON indented 2, ending in a newline."""
+    """Write ``document`` to ``path`` as ``json.dump(document, fh, indent=2)``
+    does, then a newline: the same bytes, and for what json cannot encode
+    the same exception. The writer goes down plain dicts, lists and tuples
+    and writes each str, float, int, bool and None of exact type itself,
+    as json spells it: a str by ``json.encoder.encode_basestring_ascii``, a
+    float by its repr (``NaN``, ``Infinity`` and ``-Infinity`` for those
+    that are not finite), an int by its repr. Anything else is written by
+    ``json.dumps(value, indent=2)`` and indented to its depth: a subclass
+    (an ``IntEnum``, a ``NamedTuple``, a dict subclass), a value json cannot
+    encode (a set) and a dict with a key that is not a str, so json writes
+    or rejects its int, float, bool and None keys. A dict whose keys equal,
+    in order, those of a dict already written at its depth takes their
+    texts without checking them again. A cycle, or nesting deeper than
+    Python's recursion limit, is written by ``json.dump`` itself, which
+    raises its own error. Text goes to the file ``JSON_CHUNK`` parts at a
+    time, so a report is never held as one string."""
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(document, fh, indent=2)  # streamed, so a report is never held as one string
+        try:
+            _write_json_parts(document, fh.write)
+        except RecursionError:
+            fh.seek(0)
+            fh.truncate()
+            json.dump(document, fh, indent=2)
         fh.write("\n")
+
+
+def _write_json_parts(document, write) -> None:
+    out: list[str] = []
+    append = out.append
+    floats: dict[float, str] = {}  # float -> its text; 0.0 == -0.0, so no zero
+    floats_get = floats.get
+    depths: list[_JsonDepth] = []
+
+    def encode(value, depth: int) -> None:
+        """Append the text of ``value``, a dict, list or tuple with an item,
+        at ``depth``."""
+        if depth == len(depths):
+            depths.append(_JsonDepth(depth))
+        level = depths[depth]
+        if type(value) is dict:
+            keys = tuple(value)
+            texts = level.shapes.get(keys)
+            if texts is None:
+                for key in keys:
+                    if type(key) is not str:
+                        append(_dumps_at(value, level.indent))
+                        return
+                if len(level.shapes) >= JSON_MEMO:
+                    level.shapes.clear()
+                texts = level.shapes[keys] = level.key_texts(keys)
+            items, end = zip(texts, value.values()), level.end_dict
+        else:
+            items, end = zip(chain((level.first,), repeat(level.sep)), value), level.end_list
+        for before, item in items:
+            append(before)
+            kind = type(item)
+            if kind is str:
+                append(encode_basestring_ascii(item))
+            elif kind is float:
+                text = floats_get(item)
+                if text is None:
+                    text = repr(item)
+                    if text[-1] > "9":  # nan, inf or -inf; a finite repr ends in a digit
+                        text = _JSON_NONFINITE[text]
+                    elif item:
+                        if len(floats) >= JSON_MEMO:
+                            floats.clear()
+                        floats[item] = text
+                append(text)
+            elif kind in _JSON_CONTAINERS and item:  # an empty one goes to json below
+                encode(item, depth + 1)
+            elif kind is int:
+                append(repr(item))
+            elif item is None or kind is bool:
+                append(_JSON_CONSTANTS[item])
+            else:
+                append(_dumps_at(item, level.inner))
+            if len(out) >= JSON_CHUNK:
+                write("".join(out))
+                out.clear()
+        append(end)
+
+    if type(document) in _JSON_CONTAINERS and document:
+        encode(document, 0)
+    else:
+        append(_dumps_at(document, ""))
+    write("".join(out))
 
 
 class WeightMap:
