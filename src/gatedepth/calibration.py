@@ -8,6 +8,8 @@ average, so the slowest gate gets weight exactly 1.0 and virtual gates
 """
 from __future__ import annotations
 
+import operator
+from functools import reduce
 from typing import Mapping, NamedTuple, Sequence
 
 from .metrics import WeightMap, nonnegative_number, read_json, utf8_text, write_json
@@ -104,6 +106,13 @@ def load_duration_table(path) -> DurationTable:
     return duration_table_from_dict(read_json(path, DurationTableError))
 
 
+def _mean(values: Sequence[float]) -> float:
+    """The mean of ``values``, summed left to right as ``sum`` does before
+    Python 3.12, whose ``sum`` compensates float rounding: so a weight map
+    has the same bytes on every Python."""
+    return reduce(operator.add, values, 0.0) / len(values)
+
+
 class GateStats(NamedTuple):
     """Per-gate duration statistics over one device's table."""
 
@@ -131,7 +140,7 @@ def summarize(table: DurationTable) -> dict[str, GateStats]:
     which case the default stands in as the single data point (count 0).
     """
     located = {name for name, _ in table.entries}
-    return {name: GateStats(sum(durs) / len(durs), len(durs) if name in located else 0,
+    return {name: GateStats(_mean(durs), len(durs) if name in located else 0,
                             min(durs), max(durs))
             for name, durs in _durations_by_gate(table).items()}
 
@@ -162,8 +171,8 @@ def configure_weights(tables: Sequence[DurationTable], pooled: bool = False) -> 
     samples: dict[str, list[float]] = {}  # per gate, each device's durations or their mean
     for table in tables:
         for name, durs in _durations_by_gate(table).items():
-            samples.setdefault(name, []).extend(durs if pooled else [sum(durs) / len(durs)])
-    cross_means = {name: sum(values) / len(values) for name, values in samples.items()}
+            samples.setdefault(name, []).extend(durs if pooled else [_mean(durs)])
+    cross_means = {name: _mean(values) for name, values in samples.items()}
     if not cross_means:
         raise ValueError("duration tables contain no gates")
     anchor = max(cross_means.values())

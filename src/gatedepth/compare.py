@@ -185,25 +185,21 @@ def identify_optimal(records: Sequence[VersionRecord], metric: str) -> Identific
     groups = _versions_by_base([(rec.base, rec.compiler) for rec in records])
     if len(groups) != 1:
         raise ValueError(f"records span multiple base circuits: {sorted(groups)}")
-    [(base, by_compiler)] = groups.items()
-    metric_values = {c: records[i].metrics[metric] for c, i in by_compiler.items()}
-    runtimes = {c: records[i].runtime_s for c, i in by_compiler.items()}
-    metric_argmin = _argmin_set(metric_values, METRIC_REL_TOL, 0.0)
-    runtime_argmin = _argmin_set(runtimes, 0.0, RUNTIME_ABS_TOL)
-    return IdentificationResult(
-        base=base,
-        metric=metric,
-        correct=metric_argmin == runtime_argmin,
-        metric_argmin=metric_argmin,
-        runtime_argmin=runtime_argmin,
-    )
+    return identification_accuracy(records, metric)[1][0]
 
 
 def identification_accuracy(records: Sequence[VersionRecord], metric: str) -> tuple[float, list[IdentificationResult]]:
-    """Percentage of base circuits whose runtime-optimal set is identified."""
-    groups = _versions_by_base([(rec.base, rec.compiler) for rec in records])
-    results = [identify_optimal([records[i] for i in by_compiler.values()], metric)
-               for by_compiler in groups.values() if len(by_compiler) >= 2]
+    """Percentage of base circuits whose runtime-optimal set is identified,
+    and each such base's :func:`identify_optimal` result."""
+    results = []
+    for base, by_compiler in _versions_by_base([(rec.base, rec.compiler) for rec in records]).items():
+        if len(by_compiler) < 2:
+            continue
+        versions = [(c, records[i]) for c, i in by_compiler.items()]
+        metric_argmin = _argmin_set({c: rec.metrics[metric] for c, rec in versions}, METRIC_REL_TOL, 0.0)
+        runtime_argmin = _argmin_set({c: rec.runtime_s for c, rec in versions}, 0.0, RUNTIME_ABS_TOL)
+        results.append(IdentificationResult(base, metric, metric_argmin == runtime_argmin,
+                                            metric_argmin, runtime_argmin))
     if not results:
         raise ValueError("no base circuit has two or more versions")
     accuracy = 100.0 * sum(r.correct for r in results) / len(results)

@@ -74,10 +74,6 @@ def read_json(path, error: type[ValueError] = ValueError):
 # parts of JSON text that write_json joins and writes at a time; bounds the
 # text held at once
 JSON_CHUNK = 4096
-# entries write_json keeps in each of its stores of texts to reuse (float
-# texts, and per depth the key texts of each dict shape); a full store is
-# emptied
-JSON_MEMO = 4096
 _JSON_CONTAINERS = {dict, list, tuple}
 _JSON_CONSTANTS = {None: "null", True: "true", False: "false"}
 _JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}  # json's spelling
@@ -87,8 +83,8 @@ class _JsonDepth:
     """The texts of ``json.dump(indent=2)`` at one depth of nesting:
     ``indent`` starts the line a container at this depth ends on, ``sep``
     comes before each item in it but a list's first, ``first`` before that
-    one, and ``shapes`` maps the keys of a dict, a tuple of str, to the text
-    before each of its values."""
+    one; ``keys`` are the str keys of the last dict checked at this depth,
+    and ``texts`` the text before each of its values."""
 
     def __init__(self, depth: int):
         self.indent = "  " * depth
@@ -97,7 +93,8 @@ class _JsonDepth:
         self.first = "[\n" + self.inner
         self.end_dict = "\n" + self.indent + "}"
         self.end_list = "\n" + self.indent + "]"
-        self.shapes: dict[tuple, list[str]] = {}
+        self.keys: tuple = ()
+        self.texts: list[str] = []
 
     def key_texts(self, keys: tuple) -> list[str]:
         texts = [self.sep + encode_basestring_ascii(key) + ": " for key in keys]
@@ -124,11 +121,12 @@ def write_json(path, document) -> None:
     (an ``IntEnum``, a ``NamedTuple``, a dict subclass), a value json cannot
     encode (a set) and a dict with a key that is not a str, so json writes
     or rejects its int, float, bool and None keys. A dict whose keys equal,
-    in order, those of a dict already written at its depth takes their
-    texts without checking them again. A cycle, or nesting deeper than
-    Python's recursion limit, is written by ``json.dump`` itself, which
-    raises its own error. Text goes to the file ``JSON_CHUNK`` parts at a
-    time, so a report is never held as one string."""
+    in order, those of the last dict checked at its depth takes their texts
+    without checking them again: the writer keeps one dict shape per depth,
+    and no float text. A cycle, or nesting deeper than Python's recursion
+    limit, is written by ``json.dump`` itself, which raises its own error.
+    Text goes to the file ``JSON_CHUNK`` parts at a time, so a report is
+    never held as one string."""
     with open(path, "w", encoding="utf-8") as fh:
         try:
             _write_json_parts(document, fh.write)
@@ -142,8 +140,6 @@ def write_json(path, document) -> None:
 def _write_json_parts(document, write) -> None:
     out: list[str] = []
     append = out.append
-    floats: dict[float, str] = {}  # float -> its text; 0.0 == -0.0, so no zero
-    floats_get = floats.get
     depths: list[_JsonDepth] = []
 
     def encode(value, depth: int) -> None:
@@ -154,16 +150,13 @@ def _write_json_parts(document, write) -> None:
         level = depths[depth]
         if type(value) is dict:
             keys = tuple(value)
-            texts = level.shapes.get(keys)
-            if texts is None:
+            if keys != level.keys:
                 for key in keys:
                     if type(key) is not str:
                         append(_dumps_at(value, level.indent))
                         return
-                if len(level.shapes) >= JSON_MEMO:
-                    level.shapes.clear()
-                texts = level.shapes[keys] = level.key_texts(keys)
-            items, end = zip(texts, value.values()), level.end_dict
+                level.keys, level.texts = keys, level.key_texts(keys)
+            items, end = zip(level.texts, value.values()), level.end_dict
         else:
             items, end = zip(chain((level.first,), repeat(level.sep)), value), level.end_list
         for before, item in items:
@@ -172,16 +165,9 @@ def _write_json_parts(document, write) -> None:
             if kind is str:
                 append(encode_basestring_ascii(item))
             elif kind is float:
-                text = floats_get(item)
-                if text is None:
-                    text = repr(item)
-                    if text[-1] > "9":  # nan, inf or -inf; a finite repr ends in a digit
-                        text = _JSON_NONFINITE[text]
-                    elif item:
-                        if len(floats) >= JSON_MEMO:
-                            floats.clear()
-                        floats[item] = text
-                append(text)
+                text = repr(item)
+                # nan, inf or -inf; a finite repr ends in a digit
+                append(_JSON_NONFINITE[text] if text[-1] > "9" else text)
             elif kind in _JSON_CONTAINERS and item:  # an empty one goes to json below
                 encode(item, depth + 1)
             elif kind is int:

@@ -123,6 +123,19 @@ def test_summarize_matches_brute_force_sum():
     assert stats.min <= stats.mean <= stats.max
 
 
+@pytest.mark.parametrize("pooled", [False, True])
+def test_means_add_left_to_right_on_every_python(pooled):
+    """From Python 3.12 ``sum`` compensates float rounding, which gives
+    (1 + 2**53 + 2) / 3 here; every mean adds its durations in order, as
+    ``sum`` did before, so a weight map has the same bytes on every Python."""
+    durations = (1.0, 2.0**53, 1.0)
+    table = make_table(entries={("x", (q,)): d for q, d in enumerate(durations)},
+                       defaults={"ecr": 2.0**54})
+    mean = (((0.0 + 1.0) + 2.0**53) + 1.0) / 3
+    assert summarize(table)["x"].mean == mean != (2.0**53 + 2.0) / 3
+    assert configure_weights([table], pooled=pooled)["x"] == mean / 2.0**54
+
+
 def test_summarize_defaults_excluded_when_entries_exist():
     table = make_table(entries={("x", (0,)): 1e-8}, defaults={"x": 9e-8, "sx": 3e-8})
     stats = summarize(table)

@@ -1,12 +1,14 @@
 """Metamorphic checks on the bundled demo, exact in floats: an input change
 that must scale or keep every number, and the outputs compared byte for
 byte before and after it."""
+import csv
 import json
 from pathlib import Path
 
 import pytest
 
 from gatedepth.cli import main
+from gatedepth.compare import relative_difference
 
 DEMO = Path(__file__).resolve().parents[1] / "demo"
 TABLES = [DEMO / f"durations_device{d}.json" for d in range(3)]
@@ -47,6 +49,16 @@ def doubled(data: dict) -> dict:
 
 def read_outputs(out_dir: Path) -> dict:
     return {name: (out_dir / name).read_bytes() for name in COMPARE_OUTPUTS}
+
+
+def pair_rows(out_dir: Path) -> list[dict]:
+    with open(out_dir / "pairs.csv", newline="", encoding="utf-8") as fh:
+        return list(csv.DictReader(fh))
+
+
+def accuracies(out_dir: Path) -> dict:
+    summary = json.loads((out_dir / "summary.json").read_text(encoding="utf-8"))
+    return {metric: m["identification_accuracy_percent"] for metric, m in summary["metrics"].items()}
 
 
 @pytest.mark.parametrize("defaults", [False, True], ids=["entries", "defaults"])
@@ -123,6 +135,58 @@ def test_scaling_every_weight_by_a_power_of_two_scales_only_the_gateaware_depths
         else:
             assert new == old
     assert depths == len(json.loads(once["report.json"])["records"]) == 30
+
+
+@pytest.mark.parametrize(("scale", "bound"), [(1.0, 0.0), (1e-7, 1e-9), (3e-7, 1e-9)])
+def test_durations_proportional_to_the_weights_make_gateaware_depth_exact(
+        scale, bound, tmp_path, monkeypatch, capsys):
+    """A table of no entries whose per-gate defaults are the weights times
+    ``scale``: each runtime is the gate-aware depth times ``scale``, so each
+    gate-aware %RE is 0 (at ``scale`` 1, exactly; else up to rounding) and
+    every base's fastest version is identified."""
+    monkeypatch.chdir(DEMO)
+    weights = json.loads((DEMO / "weights.json").read_text(encoding="utf-8"))
+    table = {"device": "proportional", "architecture": weights["architecture"], "entries": [],
+             "defaults": {gate: scale * w for gate, w in weights["weights"].items()}}
+    durations = write_table(table, tmp_path / "durations.json")
+    run(capsys, "compare", "manifest.json", "--durations", durations,
+        "--weights", "weights.json", "--out", tmp_path / "report")
+    rows = [row for row in pair_rows(tmp_path / "report") if row["metric"] == "gateaware"]
+    defined = [float(row["percent_re"]) for row in rows if row["percent_re"]]
+    assert len(rows) == 30 and defined
+    assert max(defined) <= bound, max(defined)
+    assert accuracies(tmp_path / "report")["gateaware"] == 100.0
+
+
+def test_renaming_a_compiler_id_to_sort_last_swaps_only_its_pairs(tmp_path, monkeypatch, capsys):
+    """``qfirst`` renamed ``zfirst`` sorts last, so each of its pairs takes
+    it as C1 in place of C2; every other pair and every identification
+    accuracy stays as it was."""
+    monkeypatch.chdir(DEMO)
+    manifest = json.loads((DEMO / "manifest.json").read_text(encoding="utf-8"))
+    for base in manifest["bases"]:
+        for version in base["versions"]:
+            version["file"] = str(DEMO / version["file"])
+            if version["compiler"] == "qfirst":
+                version["compiler"] = "zfirst"
+    renamed = write_table(manifest, tmp_path / "manifest.json")
+    for name, path in (("plain", "manifest.json"), ("renamed", renamed)):
+        run(capsys, "compare", path, "--durations", "durations_device0.json",
+            "--weights", "weights.json", "--out", tmp_path / name)
+    plain, after = pair_rows(tmp_path / "plain"), pair_rows(tmp_path / "renamed")
+    assert len(plain) == len(after) == 90
+    assert ([row for row in after if "zfirst" not in (row["compiler_a"], row["compiler_b"])]
+            == [row for row in plain if "qfirst" not in (row["compiler_a"], row["compiler_b"])])
+    report = json.loads((tmp_path / "renamed" / "report.json").read_text(encoding="utf-8"))
+    values = {(r["base"], r["compiler"]): r["metrics"] for r in report["records"]}
+    swapped = [row for row in after if "zfirst" in (row["compiler_a"], row["compiler_b"])]
+    assert len(swapped) == 60
+    for row in swapped:
+        assert row["compiler_a"] == "zfirst"
+        a = values[row["base"], "zfirst"][row["metric"]]
+        b = values[row["base"], row["compiler_b"]][row["metric"]]
+        assert float(row["delta_metric"]) == relative_difference(a, b), row
+    assert accuracies(tmp_path / "renamed") == accuracies(tmp_path / "plain")
 
 
 def with_barriers(tmp_path: Path) -> Path:
